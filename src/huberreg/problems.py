@@ -11,12 +11,16 @@ Three observation models share one container family:
 ``theta*`` is the adversarial contamination vector, stored before the
 ``sqrt(n)`` normalization (the factor is applied when responses are built).
 Containers are immutable after validation: arrays are copied in and their
-write flags cleared, so instances are safe to share across threads.
+write flags cleared, so instances are safe to share across threads. The
+squared operator norm of the design is computed at most once per instance
+and cached on it (``opnorm_sq_estimate`` and ``opnorm_sq``), so every solve
+on the same problem reuses it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -24,6 +28,7 @@ import numpy as np
 # Dense matrix covariates are kept only at desk scale; masks are the
 # canonical encoding for completion problems.
 MAX_DENSE_CELLS = 10**6
+POWER_ITERS = 20
 
 
 class ProblemValidationError(ValueError):
@@ -59,6 +64,25 @@ def _as_locked_int(a, name: str) -> np.ndarray:
     arr = np.array(a, dtype=np.int64, copy=True)
     arr.flags.writeable = False
     return arr
+
+
+def _power_opnorm_sq(apply_fn, adjoint_fn, shape, iters: int = POWER_ITERS) -> float:
+    """Estimate |A|_op^2 where A maps parameter -> (n,) via power iteration.
+
+    Starts from the normalized all-ones vector; the result never exceeds
+    the true value.
+    """
+    v = np.ones(shape, dtype=float)
+    v /= np.linalg.norm(v)
+    lam = 1.0
+    for _ in range(iters):
+        w = adjoint_fn(apply_fn(v))
+        nw = float(np.linalg.norm(w))
+        if nw <= 1e-300:
+            return 1e-300
+        v = w / nw
+        lam = nw
+    return lam
 
 
 @dataclass(frozen=True)
@@ -206,6 +230,17 @@ class RegressionProblem:
     def d(self) -> int:
         return self.X.shape[1]
 
+    @cached_property
+    def opnorm_sq_estimate(self) -> float:
+        """|X|_op^2 from POWER_ITERS power iterations (a lower bound); cached."""
+        X = self.X
+        return _power_opnorm_sq(lambda b: X @ b, lambda r: X.T @ r, (self.d,))
+
+    @cached_property
+    def opnorm_sq(self) -> float:
+        """Exact |X|_op^2, the squared top singular value; cached."""
+        return max(float(np.linalg.norm(self.X, 2)) ** 2, 1e-300)
+
 
 @dataclass(frozen=True)
 class TraceProblem:
@@ -274,6 +309,31 @@ class TraceProblem:
     @property
     def is_mask(self) -> bool:
         return isinstance(self.covariates, MaskCovariates)
+
+    @cached_property
+    def opnorm_sq_estimate(self) -> float:
+        """|A|_op^2 of the design from POWER_ITERS power iterations (a lower bound); cached."""
+        return _power_opnorm_sq(
+            lambda B: design_apply(self, B), lambda r: design_adjoint(self, r), self.dims
+        )
+
+    @cached_property
+    def opnorm_sq(self) -> float:
+        """Exact |A|_op^2 of the design; cached.
+
+        Masks give a diagonal A^T A with entries d1 * d2 * (samples of the
+        cell), so the norm is d1 * d2 times the largest cell count. Dense
+        covariates take the squared top singular value of the flattened
+        (n, d1 * d2) matrix.
+        """
+        d1, d2 = self.dims
+        if self.is_mask:
+            m = self.covariates
+            counts = np.bincount(m.rows * d2 + m.cols, minlength=d1 * d2)
+            value = float(d1 * d2 * counts.max())
+        else:
+            value = float(np.linalg.norm(self.covariates.reshape(self.n, d1 * d2), 2)) ** 2
+        return max(value, 1e-300)
 
 
 def trace_inner(Xi, B: np.ndarray) -> float:

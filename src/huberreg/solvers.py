@@ -14,10 +14,19 @@ upper bound of the smooth part,
 
     f(z) <= f(y) + <grad f(y), z - y> + |z - y|^2 / (2 t),
 
-shrinking t by ``backtrack_factor`` until the bound holds. The default
-initial step is ``n / (lambda_o^2 * opnorm2)`` where ``opnorm2``
-estimates the squared operator norm of the design via 20 power
-iterations.
+shrinking t by ``backtrack_factor`` until the bound holds. The smooth
+part's curvature is at most |A|_op^2 / n for every lambda_o, so the
+initial step is ``n / opnorm2``, where ``opnorm2`` is the 20-step
+power-iteration estimate of |A|_op^2 (``problem.opnorm_sq_estimate``).
+``step_rule="fixed"`` never checks the bound, so it takes
+``0.95 * n / |A|_op^2`` with the exact norm (``problem.opnorm_sq``), since
+the power estimate can fall below the true norm. Either norm is computed
+once per problem and cached on it, so a lambda path reuses it.
+
+Cost per iteration: the engine keeps the fitted values ``A x`` with the
+iterate and forms those of the momentum point by linearity, so an
+iteration applies the design once per step size tried and its adjoint
+once, plus once more when a momentum overshoot restarts from x.
 
 Joint formulation
 -----------------
@@ -67,7 +76,6 @@ from .problems import (
 # Objective decreases are tested against this additive slop; it is also the
 # per-step tolerance promised by SolverResult.objective_trace.
 _MONOTONE_TOL = 1e-12
-POWER_ITERS = 20
 
 
 @dataclass(frozen=True)
@@ -113,58 +121,69 @@ class JointResult(NamedTuple):
     converged: bool
 
 
-def _power_opnorm_sq(apply_fn, adjoint_fn, shape, iters: int = POWER_ITERS) -> float:
-    """Estimate |A|_op^2 where A maps parameter -> (n,) via power iteration."""
-    v = np.ones(shape, dtype=float)
-    v /= np.linalg.norm(v)
-    lam = 1.0
-    for _ in range(iters):
-        w = adjoint_fn(apply_fn(v))
-        nw = float(np.linalg.norm(w))
-        if nw <= 1e-300:
-            return 1e-300
-        v = w / nw
-        lam = nw
-    return lam
+class _Run(NamedTuple):
+    x: np.ndarray
+    trace: np.ndarray
+    iterations: int
+    converged: bool
+    step: float
+    restarts: int
 
 
 def _minimize(
     x0: np.ndarray,
-    smooth: Callable[[np.ndarray], tuple],
-    smooth_value: Callable[[np.ndarray], float],
+    apply_fn: Callable[[np.ndarray], np.ndarray],
+    adjoint_fn: Callable[[np.ndarray], np.ndarray],
+    loss: Callable[[np.ndarray], tuple],
     penalty_value: Callable[[np.ndarray], float],
     prox: Callable[[np.ndarray, float], np.ndarray],
     cfg: SolverConfig,
     t0: float,
-):
-    """Safeguarded accelerated proximal gradient. Fully deterministic."""
+) -> _Run:
+    """Safeguarded accelerated proximal gradient. Fully deterministic.
+
+    ``loss(z)`` takes the fitted values ``z = A x`` and returns
+    ``(value, h)``; the gradient of the smooth part at x is ``A^T h``.
+    ``A x`` is kept with every iterate (always an exact apply of an
+    accepted candidate), the momentum point's fitted values follow by
+    linearity, and the gradient at x is formed only when a step is taken
+    from x (first iteration, restart, or no momentum).
+    """
     backtracking = cfg.step_rule == "backtracking"
     x = np.array(x0, dtype=float)
-    x_prev = x
-    f_x, g_x = smooth(x)
+    Ax = apply_fn(x)
+    f_x, h_x = loss(Ax)
+    g_x = None
+    x_prev, Ax_prev = x, Ax
     F_x = f_x + penalty_value(x)
     trace = [F_x]
     t = float(t0)
     theta_mom = 1.0
     converged = False
     iterations = 0
+    restarts = 0
     t_floor = t0 * 1e-20
 
     for _ in range(cfg.max_iters):
         if cfg.momentum and theta_mom > 1.0:
             theta_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * theta_mom**2))
-            y = x + ((theta_mom - 1.0) / theta_next) * (x - x_prev)
-            f_y, g_y = smooth(y)
+            m = (theta_mom - 1.0) / theta_next
+            y = x + m * (x - x_prev)
+            f_y, h_y = loss(Ax + m * (Ax - Ax_prev))
+            g_y = adjoint_fn(h_y)
             from_x = False
         else:
             theta_next = 1.0 if not cfg.momentum else 0.5 * (1.0 + np.sqrt(5.0))
+            if g_x is None:
+                g_x = adjoint_fn(h_x)
             y, f_y, g_y = x, f_x, g_x
             from_x = True
 
         accepted = None
         while True:
             cand = prox(y - t * g_y, t)
-            f_c = smooth_value(cand)
+            A_c = apply_fn(cand)
+            f_c, h_c = loss(A_c)
             if backtracking:
                 d = cand - y
                 bound = f_y + float(np.vdot(g_y, d)) + float(np.vdot(d, d)) / (2.0 * t)
@@ -173,13 +192,16 @@ def _minimize(
                     continue
             F_c = f_c + penalty_value(cand)
             if F_c <= F_x + _MONOTONE_TOL:
-                accepted = (cand, F_c)
+                accepted = (cand, A_c, f_c, h_c, F_c)
                 break
             if not from_x and cfg.restart:
                 # momentum overshoot: restart and retake the step from x
+                if g_x is None:
+                    g_x = adjoint_fn(h_x)
                 y, f_y, g_y = x, f_x, g_x
                 from_x = True
                 theta_next = 1.0
+                restarts += 1
                 continue
             if backtracking and t > t_floor:
                 t *= cfg.backtrack_factor
@@ -190,9 +212,9 @@ def _minimize(
             # no descent possible at the step floor; stop where we are
             break
 
-        cand, F_c = accepted
-        x_prev, x = x, cand
-        f_x, g_x = smooth(x)
+        x_prev, Ax_prev = x, Ax
+        x, Ax, f_x, h_x, F_c = accepted
+        g_x = None
         F_prev, F_x = F_x, F_c
         trace.append(F_x)
         theta_mom = theta_next
@@ -201,36 +223,51 @@ def _minimize(
             converged = True
             break
 
-    return x, np.asarray(trace), iterations, converged, t
+    return _Run(x, np.asarray(trace), iterations, converged, t, restarts)
 
 
-def _default_step(n: int, opnorm_sq: float, cfg: SolverConfig) -> float:
+def _initial_step(problem, cfg: SolverConfig) -> float:
     # the smooth-part curvature is at most opnorm^2 / n for every lambda_o:
     # the loss prefactor lambda_o^2 cancels against the residual rescaling
     if cfg.initial_step is not None:
         return cfg.initial_step
     if cfg.step_rule == "fixed":
-        return 0.95 * n / (1.05 * opnorm_sq)
-    return n / opnorm_sq
+        return 0.95 * problem.n / problem.opnorm_sq
+    return problem.n / problem.opnorm_sq_estimate
 
 
-def _huber_smooth_parts(y, apply_fn, adjoint_fn, n, tp):
+def _design_ops(problem):
+    """(apply, adjoint) of the problem's design.
+
+    Trace designs look up ``design_apply``/``design_adjoint`` on every call.
+    """
+    if isinstance(problem, RegressionProblem):
+        X = problem.X
+        return (lambda b: X @ b), (lambda r: X.T @ r)
+    return (lambda B: design_apply(problem, B)), (lambda r: design_adjoint(problem, r))
+
+
+def _huber_loss(y: np.ndarray, n: int, tp: TuningParams):
+    """Huber data term of the fitted values z: (value, h), gradient A^T h."""
     scale = tp.lambda_o * np.sqrt(n)
     coef = tp.lambda_o / np.sqrt(n)
 
-    def value(x):
-        u = (y - apply_fn(x)) / scale
-        a = np.abs(u)
-        return float(tp.lambda_o**2 * np.where(a <= 1.0, 0.5 * u * u, a - 0.5).sum())
-
-    def value_grad(x):
-        u = (y - apply_fn(x)) / scale
+    def loss(z):
+        u = (y - z) / scale
         a = np.abs(u)
         val = float(tp.lambda_o**2 * np.where(a <= 1.0, 0.5 * u * u, a - 0.5).sum())
-        grad = -coef * adjoint_fn(np.clip(u, -1.0, 1.0))
-        return val, grad
+        return val, -coef * np.clip(u, -1.0, 1.0)
 
-    return value, value_grad
+    return loss
+
+
+def _solve_huber(problem, tp, cfg, start, penalty_value, prox) -> SolverResult:
+    apply_fn, adjoint_fn = _design_ops(problem)
+    run = _minimize(
+        start, apply_fn, adjoint_fn, _huber_loss(problem.y, problem.n, tp),
+        penalty_value, prox, cfg, _initial_step(problem, cfg),
+    )
+    return SolverResult(run.x, run.trace, run.iterations, run.converged, run.step)
 
 
 def solve_adversarial_lasso(
@@ -240,17 +277,10 @@ def solve_adversarial_lasso(
     x0: Optional[np.ndarray] = None,
 ) -> SolverResult:
     """l1-penalized Huber-loss regression; starts at zero unless x0 is given."""
-    X, y, n = problem.X, problem.y, problem.n
-    apply_fn = lambda b: X @ b
-    adjoint_fn = lambda r: X.T @ r
-    sv, svg = _huber_smooth_parts(y, apply_fn, adjoint_fn, n, tp)
     pen = lambda b: tp.lambda_star * float(np.abs(b).sum())
     prox = lambda v, t: soft_threshold(v, t * tp.lambda_star)
-    op2 = _power_opnorm_sq(apply_fn, adjoint_fn, (problem.d,))
-    t0 = _default_step(n, op2, cfg)
     start = np.zeros(problem.d) if x0 is None else np.array(x0, dtype=float)
-    x, trace, iters, conv, t = _minimize(start, svg, sv, pen, prox, cfg, t0)
-    return SolverResult(x, trace, iters, conv, t)
+    return _solve_huber(problem, tp, cfg, start, pen, prox)
 
 
 def solve_matrix_cs(
@@ -260,17 +290,10 @@ def solve_matrix_cs(
     x0: Optional[np.ndarray] = None,
 ) -> SolverResult:
     """Nuclear-norm penalized Huber-loss trace regression; zero start default."""
-    n = problem.n
-    apply_fn = lambda B: design_apply(problem, B)
-    adjoint_fn = lambda r: design_adjoint(problem, r)
-    sv, svg = _huber_smooth_parts(problem.y, apply_fn, adjoint_fn, n, tp)
     pen = lambda B: tp.lambda_star * nuclear_norm(B)
     prox = lambda V, t: singular_value_threshold(V, t * tp.lambda_star)
-    op2 = _power_opnorm_sq(apply_fn, adjoint_fn, problem.dims)
-    t0 = _default_step(n, op2, cfg)
     start = np.zeros(problem.dims) if x0 is None else np.array(x0, dtype=float)
-    x, trace, iters, conv, t = _minimize(start, svg, sv, pen, prox, cfg, t0)
-    return SolverResult(x, trace, iters, conv, t)
+    return _solve_huber(problem, tp, cfg, start, pen, prox)
 
 
 def solve_matrix_completion(
@@ -286,20 +309,13 @@ def solve_matrix_completion(
     """
     if tp.inf_ball_radius is None:
         raise ProblemValidationError("matrix completion requires inf_ball_radius")
-    n = problem.n
     radius = tp.inf_ball_radius
-    apply_fn = lambda B: design_apply(problem, B)
-    adjoint_fn = lambda r: design_adjoint(problem, r)
-    sv, svg = _huber_smooth_parts(problem.y, apply_fn, adjoint_fn, n, tp)
     pen = lambda B: tp.lambda_star * nuclear_norm(B)
     prox = lambda V, t: project_inf_ball(
         singular_value_threshold(V, t * tp.lambda_star), radius
     )
     x0 = np.zeros(problem.dims) if B0 is None else project_inf_ball(np.asarray(B0, float), radius)
-    op2 = _power_opnorm_sq(apply_fn, adjoint_fn, problem.dims)
-    t0 = _default_step(n, op2, cfg)
-    x, trace, iters, conv, t = _minimize(x0, svg, sv, pen, prox, cfg, t0)
-    return SolverResult(x, trace, iters, conv, t)
+    return _solve_huber(problem, tp, cfg, x0, pen, prox)
 
 
 def solve_joint_oracle(
@@ -321,11 +337,9 @@ def solve_joint_oracle(
     X, y, n = problem.X, problem.y, problem.n
     sqn = np.sqrt(n)
     scale = tp.lambda_o * sqn
-    apply_fn = lambda b: X @ b
-    adjoint_fn = lambda r: X.T @ r
-    op2 = _power_opnorm_sq(apply_fn, adjoint_fn, (problem.d,))
+    apply_fn, adjoint_fn = _design_ops(problem)
     inner_cfg = replace(cfg, initial_step=None)
-    t0 = cfg.initial_step if cfg.initial_step is not None else n / op2
+    t0 = _initial_step(problem, cfg)
 
     pen = lambda b: tp.lambda_star * float(np.abs(b).sum())
     prox = lambda v, t: soft_threshold(v, t * tp.lambda_star)
@@ -338,15 +352,11 @@ def solve_joint_oracle(
     for it in range(1, outer_iters + 1):
         y_adj = y - sqn * theta
 
-        def sv(b, y_adj=y_adj):
-            r = y_adj - X @ b
-            return float(np.vdot(r, r)) / (2.0 * n)
+        def loss(z, y_adj=y_adj):
+            r = y_adj - z
+            return float(np.vdot(r, r)) / (2.0 * n), -r / n
 
-        def svg(b, y_adj=y_adj):
-            r = y_adj - X @ b
-            return float(np.vdot(r, r)) / (2.0 * n), -(X.T @ r) / n
-
-        beta, _, _, _, _ = _minimize(beta, svg, sv, pen, prox, inner_cfg, t0)
+        beta = _minimize(beta, apply_fn, adjoint_fn, loss, pen, prox, inner_cfg, t0).x
         r = y - X @ beta
         theta = soft_threshold(r, scale) / sqn
         resid = r - sqn * theta

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import huberreg.problems as problems_mod
+import huberreg.solvers as solvers_mod
 from huberreg import (
     ContaminationSpec,
     CovariateSpec,
@@ -24,6 +26,7 @@ from huberreg import (
     solve_matrix_completion,
     solve_matrix_cs,
 )
+from huberreg.experiments import SweepSpec, run_trial
 
 TIGHT = SolverConfig(max_iters=8000, rel_tol=1e-12)
 
@@ -309,6 +312,109 @@ def test_fixed_step_rule_converges():
     )
     b = solve_adversarial_lasso(p, tp, SolverConfig(max_iters=40000, rel_tol=1e-14))
     np.testing.assert_allclose(a.estimate, b.estimate, atol=1e-6)
+
+
+def test_fixed_step_within_exact_curvature_bound():
+    """the fixed rule never backtracks, so its step must not exceed
+    n / |A|_op^2 computed exactly; the 20-step power estimate is only a
+    lower bound on the norm (0.825 of it for seed 51 below)."""
+    tp = TuningParams(0.5, 0.05, inf_ball_radius=1.0)
+    cfg = SolverConfig(max_iters=1, step_rule="fixed")
+    cases = []
+    for seed in range(200):
+        X = np.random.default_rng(seed).standard_normal((60, 12))
+        p = RegressionProblem(y=X[:, 0], X=X)
+        cases.append((solve_adversarial_lasso, p, np.linalg.norm(X, 2) ** 2))
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        cov = rng.standard_normal((40, 4, 5))
+        p = TraceProblem(y=rng.standard_normal(40), covariates=cov, dims=(4, 5))
+        cases.append((solve_matrix_cs, p, np.linalg.norm(cov.reshape(40, 20), 2) ** 2))
+        mask = MaskCovariates(
+            rows=rng.integers(0, 4, 50), cols=rng.integers(0, 5, 50),
+            signs=rng.choice([-1, 1], 50),
+        )
+        p = TraceProblem(y=rng.standard_normal(50), covariates=mask, dims=(4, 5))
+        dense = mask.densify(4, 5).reshape(50, 20)
+        cases.append((solve_matrix_completion, p, np.linalg.norm(dense, 2) ** 2))
+    for solve, problem, exact in cases:
+        assert problem.opnorm_sq == pytest.approx(exact, rel=1e-12)
+        step = solve(problem, tp, cfg).final_step_size
+        assert step <= problem.n / exact
+
+
+def _counting_engine(monkeypatch):
+    """Wrap the engine so each run records its design applies, adjoints and
+    prox calls (one prox call per step size tried)."""
+    runs = []
+    engine = solvers_mod._minimize
+
+    def counted(counts, key, fn):
+        def wrapper(*args):
+            counts[key] += 1
+            return fn(*args)
+        return wrapper
+
+    def wrapped(x0, apply_fn, adjoint_fn, loss, pen, prox, cfg, t0):
+        counts = dict.fromkeys(("apply", "adjoint", "prox"), 0)
+        run = engine(
+            x0, counted(counts, "apply", apply_fn), counted(counts, "adjoint", adjoint_fn),
+            loss, pen, counted(counts, "prox", prox), cfg, t0,
+        )
+        runs.append((counts, run))
+        return run
+
+    monkeypatch.setattr(solvers_mod, "_minimize", wrapped)
+    return runs
+
+
+@pytest.mark.parametrize("momentum", [True, False])
+@pytest.mark.parametrize("kind", ["lasso", "matrix_cs"])
+def test_matvec_budget_per_iteration(monkeypatch, kind, momentum):
+    runs = _counting_engine(monkeypatch)
+    cfg = SolverConfig(max_iters=3000, rel_tol=1e-11, momentum=momentum)
+    tp = TuningParams(0.4, 0.05)
+    if kind == "lasso":
+        solve_adversarial_lasso(lasso_instance(n=80, d=20, seed=40, outlier=(3, 50.0)), tp, cfg)
+    else:
+        rng = np.random.default_rng(41)
+        problem = TraceProblem(
+            y=rng.standard_normal(50), covariates=rng.standard_normal((50, 4, 4)), dims=(4, 4)
+        )
+        solve_matrix_cs(problem, tp, cfg)
+    [(counts, run)] = runs
+    rejected = counts["prox"] - run.iterations
+    assert run.iterations >= 10
+    assert counts["apply"] <= 1 + run.iterations + rejected
+    assert counts["adjoint"] <= 1 + run.iterations + run.restarts
+
+
+@pytest.mark.parametrize("kind, dims, s", [("lasso", 30, 3), ("matrix_cs", (4, 4), 1)])
+def test_grid_oracle_estimates_operator_norm_once(monkeypatch, kind, dims, s):
+    calls = []
+    power = problems_mod._power_opnorm_sq
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return power(*args, **kwargs)
+
+    monkeypatch.setattr(problems_mod, "_power_opnorm_sq", counted)
+    runs = _counting_engine(monkeypatch)
+    spec = SweepSpec(problem_kind=kind, n_grid=(120,), d_grid=(dims,), s_grid=(s,),
+                     tuning_mode="grid_oracle")
+    run_trial(spec, 0, 0)
+    assert len(runs) == len(spec.oracle_multipliers) > 1
+    assert len(calls) == 1
+
+
+def test_joint_oracle_reuses_cached_operator_norm(monkeypatch):
+    p = lasso_instance(n=50, d=8, seed=202, outlier=(5, 40.0))
+    tp = TuningParams(0.5, 0.08)
+    solve_adversarial_lasso(p, tp)
+    calls = []
+    monkeypatch.setattr(problems_mod, "_power_opnorm_sq", lambda *a, **k: calls.append(1))
+    solve_joint_oracle(p, tp)
+    assert calls == []
 
 
 def test_kkt_stationarity_at_solution():
