@@ -162,6 +162,32 @@ class SweepSpec:
         object.__setattr__(
             self, "oracle_multipliers", tuple(float(v) for v in self.oracle_multipliers)
         )
+        self._check_cell_sizes()
+
+    def _check_cell_sizes(self):
+        """Reject a grid with a cell the generators cannot draw.
+
+        Without this, such a cell fails only when its trials run, possibly
+        inside a sweep worker process.
+        """
+        n_min = min(self.n_grid)
+        if n_min < 1:
+            raise ProblemValidationError(f"n must be >= 1, got n={n_min}")
+        for o in self.o_grid:
+            if not 0 <= o <= n_min:
+                raise ProblemValidationError(f"need 0 <= o <= n, got o={o}, n={n_min}")
+        lasso = self.problem_kind == "lasso"
+        for dims in self.d_grid:
+            d_min = dims if lasso else min(dims)
+            if d_min < 1:
+                raise ProblemValidationError(f"dimensions must be >= 1, got {dims}")
+            for s in self.s_grid:
+                if lasso and not 0 <= s <= d_min:
+                    raise ProblemValidationError(f"need 0 <= s <= d, got s={s}, d={dims}")
+                if not lasso and not 1 <= s <= d_min:
+                    raise ProblemValidationError(
+                        f"need 1 <= rank <= min(d1, d2), got rank={s}, dims={dims}"
+                    )
 
     @staticmethod
     def from_dict(cfg: dict) -> "SweepSpec":

@@ -49,7 +49,7 @@ class HuberScale:
 
 def _checked(t, name="t"):
     arr = np.asarray(t, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ProblemValidationError(f"{name} must be finite")
     return arr
 
@@ -71,13 +71,19 @@ def huber_deriv(t):
 def soft_threshold(v, tau: float):
     """Entrywise prox of tau * |.|_1: sign(v) * max(|v| - tau, 0).
 
-    Exact zeros at |v| <= tau, including equality.
+    Exact zeros at |v| <= tau, including equality. A zeroed entry keeps the
+    sign of ``sign(v) * 0``: -0.0 where v < 0, +0.0 where v >= 0 (v = -0.0
+    included). Scalar input gives a float.
     """
     if not (np.isfinite(tau) and tau >= 0):
         raise ProblemValidationError(f"threshold must be a finite nonnegative scalar, got {tau}")
     arr = _checked(v, "v")
-    out = np.sign(arr) * np.maximum(np.abs(arr) - tau, 0.0)
-    return float(out) if np.isscalar(v) or arr.ndim == 0 else out
+    # out= keeps a 0-d input an array, so the in-place steps below apply
+    out = np.abs(arr, out=np.empty_like(arr))
+    out -= tau
+    np.maximum(out, 0.0, out=out)
+    out *= np.sign(arr)
+    return float(out) if arr.ndim == 0 else out
 
 
 def nuclear_norm(M: np.ndarray) -> float:

@@ -26,7 +26,11 @@ once per problem and cached on it, so a lambda path reuses it.
 Cost per iteration: the engine keeps the fitted values ``A x`` with the
 iterate and forms those of the momentum point by linearity, so an
 iteration applies the design once per step size tried and its adjoint
-once, plus once more when a momentum overshoot restarts from x.
+once, plus once more when a momentum overshoot restarts from x. The Huber
+loss on fitted values is fused: with u the scaled residual and
+c = clip(u, -1, 1), it sums c (u - c/2), which equals H(u) bit for bit on
+both branches (``penalties._huber_data_term``), and returns
+h = -(lambda_o / sqrt n) c from the same buffer.
 
 Joint formulation
 -----------------
@@ -51,6 +55,7 @@ additive or multiplicative calibration constant remains in this scaling.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Optional
 
@@ -166,14 +171,14 @@ def _minimize(
 
     for _ in range(cfg.max_iters):
         if cfg.momentum and theta_mom > 1.0:
-            theta_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * theta_mom**2))
+            theta_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * theta_mom**2))
             m = (theta_mom - 1.0) / theta_next
             y = x + m * (x - x_prev)
             f_y, h_y = loss(Ax + m * (Ax - Ax_prev))
             g_y = adjoint_fn(h_y)
             from_x = False
         else:
-            theta_next = 1.0 if not cfg.momentum else 0.5 * (1.0 + np.sqrt(5.0))
+            theta_next = 1.0 if not cfg.momentum else 0.5 * (1.0 + math.sqrt(5.0))
             if g_x is None:
                 g_x = adjoint_fn(h_x)
             y, f_y, g_y = x, f_x, g_x
@@ -251,12 +256,21 @@ def _huber_loss(y: np.ndarray, n: int, tp: TuningParams):
     """Huber data term of the fitted values z: (value, h), gradient A^T h."""
     scale = tp.lambda_o * np.sqrt(n)
     coef = tp.lambda_o / np.sqrt(n)
+    lam_o_sq = tp.lambda_o**2
 
     def loss(z):
-        u = (y - z) / scale
-        a = np.abs(u)
-        val = float(tp.lambda_o**2 * np.where(a <= 1.0, 0.5 * u * u, a - 0.5).sum())
-        return val, -coef * np.clip(u, -1.0, 1.0)
+        u = y - z
+        u /= scale
+        c = np.maximum(u, -1.0)
+        np.minimum(c, 1.0, out=c)
+        # c (u - c/2) is u^2/2 where |u| <= 1 and |u| - 1/2 elsewhere, bit for
+        # bit: u - u/2 == u/2 exactly, and -(u + 1/2) == -u - 1/2
+        w = c * 0.5
+        np.subtract(u, w, out=w)
+        w *= c
+        val = float(lam_o_sq * np.add.reduce(w))
+        c *= -coef
+        return val, c
 
     return loss
 

@@ -189,6 +189,35 @@ def test_spec_validation_errors():
                  "fixed_lambda_o": 1.0, "fixed_lambda_star": 0.1})
 
 
+@pytest.mark.parametrize("kind, over, match", [
+    ("lasso", dict(s_grid=(5,), d_grid=(3,)), "s=5, d=3"),
+    ("lasso", dict(s_grid=(-1,)), "s=-1"),
+    ("lasso", dict(d_grid=(10, 0), s_grid=(0,)), "got 0"),
+    ("lasso", dict(n_grid=(100, 0)), "n=0"),
+    ("lasso", dict(n_grid=(100, 20), o_grid=(0, 30)), "o=30, n=20"),
+    ("lasso", dict(o_grid=(-2,)), "o=-2"),
+    ("matrix_cs", dict(d_grid=((8, 8), (6, 2)), s_grid=(3,)), r"rank=3, dims=\(6, 2\)"),
+    ("completion", dict(s_grid=(0,)), "rank=0"),
+    ("completion", dict(d_grid=((0, 4),)), r"\(0, 4\)"),
+])
+def test_spec_rejects_cells_generators_cannot_draw(kind, over, match):
+    dims = (10,) if kind == "lasso" else ((8, 8),)
+    base = dict(problem_kind=kind, n_grid=(100,), d_grid=dims, s_grid=(2,))
+    with pytest.raises(ProblemValidationError, match=match):
+        SweepSpec(**{**base, **over})
+
+
+@pytest.mark.parametrize("kind, dims, s", [("lasso", 4, 4), ("lasso", 4, 0), ("matrix_cs", (3, 5), 3)])
+def test_spec_accepts_boundary_cells_and_they_run(kind, dims, s):
+    spec = SweepSpec(
+        problem_kind=kind, n_grid=(30,), d_grid=(dims,), s_grid=(s,), o_grid=(30,),
+        adversary_grid=({"strategy": "random_large", "magnitude": 5.0},),
+        trials_per_cell=1, tuning_mode="fixed", fixed_lambda_o=0.1,
+        fixed_lambda_star=0.1, max_iters=50,
+    )
+    assert run_trial(spec, 0, 0).o == 30
+
+
 def test_cells_follow_grid_product_order():
     spec = small_lasso_spec(n_grid=(60, 120), s_grid=(1, 2), o_grid=(0,))
     cells = spec.cells()

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from huberreg import (
     HuberScale,
@@ -114,6 +117,64 @@ def test_soft_threshold_nonexpansive():
         da = np.linalg.norm(soft_threshold(a, tau) - soft_threshold(b, tau), axis=1)
         db = np.linalg.norm(a - b, axis=1)
         assert np.all(da <= db + 1e-12)
+
+
+def _soft_threshold_reference(v, tau):
+    return np.sign(v) * np.maximum(np.abs(v) - tau, 0.0)
+
+
+@pytest.mark.parametrize("tau", [0.0, 0.5, 1.0, 2.5])
+def test_soft_threshold_bytes_match_reference(tau):
+    """Same bytes as sign(v) max(|v| - tau, 0), so signed zeros count:
+    -0.0 input, ties |v| == tau, tau == 0, and 2-d input."""
+    rng = np.random.default_rng(14)
+    edges = np.array([-0.0, 0.0, 1.0, -1.0, 0.5, -0.5, 2.5, -2.5, 1e300, -1e-300])
+    v = np.concatenate([edges, rng.standard_normal(30) * 2]).reshape(5, 8)
+    for arr in (v, v.T, v[:, 0]):
+        out = soft_threshold(arr, tau)
+        assert out.shape == arr.shape
+        assert out.tobytes() == _soft_threshold_reference(arr, tau).tobytes()
+    assert np.signbit(soft_threshold(np.array([-0.0, -0.5]), 1.0)).tolist() == [False, True]
+
+
+def test_soft_threshold_scalar_returns_float_and_rejects_nonfinite():
+    for v, tau in [(-0.0, 0.0), (-3.0, 1.0), (1.0, 1.0), (np.float64(0.2), 1.0)]:
+        out = soft_threshold(v, tau)
+        assert type(out) is float
+        assert np.array(out).tobytes() == np.array(_soft_threshold_reference(v, tau)).tobytes()
+    for bad in (np.nan, np.inf, np.array([1.0, -np.inf]), np.array([[0.0], [np.nan]])):
+        with pytest.raises(ProblemValidationError):
+            soft_threshold(bad, 1.0)
+
+
+_finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+_tau = st.floats(0.0, 50.0, allow_nan=False)
+_PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=100)
+
+
+@_PROPERTY
+@given(v=arrays(np.float64, array_shapes(min_dims=1, max_dims=2, max_side=8), elements=_finite),
+       tau=_tau)
+def test_soft_threshold_moreau_decomposition(v, tau):
+    """v = prox_{tau |.|_1}(v) + projection of v onto the l_inf ball of radius tau."""
+    gap = np.abs(v - soft_threshold(v, tau) - np.clip(v, -tau, tau))
+    assert np.all(gap <= 1e-12 * (1 + np.abs(v)))
+
+
+@_PROPERTY
+@given(M=arrays(np.float64, array_shapes(min_dims=2, max_dims=2, max_side=6), elements=_finite),
+       tau=_tau)
+def test_svt_moreau_decomposition(M, tau):
+    """M - SVT(M, tau) lies in the spectral-norm ball of radius tau (the dual
+    of the nuclear norm) and is aligned with SVT(M, tau):
+    <SVT, M - SVT> = tau |SVT|_*."""
+    Z = singular_value_threshold(M, tau)
+    R = M - Z
+    slack = 1e-12 * max(1.0, np.linalg.norm(M, 2))
+    assert np.linalg.norm(R, 2) <= tau * (1 + 1e-12) + slack
+    assert float(np.vdot(Z, R)) == pytest.approx(
+        tau * nuclear_norm(Z), rel=1e-9, abs=1e-9 * max(1.0, np.linalg.norm(M) ** 2)
+    )
 
 
 def test_svt_beats_random_probes():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import huberreg.penalties as penalties_mod
 import huberreg.problems as problems_mod
 import huberreg.solvers as solvers_mod
 from huberreg import (
@@ -415,6 +416,25 @@ def test_joint_oracle_reuses_cached_operator_norm(monkeypatch):
     monkeypatch.setattr(problems_mod, "_power_opnorm_sq", lambda *a, **k: calls.append(1))
     solve_joint_oracle(p, tp)
     assert calls == []
+
+
+@pytest.mark.parametrize("n, lambda_o", [(16, 0.25), (37, 0.7), (200, 0.37)])
+def test_huber_loss_matches_data_term_bit_for_bit(n, lambda_o):
+    """The engine's loss on fitted values equals the reference Huber data term
+    exactly, and h is -(lambda_o/sqrt n) clip(u, -1, 1) byte for byte, at
+    |u| == 1, at +-0 and far out on the linear branch (n=16, lambda_o=1/4 make
+    the scale 1, so u = y - z exactly)."""
+    rng = np.random.default_rng(n)
+    edges = np.array([1.0, -1.0, 0.0, -0.0, 1e12, -1e12, 1 + 2**-52, -(1 - 2**-53), 0.5, -3.0])
+    y = np.concatenate([edges, rng.standard_normal(n - edges.size) * 4])
+    z = np.concatenate([np.zeros(edges.size), rng.standard_normal(n - edges.size)])
+    scale = lambda_o * np.sqrt(n)
+    value, h = solvers_mod._huber_loss(y, n, TuningParams(lambda_o, 0.1))(z)
+    assert value == penalties_mod._huber_data_term(y - z, scale, lambda_o)
+    u = (y - z) / scale
+    assert h.tobytes() == (-(lambda_o / np.sqrt(n)) * np.clip(u, -1.0, 1.0)).tobytes()
+    if n == 16:
+        assert np.signbit(h[2:4]).tolist() == [True, False]
 
 
 def test_kkt_stationarity_at_solution():
