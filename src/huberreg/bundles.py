@@ -22,6 +22,7 @@ from .problems import (
     ProblemValidationError,
     RegressionProblem,
     TraceProblem,
+    _Adopt,
 )
 
 _F = ".17g"
@@ -52,14 +53,30 @@ def _write_matrix(path: str, M: np.ndarray, header: str = "") -> None:
 
 
 def _read_matrix(path: str, skip_header: bool = False) -> np.ndarray:
+    """Parse a comma-separated matrix, skipping blank lines.
+
+    Raises ProblemValidationError naming the file and the 1-based line for
+    a token that is not a number and for a row whose length differs from
+    the first row's.
+    """
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
-        for i, ln in enumerate(fh):
-            if skip_header and i == 0:
+        for lineno, ln in enumerate(fh, start=1):
+            if skip_header and lineno == 1:
                 continue
             ln = ln.strip()
-            if ln:
-                rows.append([float(tok) for tok in ln.split(",")])
+            if not ln:
+                continue
+            try:
+                row = list(map(float, ln.split(",")))
+            except ValueError as exc:  # float's message quotes the bad token
+                raise ProblemValidationError(f"{path}, line {lineno}: {exc}") from None
+            if rows and len(row) != len(rows[0]):
+                raise ProblemValidationError(
+                    f"{path}, line {lineno}: {len(row)} values, but the first row "
+                    f"has {len(rows[0])}"
+                )
+            rows.append(row)
     return np.array(rows, dtype=float)
 
 
@@ -143,19 +160,24 @@ def read_problem_bundle(bundle_dir: str):
     if kind not in ("lasso", "trace_dense", "completion"):
         raise ProblemValidationError(f"meta.txt has unknown kind {meta.get('kind')!r}")
 
-    y = _read_matrix(os.path.join(bundle_dir, "y.csv")).ravel()
-    theta_path = os.path.join(bundle_dir, "theta_true.csv")
-    theta = _read_matrix(theta_path).ravel() if os.path.exists(theta_path) else None
+    def parse(name, vector=False, optional=False):
+        # every array parsed here is fresh and held nowhere else: hand it over
+        path = os.path.join(bundle_dir, name)
+        if optional and not os.path.exists(path):
+            return None
+        arr = _read_matrix(path)
+        return _Adopt(arr.ravel() if vector else arr)
+
+    y = parse("y.csv", vector=True)
+    theta = parse("theta_true.csv", vector=True, optional=True)
 
     if kind == "lasso":
-        X = _read_matrix(os.path.join(bundle_dir, "X.csv"))
-        bt_path = os.path.join(bundle_dir, "beta_true.csv")
-        beta = _read_matrix(bt_path).ravel() if os.path.exists(bt_path) else None
+        X = parse("X.csv")
+        beta = parse("beta_true.csv", vector=True, optional=True)
         return RegressionProblem(y=y, X=X, beta_true=beta, theta_true=theta, meta=meta)
 
     d1, d2 = int(meta["d1"]), int(meta["d2"])
-    Bt_path = os.path.join(bundle_dir, "B_true.csv")
-    B_true = _read_matrix(Bt_path) if os.path.exists(Bt_path) else None
+    B_true = parse("B_true.csv", optional=True)
     if kind == "completion":
         raw = _read_matrix(os.path.join(bundle_dir, "masks.csv"), skip_header=True)
         if raw.size == 0:
@@ -163,9 +185,9 @@ def read_problem_bundle(bundle_dir: str):
         order = np.argsort(raw[:, 0], kind="stable")
         raw = raw[order]
         cov = MaskCovariates(
-            rows=raw[:, 1].astype(int),
-            cols=raw[:, 2].astype(int),
-            signs=raw[:, 3].astype(int),
+            rows=_Adopt(raw[:, 1].astype(int)),
+            cols=_Adopt(raw[:, 2].astype(int)),
+            signs=_Adopt(raw[:, 3].astype(int)),
         )
     else:
         flat = _read_matrix(os.path.join(bundle_dir, "X.csv"))
@@ -173,7 +195,7 @@ def read_problem_bundle(bundle_dir: str):
             raise ProblemValidationError(
                 f"X.csv has {flat.shape[1]} columns, expected d1*d2 = {d1 * d2}"
             )
-        cov = flat.reshape(len(flat), d1, d2)
+        cov = _Adopt(flat.reshape(len(flat), d1, d2))
     return TraceProblem(
         y=y, covariates=cov, dims=(d1, d2), B_true=B_true, theta_true=theta, meta=meta
     )

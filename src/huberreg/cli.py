@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from .bundles import read_problem_bundle, write_problem_bundle
+from .bundles import _read_matrix, read_problem_bundle, write_problem_bundle
 from .datagen import (
     ContaminationSpec,
     CovariateSpec,
@@ -220,20 +220,10 @@ def cmd_tune(args) -> int:
     return 0
 
 
-def _load_square_csv(path) -> np.ndarray:
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for ln in fh:
-            ln = ln.strip()
-            if ln:
-                rows.append([float(tok) for tok in ln.split(",")])
-    return np.array(rows, dtype=float)
-
-
 def cmd_diagnose(args) -> int:
     if args.what == "re":
         if args.sigma_csv:
-            Sigma = _load_square_csv(args.sigma_csv)
+            Sigma = _read_matrix(args.sigma_csv)
         else:
             _require(args.d is not None, "diagnose re needs --d or --sigma-csv")
             Sigma = np.eye(args.d)
@@ -241,7 +231,7 @@ def cmd_diagnose(args) -> int:
         value = empirical_re(Sigma, args.s, args.c0, grid=args.grid)
         _emit(what="re", d=Sigma.shape[0], s=args.s, c0=args.c0, value=value)
     elif args.what == "mre":
-        Sigma = _load_square_csv(args.sigma_csv) if args.sigma_csv else None
+        Sigma = _read_matrix(args.sigma_csv) if args.sigma_csv else None
         _require(args.d1 is not None and args.d2 is not None and args.rank is not None,
                  "diagnose mre needs --d1, --d2 and --rank")
         value = empirical_mre(
@@ -252,7 +242,7 @@ def cmd_diagnose(args) -> int:
               c0=args.c0, value=value)
     else:
         _require(args.matrix_csv is not None, "diagnose spikiness needs --matrix-csv")
-        M = _load_square_csv(args.matrix_csv)
+        M = _read_matrix(args.matrix_csv)
         _emit(what="spikiness", d1=M.shape[0], d2=M.shape[1], value=spikiness(M))
     return 0
 

@@ -29,6 +29,7 @@ from .problems import (
     ProblemValidationError,
     RegressionProblem,
     TraceProblem,
+    _Adopt,
 )
 
 _STREAM_COV, _STREAM_NOISE, _STREAM_ADV = 0, 1, 2
@@ -282,7 +283,7 @@ def gen_problem(
         theta = contamination.build_theta(rng_adv, n, signal, xi)
         y = signal + xi + np.sqrt(n) * theta
         return RegressionProblem(
-            y, X, beta_true=truth, theta_true=theta,
+            _Adopt(y), _Adopt(X), beta_true=truth, theta_true=_Adopt(theta),
             meta={
                 "seed": contamination.seed, "noise_kind": noise.kind,
                 "sigma": noise.sigma, "L": 1.0, "rho": cov.rho,
@@ -297,7 +298,7 @@ def gen_problem(
         # draw order fixed: cells first, then signs
         cells = rng_cov.integers(0, d1 * d2, size=n)
         signs = rng_cov.integers(0, 2, size=n) * 2 - 1
-        masks = MaskCovariates(cells // d2, cells % d2, signs)
+        masks = MaskCovariates(_Adopt(cells // d2), _Adopt(cells % d2), _Adopt(signs))
         d_mc = np.sqrt(d1 * d2)
         signal = d_mc * signs * truth[masks.rows, masks.cols]
         covariates = masks
@@ -315,12 +316,12 @@ def gen_problem(
                 Z = Z @ W
             Xs = Z.reshape(n, d1, d2)
         signal = np.tensordot(Xs, truth, axes=([1, 2], [0, 1]))
-        covariates = Xs
+        covariates = _Adopt(Xs)
     xi = noise.sample(rng_noise, n)
     theta = contamination.build_theta(rng_adv, n, signal, xi)
     y = signal + xi + np.sqrt(n) * theta
     return TraceProblem(
-        y, covariates, (d1, d2), B_true=truth, theta_true=theta,
+        _Adopt(y), covariates, (d1, d2), B_true=truth, theta_true=_Adopt(theta),
         meta={
             "seed": contamination.seed, "noise_kind": noise.kind,
             "sigma": noise.sigma, "L": 1.0, "rho": cov.rho,

@@ -10,11 +10,15 @@ Three observation models share one container family:
 
 ``theta*`` is the adversarial contamination vector, stored before the
 ``sqrt(n)`` normalization (the factor is applied when responses are built).
-Containers are immutable after validation: arrays are copied in and their
-write flags cleared, so instances are safe to share across threads. The
-squared operator norm of the design is computed at most once per instance
-and cached on it (``opnorm_sq_estimate`` and ``opnorm_sq``), so every solve
-on the same problem reuses it.
+Containers are immutable after validation and hold one copy of each array.
+An array a caller passes in is copied, so a problem never shares memory with
+the caller's data. An array that one of the library's own producers
+(``datagen.gen_problem``, ``bundles.read_problem_bundle``) has just built,
+and that nothing else holds, is handed over wrapped in ``_Adopt`` and kept
+without a copy. Either way the write flags are cleared, so instances are
+safe to share across threads. The squared operator norm of the design is
+computed at most once per instance and cached on it (``opnorm_sq_estimate``
+and ``opnorm_sq``), so every solve on the same problem reuses it.
 """
 
 from __future__ import annotations
@@ -52,18 +56,41 @@ class InternalInvariantError(RuntimeError):
     """
 
 
+class _Adopt:
+    """Marks an array that a huberreg producer has just built and holds nowhere else.
+
+    A container keeps the wrapped array (converted only if its dtype is not
+    the container's) instead of copying it, and locks it and every array it
+    is a view of.
+    """
+
+    __slots__ = ("array",)
+
+    def __init__(self, array: np.ndarray):
+        self.array = array
+
+
+def _locked(a, dtype) -> np.ndarray:
+    if isinstance(a, _Adopt):
+        arr = np.asarray(a.array, dtype=dtype)
+    else:
+        arr = np.array(a, dtype=dtype, copy=True)
+    base = arr
+    while isinstance(base, np.ndarray):
+        base.flags.writeable = False
+        base = base.base
+    return arr
+
+
 def _as_locked_float(a, name: str) -> np.ndarray:
-    arr = np.array(a, dtype=float, copy=True)
-    if not np.all(np.isfinite(arr)):
+    arr = _locked(a, float)
+    if not np.isfinite(arr).all():
         raise ProblemValidationError(f"{name} contains non-finite entries")
-    arr.flags.writeable = False
     return arr
 
 
 def _as_locked_int(a, name: str) -> np.ndarray:
-    arr = np.array(a, dtype=np.int64, copy=True)
-    arr.flags.writeable = False
-    return arr
+    return _locked(a, np.int64)
 
 
 def _power_opnorm_sq(apply_fn, adjoint_fn, shape, iters: int = POWER_ITERS) -> float:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from huberreg import TheoremInputs, tuning_lasso
+from huberreg.cli import main
 
 
 def run_cli(*args):
@@ -159,3 +160,21 @@ def test_generate_lasso_needs_d_and_s(tmp_path):
     proc = run_cli("generate", "--kind", "lasso", "--n", "100",
                    "--out", str(tmp_path / "p"))
     assert proc.returncode == 2
+
+
+def test_malformed_csv_exits_two_naming_line(tmp_path, capsys):
+    assert main(["generate", "--kind", "lasso", "--n", "8", "--d", "3", "--s", "1",
+                 "--seed", "17", "--out", str(tmp_path / "b")]) == 0
+    capsys.readouterr()
+    with open(tmp_path / "b" / "X.csv", "a", encoding="utf-8") as fh:
+        fh.write("1,2\n")
+    rc = main(["solve", "--bundle", str(tmp_path / "b"), "--out", str(tmp_path / "fit"),
+               "--tuning", "fixed", "--lambda-o", "0.3", "--lambda-star", "0.1"])
+    assert rc == 2
+    assert "X.csv, line 9: 2 values, but the first row has 3" in capsys.readouterr().err
+
+    # diagnose reads its CSVs with the same reader, so it reports the same way
+    (tmp_path / "M.csv").write_text("1,0\n0,x\n", encoding="utf-8")
+    rc = main(["diagnose", "spikiness", "--matrix-csv", str(tmp_path / "M.csv")])
+    assert rc == 2
+    assert "M.csv, line 2: could not convert string to float: 'x'" in capsys.readouterr().err

@@ -1,21 +1,31 @@
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from huberreg import (
+    ContaminationSpec,
+    CovariateSpec,
     DimensionMismatchError,
     MaskCovariates,
+    NoiseSpec,
     ProblemValidationError,
     RegressionProblem,
     TraceProblem,
     TuningParams,
     design_adjoint,
     design_apply,
+    gen_problem,
     read_meta,
     read_problem_bundle,
     trace_inner,
     validate_problem,
     write_problem_bundle,
 )
+from huberreg.problems import _Adopt
 
 
 def make_regression(n=20, d=6, seed=0):
@@ -196,7 +206,20 @@ def test_dense_covariates_capped():
         TraceProblem(y=np.zeros(1), covariates=big, dims=(1001, 1001))
 
 
-def test_arrays_are_immutable():
+def _problem_arrays(p):
+    """Every array a problem holds, by field name."""
+    fields = ["y", "theta_true"]
+    if isinstance(p, RegressionProblem):
+        fields += ["X", "beta_true"]
+    else:
+        fields += ["B_true"] + ([] if p.is_mask else ["covariates"])
+    out = {f: getattr(p, f) for f in fields if getattr(p, f) is not None}
+    if isinstance(p, TraceProblem) and p.is_mask:
+        out.update((f, getattr(p.covariates, f)) for f in ("rows", "cols", "signs"))
+    return out
+
+
+def test_arrays_are_immutable(tmp_path):
     p = make_regression()
     with pytest.raises(ValueError):
         p.y[0] = 1.0
@@ -205,6 +228,74 @@ def test_arrays_are_immutable():
     pm = make_mask_problem()
     with pytest.raises(ValueError):
         pm.covariates.rows[0] = 0
+
+    # producers hand their own arrays over without a copy; those must be
+    # locked too, and so must any array they are a view of
+    noise = NoiseSpec(sigma=0.1)
+    cont = ContaminationSpec(o=3, strategy="random_large", magnitude=5.0, seed=21)
+    B = np.outer([1.0, -0.5, 0.25], [0.5, 1.0, 0.0, -1.0])
+    generated = [
+        gen_problem(CovariateSpec(), noise, np.array([1.0, 0.0, -2.0]), 30, cont),
+        gen_problem(CovariateSpec(), noise, B, 30, cont),
+        gen_problem(CovariateSpec(kind="mask_uniform"), noise, B, 30, cont),
+    ]
+    parsed = []
+    for i, prob in enumerate(generated):
+        write_problem_bundle(prob, str(tmp_path / str(i)))
+        parsed.append(read_problem_bundle(str(tmp_path / str(i))))
+    for prob in generated + parsed:
+        arrays_held = _problem_arrays(prob)
+        assert {"y", "theta_true"} <= arrays_held.keys()
+        for name, arr in arrays_held.items():
+            with pytest.raises(ValueError):
+                arr[(0,) * arr.ndim] = 1
+            base = arr.base
+            while isinstance(base, np.ndarray):
+                assert not base.flags.writeable, name
+                base = base.base
+
+
+def test_constructors_copy_caller_arrays():
+    """public constructors never adopt a caller's array, even a float64 or
+    int64 one that could be kept as it is"""
+    rng = np.random.default_rng(30)
+    theta = np.zeros(6)
+    theta[2] = 1.5
+    given_reg = {"y": rng.standard_normal(6), "X": rng.standard_normal((6, 3)),
+                 "beta_true": rng.standard_normal(3), "theta_true": theta}
+    given_trace = {"y": rng.standard_normal(6), "covariates": rng.standard_normal((6, 2, 3)),
+                   "B_true": rng.standard_normal((2, 3)), "theta_true": theta.copy()}
+    given_mask = {"rows": np.array([0, 1, 1], dtype=np.int64),
+                  "cols": np.array([2, 0, 1], dtype=np.int64),
+                  "signs": np.array([1, -1, 1], dtype=np.int64)}
+    cases = [
+        (RegressionProblem(**given_reg), given_reg),
+        (TraceProblem(dims=(2, 3), **given_trace), given_trace),
+        (MaskCovariates(**given_mask), given_mask),
+    ]
+    for held, given_arrays in cases:
+        for name, caller in given_arrays.items():
+            kept = getattr(held, name)
+            assert not np.shares_memory(kept, caller), name
+            before = kept.copy()
+            caller[(0,) * caller.ndim] += 7
+            np.testing.assert_array_equal(kept, before, err_msg=name)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_adopted_arrays_still_checked_finite(bad):
+    y = np.zeros(4)
+    y[1] = bad
+    with pytest.raises(ProblemValidationError, match="y contains non-finite"):
+        RegressionProblem(y=_Adopt(y), X=_Adopt(np.ones((4, 2))))
+    X = np.ones((4, 2))
+    X[3, 0] = bad
+    with pytest.raises(ProblemValidationError, match="X contains non-finite"):
+        RegressionProblem(y=_Adopt(np.zeros(4)), X=_Adopt(X))
+    cov = np.ones((4, 2, 2))
+    cov[0, 1, 1] = bad
+    with pytest.raises(ProblemValidationError, match="covariates contains non-finite"):
+        TraceProblem(y=_Adopt(np.zeros(4)), covariates=_Adopt(cov), dims=(2, 2))
 
 
 def test_validate_problem_passes_and_fails():
@@ -283,3 +374,74 @@ def test_bundle_bytes_deterministic(tmp_path):
 def test_bundle_missing_dir_raises(tmp_path):
     with pytest.raises(FileNotFoundError):
         read_problem_bundle(str(tmp_path / "nope"))
+
+
+@pytest.mark.parametrize("bad_line, message", [
+    ("1,2", r"X\.csv, line 9: 2 values, but the first row has 3"),
+    ("0.5,abc,1", r"X\.csv, line 9: could not convert string to float: 'abc'"),
+], ids=["short_row", "non_numeric"])
+def test_bundle_malformed_csv_names_file_and_line(tmp_path, bad_line, message):
+    p = make_regression(n=8, d=3, seed=16)
+    write_problem_bundle(p, str(tmp_path / "b"))
+    with open(tmp_path / "b" / "X.csv", "a", encoding="utf-8") as fh:
+        fh.write(bad_line + "\n")
+    with pytest.raises(ProblemValidationError, match=message):
+        read_problem_bundle(str(tmp_path / "b"))
+
+
+# Finite float64 values the 17-digit text format must carry exactly: signed
+# zeros, subnormals, the extremes and values that need all 17 digits.
+_EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                1.7976931348623157e308, -1.7976931348623157e308,
+                0.1, 1 / 3, 2.0 / 3.0 * 1e-200, 9007199254740993.0, 1.0000000000000002]
+_float64 = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(_EDGE_FLOATS)
+
+
+def _vec(n):
+    return arrays(np.float64, n, elements=_float64)
+
+
+def _assert_roundtrip_bytes(p, q):
+    held_p, held_q = _problem_arrays(p), _problem_arrays(q)
+    assert held_p.keys() == held_q.keys()
+    for name, arr in held_p.items():
+        assert held_q[name].shape == arr.shape, name
+        assert held_q[name].tobytes() == arr.tobytes(), name
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(data=st.data(), n=st.integers(1, 6), d=st.integers(1, 4))
+def test_bundle_roundtrip_property_lasso(data, n, d):
+    p = RegressionProblem(y=data.draw(_vec(n)), X=data.draw(arrays(np.float64, (n, d),
+                          elements=_float64)), beta_true=data.draw(_vec(d)),
+                          theta_true=data.draw(_vec(n)))
+    with tempfile.TemporaryDirectory() as tmp:
+        write_problem_bundle(p, tmp)
+        _assert_roundtrip_bytes(p, read_problem_bundle(tmp))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(data=st.data(), n=st.integers(1, 5), d1=st.integers(1, 3), d2=st.integers(1, 3))
+def test_bundle_roundtrip_property_trace(data, n, d1, d2):
+    p = TraceProblem(y=data.draw(_vec(n)), dims=(d1, d2),
+                     covariates=data.draw(arrays(np.float64, (n, d1, d2), elements=_float64)),
+                     B_true=data.draw(arrays(np.float64, (d1, d2), elements=_float64)),
+                     theta_true=data.draw(_vec(n)))
+    with tempfile.TemporaryDirectory() as tmp:
+        write_problem_bundle(p, tmp)
+        _assert_roundtrip_bytes(p, read_problem_bundle(tmp))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(data=st.data(), n=st.integers(1, 8), d1=st.integers(1, 4), d2=st.integers(1, 4))
+def test_bundle_roundtrip_property_mask(data, n, d1, d2):
+    cov = MaskCovariates(
+        rows=data.draw(arrays(np.int64, n, elements=st.integers(0, d1 - 1))),
+        cols=data.draw(arrays(np.int64, n, elements=st.integers(0, d2 - 1))),
+        signs=data.draw(arrays(np.int64, n, elements=st.sampled_from([-1, 1]))),
+    )
+    p = TraceProblem(y=data.draw(_vec(n)), covariates=cov, dims=(d1, d2),
+                     theta_true=data.draw(_vec(n)))
+    with tempfile.TemporaryDirectory() as tmp:
+        write_problem_bundle(p, tmp)
+        _assert_roundtrip_bytes(p, read_problem_bundle(tmp))
