@@ -28,10 +28,11 @@ from .problems import (
 _F = ".17g"
 
 
-def _fmt_val(v) -> str:
-    if isinstance(v, (bool, np.bool_)):
-        return str(int(v))
-    if isinstance(v, (int, np.integer)):
+def _fmt(v) -> str:
+    """One value as text: bools and integers as integers, floats with 17
+    significant digits (``_F``, as the array writers use), anything else by
+    ``str``. Used for meta files, result CSVs and CLI status lines."""
+    if isinstance(v, (bool, np.bool_, int, np.integer)):
         return str(int(v))
     if isinstance(v, (float, np.floating)):
         return format(float(v), _F)
@@ -50,6 +51,12 @@ def _write_matrix(path: str, M: np.ndarray, header: str = "") -> None:
             fh.write(header + "\n")
         for row in np.atleast_2d(M):
             fh.write(",".join(format(float(x), _F) for x in row) + "\n")
+
+
+def _write_kv(path: str, kv: dict) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for key, val in kv.items():
+            fh.write(f"{key} = {_fmt(val)}\n")
 
 
 def _read_matrix(path: str, skip_header: bool = False) -> np.ndarray:
@@ -132,10 +139,7 @@ def write_problem_bundle(problem, out_dir: str) -> None:
     for key in sorted(problem.meta):
         if key not in meta:
             meta[key] = problem.meta[key]
-    with open(os.path.join(out_dir, "meta.txt"), "w",
-              encoding="utf-8", newline="\n") as fh:
-        for key, val in meta.items():
-            fh.write(f"{key} = {_fmt_val(val)}\n")
+    _write_kv(os.path.join(out_dir, "meta.txt"), meta)
 
 
 def read_meta(bundle_dir: str) -> dict:

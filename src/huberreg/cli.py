@@ -15,49 +15,37 @@ import sys
 
 import numpy as np
 
-from .bundles import _read_matrix, read_problem_bundle, write_problem_bundle
-from .datagen import (
-    ContaminationSpec,
-    CovariateSpec,
-    NoiseSpec,
-    gen_low_rank,
-    gen_problem,
-    gen_sparse_beta,
-    spikiness,
+from .bundles import (
+    _fmt,
+    _read_matrix,
+    _write_kv,
+    _write_matrix,
+    read_problem_bundle,
+    write_problem_bundle,
 )
-from .diagnostics import (
-    TheoremInputs,
-    empirical_mre,
-    empirical_re,
-    tuning_completion,
-    tuning_lasso,
-    tuning_matrix_cs,
+from .datagen import ContaminationSpec, NoiseSpec, gen_problem, spikiness
+from .diagnostics import empirical_mre, empirical_re
+from .experiments import (
+    SweepSpec,
+    _box_radius,
+    _draw_truth,
+    _solve,
+    _theorem_tuning,
+    fit_rate_slope,
+    read_results,
+    run_sweep,
+    write_results,
 )
-from .experiments import SweepSpec, fit_rate_slope, read_results, run_sweep, write_results
-from .problems import (
-    InfeasibleError,
-    InternalInvariantError,
-    ProblemValidationError,
-    RegressionProblem,
-    TuningParams,
-)
-from .solvers import (
-    SolverConfig,
-    solve_adversarial_lasso,
-    solve_matrix_completion,
-    solve_matrix_cs,
-)
+from .problems import InfeasibleError, InternalInvariantError, ProblemValidationError, TuningParams
+from .solvers import SolverConfig
 
-_F = ".17g"
+# problem kind of each bundle kind in meta.txt
+_BUNDLE_KINDS = {"lasso": "lasso", "trace_dense": "matrix_cs", "completion": "completion"}
 
 
 def _emit(**kv) -> None:
     for key, val in kv.items():
-        if isinstance(val, (bool, np.bool_)):
-            val = int(val)
-        if isinstance(val, (float, np.floating)):
-            val = format(float(val), _F)
-        print(f"{key}={val}")
+        print(f"{key}={_fmt(val)}")
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -65,100 +53,91 @@ def _require(cond: bool, msg: str) -> None:
         raise ProblemValidationError(msg)
 
 
+def _size(args, kind: str, option: str):
+    """(dims, s): d and the sparsity for lasso, (d1, d2) and the rank otherwise."""
+    if kind == "lasso":
+        _require(args.d is not None and args.s is not None, f"{option} lasso needs --d and --s")
+        return args.d, args.s
+    _require(args.d1 is not None and args.d2 is not None and args.rank is not None,
+             f"{option} {kind} needs --d1, --d2 and --rank")
+    return (args.d1, args.d2), args.rank
+
+
+def _tuning(args, kind, n, dims, s, **inputs):
+    """Theorem tuning from the options tune and solve share, plus ``inputs``."""
+    return _theorem_tuning(
+        kind, n, dims, s, variant=args.variant, delta=args.delta, kappa=args.kappa,
+        c0=args.c0, sigma_xi=args.sigma_xi, alpha=args.alpha, **inputs,
+    )
+
+
 def cmd_generate(args) -> int:
     noise = NoiseSpec(kind=args.noise, sigma=args.sigma, alpha=args.noise_alpha)
     contamination = ContaminationSpec(
         o=args.o, strategy=args.adversary, magnitude=args.magnitude, seed=args.seed
     )
-    truth_seed = np.random.SeedSequence([args.seed, 3])
-    if args.kind == "lasso":
-        _require(args.d is not None and args.s is not None,
-                 "--kind lasso needs --d and --s")
-        truth = gen_sparse_beta(args.d, args.s, args.beta_magnitude, truth_seed)
-        cov = CovariateSpec(kind="gaussian")
-        extra = {"s": args.s, "beta_magnitude": args.beta_magnitude}
-    else:
-        _require(args.d1 is not None and args.d2 is not None and args.rank is not None,
-                 f"--kind {args.kind} needs --d1, --d2 and --rank")
-        cap = args.spikiness_cap if args.kind == "completion" else np.inf
-        truth = gen_low_rank(args.d1, args.d2, args.rank, cap, truth_seed)
-        cov = CovariateSpec(
-            kind="mask_uniform" if args.kind == "completion" else "gaussian"
-        )
-        extra = {"rank": args.rank, "alpha_star": spikiness(truth)}
+    dims, s = _size(args, args.kind, "--kind")
+    truth, cov = _draw_truth(args.kind, dims, s, args.seed, args.beta_magnitude,
+                             args.spikiness_cap)
     problem = gen_problem(cov, noise, truth, args.n, contamination)
-    problem.meta.update(extra)
+    if args.kind == "lasso":
+        problem.meta.update({"s": s, "beta_magnitude": args.beta_magnitude})
+        size = {"d": dims}
+    else:
+        problem.meta.update({"rank": s, "alpha_star": spikiness(truth)})
+        size = {"d1": dims[0], "d2": dims[1]}
     write_problem_bundle(problem, args.out)
-    dims = {"d": args.d} if args.kind == "lasso" else {"d1": args.d1, "d2": args.d2}
-    _emit(kind=args.kind, n=args.n, **dims, o=args.o, seed=args.seed, out=args.out)
+    _emit(kind=args.kind, n=args.n, **size, o=args.o, seed=args.seed, out=args.out)
     return 0
 
 
-def _theorem_tuning_from(args, problem, meta):
-    n = problem.n
-    o = int(args.o if args.o is not None else meta.get("o", 0))
-    sigma = float(args.sigma if args.sigma is not None else meta.get("sigma", 1.0))
-    L = float(args.L if args.L is not None else meta.get("L", 1.0))
-    rho = float(args.rho if args.rho is not None else meta.get("rho", 1.0))
-    common = dict(n=n, o=o, delta=args.delta, sigma=sigma, L=L, rho=rho,
-                  kappa=args.kappa, c0=args.c0)
-    if isinstance(problem, RegressionProblem):
-        s = args.s if args.s is not None else meta.get("s")
-        _require(s is not None, "theorem tuning needs --s (not recorded in bundle)")
-        return tuning_lasso(TheoremInputs(d=problem.d, s=int(s), **common))
-    r = args.rank if args.rank is not None else meta.get("rank")
-    _require(r is not None, "theorem tuning needs --rank (not recorded in bundle)")
-    if problem.is_mask:
-        a_star = args.alpha_star if args.alpha_star is not None else meta.get("alpha_star")
+def _given(args, problem, name, default=None):
+    """The option ``name`` if given, else the bundle's meta.txt entry of that name."""
+    val = getattr(args, name)
+    return problem.meta.get(name, default) if val is None else val
+
+
+def _bundle_tuning(args, kind, problem):
+    """Theorem tuning of a bundle: each input from its option, else from meta.txt."""
+    given = lambda name, default=None: _given(args, problem, name, default)
+    size_option = "s" if kind == "lasso" else "rank"
+    s = given(size_option)
+    _require(s is not None, f"theorem tuning needs --{size_option} (not recorded in bundle)")
+    a_star = given("alpha_star")
+    if kind == "completion":
         _require(a_star is not None,
                  "completion tuning needs --alpha-star (not recorded in bundle)")
-        return tuning_completion(
-            TheoremInputs(
-                n=n, o=o, dims=problem.dims, r=int(r), delta=args.delta,
-                sigma=sigma, sigma_xi=args.sigma_xi, alpha=args.alpha,
-                alpha_star=float(a_star), kappa=args.kappa, c0=args.c0,
-            ),
-            variant=args.variant,
-        )
-    return tuning_matrix_cs(TheoremInputs(dims=problem.dims, r=int(r), **common))
+        a_star = float(a_star)
+    dims = problem.d if kind == "lasso" else problem.dims
+    return _tuning(
+        args, kind, problem.n, dims, int(s), o=int(given("o", 0)),
+        sigma=float(given("sigma", 1.0)), L=float(given("L", 1.0)),
+        rho=float(given("rho", 1.0)), alpha_star=a_star,
+    )
 
 
 def cmd_solve(args) -> int:
     problem = read_problem_bundle(args.bundle)
-    meta = problem.meta
-    kind = meta.get("kind", "lasso")
-    estimator = args.estimator
-    if estimator == "auto":
-        estimator = {"lasso": "lasso", "trace_dense": "matrix_cs",
-                     "completion": "completion"}[kind]
+    kind = _BUNDLE_KINDS[problem.meta["kind"]]
+    estimator = kind if args.estimator == "auto" else args.estimator
 
     if args.tuning == "fixed":
         _require(args.lambda_o is not None and args.lambda_star is not None,
                  "--tuning fixed needs --lambda-o and --lambda-star")
         lam_o, lam_star = args.lambda_o, args.lambda_star
     else:
-        report = _theorem_tuning_from(args, problem, meta)
+        report = _bundle_tuning(args, kind, problem)
         lam_o, lam_star = report.lambda_o, report.lambda_star
 
-    radius = None
-    if estimator == "completion":
-        if args.inf_radius is not None:
-            radius = args.inf_radius
-        else:
-            a_star = args.alpha_star if args.alpha_star is not None else meta.get("alpha_star")
-            _require(a_star is not None,
-                     "completion needs --inf-radius or --alpha-star")
-            d1, d2 = problem.dims
-            radius = float(a_star) / np.sqrt(d1 * d2)
+    radius = args.inf_radius if estimator == "completion" else None
+    if estimator == "completion" and radius is None:
+        a_star = _given(args, problem, "alpha_star")
+        _require(a_star is not None, "completion needs --inf-radius or --alpha-star")
+        radius = _box_radius(estimator, float(a_star), problem.dims)
 
     tp = TuningParams(lam_o, lam_star, inf_ball_radius=radius)
     cfg = SolverConfig(max_iters=args.max_iters, rel_tol=args.rel_tol)
-    if estimator == "lasso":
-        result = solve_adversarial_lasso(problem, tp, cfg)
-    elif estimator == "matrix_cs":
-        result = solve_matrix_cs(problem, tp, cfg)
-    else:
-        result = solve_matrix_completion(problem, tp, cfg)
+    result = _solve(estimator, problem, tp, cfg)
 
     trace = result.objective_trace
     slack = 1e-9 * max(1.0, abs(float(trace[0])))
@@ -169,49 +148,27 @@ def cmd_solve(args) -> int:
 
     os.makedirs(args.out, exist_ok=True)
     est = result.estimate
-    with open(os.path.join(args.out, "estimate.csv"), "w",
-              encoding="utf-8", newline="\n") as fh:
-        rows = est.reshape(-1, 1) if est.ndim == 1 else est
-        for row in rows:
-            fh.write(",".join(format(float(x), _F) for x in row) + "\n")
-    with open(os.path.join(args.out, "solve_meta.txt"), "w",
-              encoding="utf-8", newline="\n") as fh:
-        fh.write(f"estimator = {estimator}\n")
-        fh.write(f"lambda_o = {format(float(lam_o), _F)}\n")
-        fh.write(f"lambda_star = {format(float(lam_star), _F)}\n")
-        if radius is not None:
-            fh.write(f"inf_ball_radius = {format(float(radius), _F)}\n")
-        fh.write(f"objective = {format(float(trace[-1]), _F)}\n")
-        fh.write(f"iterations = {result.iterations}\n")
-        fh.write(f"converged = {int(result.converged)}\n")
+    # a 1-d estimate is written as a column, one entry per line
+    _write_matrix(os.path.join(args.out, "estimate.csv"),
+                  est.reshape(-1, 1) if est.ndim == 1 else est)
+    info = {"estimator": estimator, "lambda_o": lam_o, "lambda_star": lam_star}
+    if radius is not None:
+        info["inf_ball_radius"] = radius
+    info.update(objective=float(trace[-1]), iterations=result.iterations,
+                converged=int(result.converged))
+    _write_kv(os.path.join(args.out, "solve_meta.txt"), info)
     _emit(estimator=estimator, lambda_o=lam_o, lambda_star=lam_star,
-          objective=float(trace[-1]), iterations=result.iterations,
-          converged=int(result.converged), out=args.out)
+          objective=info["objective"], iterations=result.iterations,
+          converged=info["converged"], out=args.out)
     return 0
 
 
 def cmd_tune(args) -> int:
-    common = dict(n=args.n, o=args.o, delta=args.delta, sigma=args.sigma,
-                  kappa=args.kappa, c0=args.c0)
-    if args.model == "lasso":
-        _require(args.d is not None and args.s is not None,
-                 "--model lasso needs --d and --s")
-        report = tuning_lasso(TheoremInputs(
-            d=args.d, s=args.s, L=args.L or 1.0, rho=args.rho or 1.0, **common))
-    elif args.model == "matrix_cs":
-        _require(args.d1 is not None and args.d2 is not None and args.rank is not None,
-                 "--model matrix_cs needs --d1, --d2 and --rank")
-        report = tuning_matrix_cs(TheoremInputs(
-            dims=(args.d1, args.d2), r=args.rank,
-            L=args.L or 1.0, rho=args.rho or 1.0, **common))
-    else:
-        _require(args.d1 is not None and args.d2 is not None and args.rank is not None,
-                 "--model completion needs --d1, --d2 and --rank")
+    dims, s = _size(args, args.model, "--model")
+    if args.model == "completion":
         _require(args.alpha_star is not None, "--model completion needs --alpha-star")
-        report = tuning_completion(TheoremInputs(
-            dims=(args.d1, args.d2), r=args.rank, sigma_xi=args.sigma_xi,
-            alpha=args.alpha, alpha_star=args.alpha_star, **common),
-            variant=args.variant)
+    report = _tuning(args, args.model, args.n, dims, s, o=args.o, sigma=args.sigma,
+                     L=args.L, rho=args.rho, alpha_star=args.alpha_star)
     text = report.to_kv_text()
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
@@ -243,7 +200,8 @@ def cmd_diagnose(args) -> int:
     else:
         _require(args.matrix_csv is not None, "diagnose spikiness needs --matrix-csv")
         M = _read_matrix(args.matrix_csv)
-        _emit(what="spikiness", d1=M.shape[0], d2=M.shape[1], value=spikiness(M))
+        value = spikiness(M)  # checks M is a finite nonempty matrix before its shape is read
+        _emit(what="spikiness", d1=M.shape[0], d2=M.shape[1], value=value)
     return 0
 
 
@@ -335,8 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, default=0.1)
     p.add_argument("--sigma", type=float, default=1.0)
     p.add_argument("--sigma-xi", type=float, default=None)
-    p.add_argument("--L", type=float, default=None)
-    p.add_argument("--rho", type=float, default=None)
+    p.add_argument("--L", type=float, default=1.0)
+    p.add_argument("--rho", type=float, default=1.0)
     p.add_argument("--kappa", type=float, default=1.0)
     p.add_argument("--c0", type=float, default=3.0)
     p.add_argument("--alpha", type=float, default=2.0)

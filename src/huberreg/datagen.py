@@ -30,6 +30,7 @@ from .problems import (
     RegressionProblem,
     TraceProblem,
     _Adopt,
+    _dense_apply,
 )
 
 _STREAM_COV, _STREAM_NOISE, _STREAM_ADV = 0, 1, 2
@@ -137,6 +138,19 @@ class ContaminationSpec:
         return theta
 
 
+def _psd_sqrt(M: np.ndarray, name: str) -> np.ndarray:
+    """Symmetric square root of a PSD matrix; errors name the matrix ``name``."""
+    M = np.asarray(M, dtype=float)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise ProblemValidationError(f"{name} must be square, got shape {M.shape}")
+    if not np.allclose(M, M.T, atol=1e-10):
+        raise ProblemValidationError(f"{name} must be symmetric")
+    w, V = np.linalg.eigh(M)
+    if w.min() < -1e-10 * max(1.0, float(w.max())):
+        raise ProblemValidationError(f"{name} must be positive semidefinite")
+    return (V * np.sqrt(np.clip(w, 0.0, None))) @ V.T
+
+
 @dataclass(frozen=True)
 class CovariateSpec:
     """Covariate design.
@@ -158,13 +172,7 @@ class CovariateSpec:
             raise ProblemValidationError(f"unknown covariate kind {self.kind!r}")
         if self.covariance is not None:
             cov = np.array(self.covariance, dtype=float)
-            if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
-                raise ProblemValidationError(f"covariance must be square, got {cov.shape}")
-            if not np.allclose(cov, cov.T, atol=1e-10):
-                raise ProblemValidationError("covariance must be symmetric")
-            w = np.linalg.eigvalsh(cov)
-            if w.min() < -1e-10 * max(1.0, w.max()):
-                raise ProblemValidationError("covariance must be positive semidefinite")
+            _psd_sqrt(cov, "covariance")  # validates
             cov.flags.writeable = False
             object.__setattr__(self, "covariance", cov)
 
@@ -177,8 +185,7 @@ class CovariateSpec:
     def sqrt_factor(self) -> Optional[np.ndarray]:
         if self.covariance is None:
             return None
-        w, V = np.linalg.eigh(self.covariance)
-        return (V * np.sqrt(np.clip(w, 0.0, None))) @ V.T
+        return _psd_sqrt(self.covariance, "covariance")
 
 
 def gen_sparse_beta(
@@ -203,6 +210,8 @@ def spikiness(M: np.ndarray) -> float:
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.size == 0:
         raise ProblemValidationError(f"M must be a nonempty matrix, got shape {M.shape}")
+    if not np.isfinite(M).all():
+        raise ProblemValidationError("M must be finite")
     fro = float(np.linalg.norm(M))
     if fro == 0.0:
         raise ProblemValidationError("spikiness undefined for the zero matrix")
@@ -315,7 +324,7 @@ def gen_problem(
                     )
                 Z = Z @ W
             Xs = Z.reshape(n, d1, d2)
-        signal = np.tensordot(Xs, truth, axes=([1, 2], [0, 1]))
+        signal = _dense_apply(Xs, truth)
         covariates = _Adopt(Xs)
     xi = noise.sample(rng_noise, n)
     theta = contamination.build_theta(rng_adv, n, signal, xi)

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .datagen import spikiness  # re-exported: spikiness is a diagnostic too
+from .datagen import _psd_sqrt, spikiness  # spikiness re-exported: it is a diagnostic too
 from .problems import ProblemValidationError
 
 __all__ = [
@@ -143,24 +143,22 @@ def _check_delta(delta: float, upper: float):
         raise ProblemValidationError(f"delta must lie in (0, {upper}), got {delta}")
 
 
-def tuning_lasso(ti: TheoremInputs) -> DiagnosticsReport:
-    """Penalty levels and radius for the l1-penalized Huber estimator."""
-    _check_delta(ti.delta, 1.0 / 7.0)
-    if ti.d is None or ti.s is None or not 1 <= ti.s <= ti.d:
-        raise ProblemValidationError(f"need 1 <= s <= d, got s={ti.s}, d={ti.d}")
-    n, s = ti.n, ti.s
+def _sub_gaussian_tuning(ti, model, size, t_dim, c_pen, c_rad) -> DiagnosticsReport:
+    """The lasso and matrix compressed sensing prescriptions, which differ only
+    in the dimension term ``t_dim``, the structure size ``size`` (s or r) and
+    the names of their constants."""
+    n = ti.n
     lam_o_sqn = 72.0 * ti.L**4 * ti.sigma
     lam_o = lam_o_sqn / np.sqrt(n)
     ck = ti.c_kappa
-    t_dim = ti.rho * np.sqrt(np.log(ti.d / s) / n)
-    t_conf = (1.0 + np.sqrt(np.log(1.0 / ti.delta))) / (ck * np.sqrt(s) * np.sqrt(n))
-    t_out = _outlier_rate_term(ti.o, n) / (ck * np.sqrt(s))
+    t_conf = (1.0 + np.sqrt(np.log(1.0 / ti.delta))) / (ck * np.sqrt(size) * np.sqrt(n))
+    t_out = _outlier_rate_term(ti.o, n) / (ck * np.sqrt(size))
     r_lam = t_dim + t_conf + t_out
-    lam_star = ti.const("c_lasso") * lam_o_sqn * ti.L * r_lam
-    radius = ti.const("c_lasso_prime") * lam_o_sqn * ti.L * ck * np.sqrt(s) * r_lam
+    lam_star = ti.const(c_pen) * lam_o_sqn * ti.L * r_lam
+    radius = ti.const(c_rad) * lam_o_sqn * ti.L * ck * np.sqrt(size) * r_lam
     rsc_cap = 1.0 / (4.0 * np.sqrt(3.0) * ti.L**2)
     return DiagnosticsReport(
-        model="lasso",
+        model=model,
         lambda_o=float(lam_o),
         lambda_star=float(lam_star),
         predicted_radius=float(radius),
@@ -173,6 +171,15 @@ def tuning_lasso(ti: TheoremInputs) -> DiagnosticsReport:
             "rsc_cap": float(rsc_cap),
         },
     )
+
+
+def tuning_lasso(ti: TheoremInputs) -> DiagnosticsReport:
+    """Penalty levels and radius for the l1-penalized Huber estimator."""
+    _check_delta(ti.delta, 1.0 / 7.0)
+    if ti.d is None or ti.s is None or not 1 <= ti.s <= ti.d:
+        raise ProblemValidationError(f"need 1 <= s <= d, got s={ti.s}, d={ti.d}")
+    t_dim = ti.rho * np.sqrt(np.log(ti.d / ti.s) / ti.n)
+    return _sub_gaussian_tuning(ti, "lasso", ti.s, t_dim, "c_lasso", "c_lasso_prime")
 
 
 def tuning_matrix_cs(ti: TheoremInputs) -> DiagnosticsReport:
@@ -183,31 +190,8 @@ def tuning_matrix_cs(ti: TheoremInputs) -> DiagnosticsReport:
     d1, d2 = ti.dims
     if not 1 <= ti.r <= min(d1, d2):
         raise ProblemValidationError(f"need 1 <= r <= min(d1, d2), got r={ti.r}")
-    n, r = ti.n, ti.r
-    lam_o_sqn = 72.0 * ti.L**4 * ti.sigma
-    lam_o = lam_o_sqn / np.sqrt(n)
-    ck = ti.c_kappa
-    t_dim = ti.rho * np.sqrt((d1 + d2) / n)
-    t_conf = (1.0 + np.sqrt(np.log(1.0 / ti.delta))) / (ck * np.sqrt(r) * np.sqrt(n))
-    t_out = _outlier_rate_term(ti.o, n) / (ck * np.sqrt(r))
-    r_lam = t_dim + t_conf + t_out
-    lam_star = ti.const("c_mcs") * lam_o_sqn * ti.L * r_lam
-    radius = ti.const("c_mcs_prime") * lam_o_sqn * ti.L * ck * np.sqrt(r) * r_lam
-    rsc_cap = 1.0 / (4.0 * np.sqrt(3.0) * ti.L**2)
-    return DiagnosticsReport(
-        model="matrix_cs",
-        lambda_o=float(lam_o),
-        lambda_star=float(lam_star),
-        predicted_radius=float(radius),
-        feasibility={"radius_within_rsc": bool(radius <= rsc_cap)},
-        terms={
-            "dimension": float(t_dim),
-            "confidence": float(t_conf),
-            "outlier": float(t_out),
-            "r_lambda_star": float(r_lam),
-            "rsc_cap": float(rsc_cap),
-        },
-    )
+    t_dim = ti.rho * np.sqrt((d1 + d2) / ti.n)
+    return _sub_gaussian_tuning(ti, "matrix_cs", ti.r, t_dim, "c_mcs", "c_mcs_prime")
 
 
 def tuning_completion(ti: TheoremInputs, variant: str = "heavy_tailed") -> DiagnosticsReport:
@@ -307,18 +291,6 @@ def tuning_completion(ti: TheoremInputs, variant: str = "heavy_tailed") -> Diagn
     )
 
 
-def _psd_sqrt(Sigma: np.ndarray) -> np.ndarray:
-    Sigma = np.asarray(Sigma, dtype=float)
-    if Sigma.ndim != 2 or Sigma.shape[0] != Sigma.shape[1]:
-        raise ProblemValidationError(f"Sigma must be square, got shape {Sigma.shape}")
-    if not np.allclose(Sigma, Sigma.T, atol=1e-10):
-        raise ProblemValidationError("Sigma must be symmetric")
-    w, V = np.linalg.eigh(Sigma)
-    if w.min() < -1e-10 * max(1.0, float(w.max())):
-        raise ProblemValidationError("Sigma must be positive semidefinite")
-    return (V * np.sqrt(np.clip(w, 0.0, None))) @ V.T
-
-
 def matrix_weight_apply(sqrt_sigma: np.ndarray, M: np.ndarray) -> np.ndarray:
     """T applied to a matrix: unvec(Sigma^(1/2) vec(M)), row-major vec."""
     return (sqrt_sigma @ M.reshape(-1)).reshape(M.shape)
@@ -379,7 +351,7 @@ def empirical_re(
         )
     if c0 <= 0:
         raise ProblemValidationError(f"c0 must be positive, got {c0}")
-    _psd_sqrt(Sigma)  # validates symmetry and PSD-ness
+    _psd_sqrt(Sigma, "Sigma")  # validates symmetry and PSD-ness
 
     best = np.inf
     idx = np.arange(d)
@@ -455,7 +427,7 @@ def empirical_mre(
             raise ProblemValidationError(
                 f"Sigma must be {p} x {p} for dims {dims}, got {Sigma.shape}"
             )
-        W = _psd_sqrt(Sigma)
+        W = _psd_sqrt(Sigma, "Sigma")
 
     rng = np.random.default_rng(seed)
     N = int(n_probes)
@@ -513,7 +485,7 @@ def error_metrics(estimate: np.ndarray, truth: np.ndarray, Sigma=None) -> dict:
     if Sigma is None:
         out["weighted_error"] = err
     else:
-        Wm = _psd_sqrt(Sigma)
+        Wm = _psd_sqrt(Sigma, "Sigma")
         if Wm.shape[0] != diff.size:
             raise ProblemValidationError(
                 f"Sigma is {Wm.shape[0]}-dimensional, expected {diff.size}"

@@ -6,6 +6,16 @@ Trial randomness is addressed as ``SeedSequence([base_seed, cell_index,
 trial_index])``, collapsed to one 64-bit master seed per trial, so runs
 are reproducible record for record regardless of parallelism. Failures
 are recorded (``converged`` flag), never dropped.
+
+What a problem kind (lasso, matrix_cs, completion) means is decided here,
+once, in ``_kind`` and the helpers beside it: how its truth is drawn and on
+which covariates, which tuning calculator it takes and which
+``TheoremInputs`` fields that calculator reads, its completion box radius,
+and its solver. ``run_trial`` and the command line both use them. The kind
+table is built on every call rather than once at import, so the
+calculators, solvers and generators in it are whatever this module's
+attributes are at call time, and a wrapper installed on one of them (a
+profiler, a test double) sees every call.
 """
 
 from __future__ import annotations
@@ -14,10 +24,11 @@ import itertools
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
+from .bundles import _fmt
 from .datagen import (
     ContaminationSpec,
     CovariateSpec,
@@ -228,24 +239,61 @@ def _noise_from_dict(d: dict) -> NoiseSpec:
     )
 
 
-def _theorem_tuning(spec: SweepSpec, n, dims, s, o, sigma, alpha_star=None):
-    if spec.problem_kind == "lasso":
-        rep = tuning_lasso(TheoremInputs(
-            n=n, o=o, d=dims, s=s, delta=spec.delta, sigma=sigma,
-            L=spec.L, rho=spec.rho, kappa=spec.kappa, c0=spec.c0,
-        ))
-    elif spec.problem_kind == "matrix_cs":
-        rep = tuning_matrix_cs(TheoremInputs(
-            n=n, o=o, dims=dims, r=s, delta=spec.delta, sigma=sigma,
-            L=spec.L, rho=spec.rho, kappa=spec.kappa, c0=spec.c0,
-        ))
+class _Kind(NamedTuple):
+    covariates: str  # CovariateSpec kind of the design
+    tuning: Callable  # theorem tuning calculator
+    fields: tuple  # TheoremInputs fields it reads beyond n, o, size, delta, sigma, kappa, c0
+    solver: Callable  # called as solver(problem, tp, cfg, start)
+
+
+def _kind(name: str) -> _Kind:
+    """What the problem kind ``name`` means; built per call (see the module docstring)."""
+    return {
+        "lasso": _Kind("gaussian", tuning_lasso, ("L", "rho"), solve_adversarial_lasso),
+        "matrix_cs": _Kind("gaussian", tuning_matrix_cs, ("L", "rho"), solve_matrix_cs),
+        "completion": _Kind("mask_uniform", tuning_completion,
+                            ("sigma_xi", "alpha", "alpha_star"), solve_matrix_completion),
+    }[name]
+
+
+def _draw_truth(kind, dims, s, seed, beta_magnitude=1.0, spikiness_cap=3.0):
+    """(truth, CovariateSpec) of a problem kind, the truth from ``SeedSequence([seed, 3])``.
+
+    ``dims`` is d for lasso and (d1, d2) otherwise; ``s`` the sparsity or
+    rank. Only completion truths are held to the spikiness cap.
+    """
+    truth_seed = np.random.SeedSequence([seed, 3])
+    if kind == "lasso":
+        truth = gen_sparse_beta(dims, s, beta_magnitude, truth_seed)
     else:
-        rep = tuning_completion(TheoremInputs(
-            n=n, o=o, dims=dims, r=s, delta=spec.delta, sigma=sigma,
-            alpha=spec.completion_alpha, alpha_star=alpha_star,
-            kappa=spec.kappa, c0=spec.c0,
-        ), variant=spec.completion_variant)
-    return rep.lambda_o, rep.lambda_star
+        cap = spikiness_cap if kind == "completion" else np.inf
+        truth = gen_low_rank(dims[0], dims[1], s, cap, truth_seed)
+    return truth, CovariateSpec(kind=_kind(kind).covariates)
+
+
+def _theorem_tuning(kind, n, dims, s, o, variant="subweibull", **inputs):
+    """The kind's theorem tuning report (a DiagnosticsReport).
+
+    ``inputs`` are TheoremInputs fields; those the kind's calculator does not
+    read (``_Kind.fields``) are dropped. ``variant`` goes to completion only.
+    """
+    k = _kind(kind)
+    size = {"d": dims, "s": s} if kind == "lasso" else {"dims": dims, "r": s}
+    common = ("delta", "sigma", "kappa", "c0") + k.fields
+    ti = TheoremInputs(n=n, o=o, **size, **{f: inputs[f] for f in common if f in inputs})
+    extra = {"variant": variant} if kind == "completion" else {}
+    return k.tuning(ti, **extra)
+
+
+def _box_radius(kind, alpha_star, dims):
+    """Entrywise constraint radius alpha* / sqrt(d1 d2) for completion, else None."""
+    if kind != "completion":
+        return None
+    return alpha_star / np.sqrt(dims[0] * dims[1])
+
+
+def _solve(kind, problem, tp, cfg, x0=None):
+    return _kind(kind).solver(problem, tp, cfg, x0)
 
 
 def run_trial(spec: SweepSpec, cell_index: int, trial_index: int) -> ExperimentRecord:
@@ -266,31 +314,17 @@ def run_trial(spec: SweepSpec, cell_index: int, trial_index: int) -> ExperimentR
     )
 
     t_start = time.perf_counter()
-    if spec.problem_kind == "lasso":
-        truth = gen_sparse_beta(
-            dims, s, spec.beta_magnitude, np.random.SeedSequence([master, 3])
-        )
-        cov = CovariateSpec(kind="gaussian")
-        dim1, dim2 = dims, 0
-        alpha_star = None
-    else:
-        d1, d2 = dims
-        cap = spec.spikiness_cap if spec.problem_kind == "completion" else np.inf
-        truth = gen_low_rank(d1, d2, s, cap, np.random.SeedSequence([master, 3]))
-        cov = CovariateSpec(
-            kind="mask_uniform" if spec.problem_kind == "completion" else "gaussian"
-        )
-        dim1, dim2 = d1, d2
-        alpha_star = spikiness(truth)
+    kind = spec.problem_kind
+    truth, cov = _draw_truth(kind, dims, s, master, spec.beta_magnitude, spec.spikiness_cap)
+    dim1, dim2 = (dims, 0) if kind == "lasso" else dims
+    alpha_star = None if kind == "lasso" else spikiness(truth)
     problem = gen_problem(cov, noise, truth, n, contamination)
 
+    lam_o, lam_star = _base_tuning(spec, n, dims, s, o, noise.sigma, alpha_star)
     if spec.loss_regime == "quadratic":
         lam_o = QUADRATIC_SCALE * noise.sigma / np.sqrt(n)
-        _, lam_star = _base_tuning(spec, n, dims, s, o, noise.sigma, alpha_star)
-    else:
-        lam_o, lam_star = _base_tuning(spec, n, dims, s, o, noise.sigma, alpha_star)
 
-    radius = alpha_star / np.sqrt(dim1 * dim2) if spec.problem_kind == "completion" else None
+    radius = _box_radius(kind, alpha_star, dims)
     cfg = SolverConfig(max_iters=spec.max_iters, rel_tol=spec.rel_tol)
 
     if spec.tuning_mode == "grid_oracle":
@@ -301,7 +335,7 @@ def run_trial(spec: SweepSpec, cell_index: int, trial_index: int) -> ExperimentR
         x0 = None
         for lam in lam_grid:
             tp = TuningParams(lam_o, lam, inf_ball_radius=radius)
-            res = _solve(spec.problem_kind, problem, tp, cfg, x0)
+            res = _solve(kind, problem, tp, cfg, x0)
             x0 = res.estimate
             err = float(np.linalg.norm(res.estimate - truth))
             if best is None or err < best[0]:
@@ -309,7 +343,7 @@ def run_trial(spec: SweepSpec, cell_index: int, trial_index: int) -> ExperimentR
         _, lam_star, result = best
     else:
         tp = TuningParams(lam_o, lam_star, inf_ball_radius=radius)
-        result = _solve(spec.problem_kind, problem, tp, cfg, None)
+        result = _solve(kind, problem, tp, cfg)
 
     wall = time.perf_counter() - t_start
     metrics = error_metrics(result.estimate, truth)
@@ -333,15 +367,12 @@ def run_trial(spec: SweepSpec, cell_index: int, trial_index: int) -> ExperimentR
 def _base_tuning(spec, n, dims, s, o, sigma, alpha_star):
     if spec.tuning_mode == "fixed":
         return float(spec.fixed_lambda_o), float(spec.fixed_lambda_star)
-    return _theorem_tuning(spec, n, dims, s, o, sigma, alpha_star)
-
-
-def _solve(kind, problem, tp, cfg, x0):
-    if kind == "lasso":
-        return solve_adversarial_lasso(problem, tp, cfg, x0=x0)
-    if kind == "matrix_cs":
-        return solve_matrix_cs(problem, tp, cfg, x0=x0)
-    return solve_matrix_completion(problem, tp, cfg, B0=x0)
+    rep = _theorem_tuning(
+        spec.problem_kind, n, dims, s, o, variant=spec.completion_variant,
+        delta=spec.delta, sigma=sigma, kappa=spec.kappa, c0=spec.c0, L=spec.L,
+        rho=spec.rho, alpha=spec.completion_alpha, alpha_star=alpha_star,
+    )
+    return rep.lambda_o, rep.lambda_star
 
 
 def _trial_args(spec, idx):
@@ -404,16 +435,6 @@ def fit_rate_slope(records, x_axis: str = "n", y: str = "error") -> SlopeFit:
     dof = len(xs) - 2
     stderr = float(np.sqrt(np.dot(resid, resid) / dof / sxx)) if dof > 0 else float("nan")
     return SlopeFit(slope, intercept, stderr, len(xs))
-
-
-def _fmt(v) -> str:
-    if isinstance(v, (bool, np.bool_)):
-        return str(int(v))
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, str):
-        return v
-    return format(float(v), ".17g")
 
 
 def write_results(records, path, include_timing: bool = False) -> None:

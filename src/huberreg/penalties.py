@@ -9,6 +9,12 @@ with derivative h(t) = t on [-1, 1] and sign(t) outside. Every data-fit
 term has the form ``lambda_o^2 * sum_i H(r_i / (lambda_o * sqrt(n)))`` so
 the loss transitions from quadratic to linear at residual magnitude
 ``lambda_o * sqrt(n)``.
+
+That data term is computed in one place, ``_huber_loss``, on the fitted
+values ``A x``: the solvers' engine calls it every iteration, and
+``objective_lasso``/``objective_trace`` and ``grad_smooth_lasso``/
+``grad_smooth_trace`` are thin wrappers that check the parameter's shape,
+apply the design and call it.
 """
 
 from __future__ import annotations
@@ -113,39 +119,60 @@ def project_inf_ball(M: np.ndarray, radius: float) -> np.ndarray:
     return np.clip(_checked(M, "M"), -radius, radius)
 
 
-def _huber_data_term(residuals: np.ndarray, scale: float, lambda_o: float) -> float:
-    u = residuals / scale
-    a = np.abs(u)
-    vals = np.where(a <= 1.0, 0.5 * u * u, a - 0.5)
-    return float(lambda_o**2 * vals.sum())
+def _huber_loss(y: np.ndarray, n: int, tp: TuningParams):
+    """The Huber data term as a function of the fitted values z.
+
+    ``loss(z)`` returns ``(value, h)``: the value
+    lambda_o^2 sum_i H((y_i - z_i) / (lambda_o sqrt n)) and
+    h = -(lambda_o / sqrt n) h(u), so the gradient in the parameter is A^T h.
+    """
+    scale = tp.lambda_o * np.sqrt(n)
+    coef = tp.lambda_o / np.sqrt(n)
+    lam_o_sq = tp.lambda_o**2
+
+    def loss(z):
+        u = y - z
+        u /= scale
+        c = np.maximum(u, -1.0)
+        np.minimum(c, 1.0, out=c)
+        # c (u - c/2) is u^2/2 where |u| <= 1 and |u| - 1/2 elsewhere, bit for
+        # bit: u - u/2 == u/2 exactly, and -(u + 1/2) == -u - 1/2
+        w = c * 0.5
+        np.subtract(u, w, out=w)
+        w *= c
+        val = float(lam_o_sq * np.add.reduce(w))
+        c *= -coef
+        return val, c
+
+    return loss
+
+
+def _param(problem, x) -> np.ndarray:
+    """x as a float array, checked to have the shape of the problem's parameter."""
+    x = np.asarray(x, dtype=float)
+    lasso = isinstance(problem, RegressionProblem)
+    name, shape = ("beta", (problem.d,)) if lasso else ("B", problem.dims)
+    if x.shape != shape:
+        raise DimensionMismatchError(f"{name} has shape {x.shape}, expected {shape}")
+    return x
+
+
+def _data_term(problem, x: np.ndarray, tp: TuningParams):
+    """(value, h) of the Huber data term at the parameter x."""
+    lasso = isinstance(problem, RegressionProblem)
+    fitted = problem.X @ x if lasso else design_apply(problem, x)
+    return _huber_loss(problem.y, problem.n, tp)(fitted)
 
 
 def objective_lasso(problem: RegressionProblem, beta: np.ndarray, tp: TuningParams) -> float:
     """lambda_o^2 sum_i H((y_i - <x_i, beta>) / (lambda_o sqrt n)) + lambda_star |beta|_1."""
-    beta = np.asarray(beta, dtype=float)
-    if beta.shape != (problem.d,):
-        raise DimensionMismatchError(
-            f"beta has shape {beta.shape}, expected ({problem.d},)"
-        )
-    scale = HuberScale.from_tuning(tp, problem.n).scale
-    r = problem.y - problem.X @ beta
-    return _huber_data_term(r, scale, tp.lambda_o) + tp.lambda_star * float(
-        np.abs(beta).sum()
-    )
+    beta = _param(problem, beta)
+    return _data_term(problem, beta, tp)[0] + tp.lambda_star * float(np.abs(beta).sum())
 
 
 def grad_smooth_lasso(problem: RegressionProblem, beta: np.ndarray, tp: TuningParams) -> np.ndarray:
     """Gradient of the smooth (Huber) part: -(lambda_o/sqrt n) sum_i h(u_i) x_i."""
-    beta = np.asarray(beta, dtype=float)
-    if beta.shape != (problem.d,):
-        raise DimensionMismatchError(
-            f"beta has shape {beta.shape}, expected ({problem.d},)"
-        )
-    n = problem.n
-    scale = HuberScale.from_tuning(tp, n).scale
-    u = (problem.y - problem.X @ beta) / scale
-    h = np.clip(u, -1.0, 1.0)
-    return -(tp.lambda_o / np.sqrt(n)) * (problem.X.T @ h)
+    return problem.X.T @ _data_term(problem, _param(problem, beta), tp)[1]
 
 
 def objective_trace(
@@ -157,9 +184,7 @@ def objective_trace(
     is enforced first and violations raise InfeasibleError (distinct from
     dimension errors).
     """
-    B = np.asarray(B, dtype=float)
-    if B.shape != problem.dims:
-        raise DimensionMismatchError(f"B has shape {B.shape}, expected {problem.dims}")
+    B = _param(problem, B)
     if constrained:
         if tp.inf_ball_radius is None:
             raise ProblemValidationError("constrained objective needs inf_ball_radius")
@@ -168,18 +193,9 @@ def objective_trace(
             raise InfeasibleError(
                 f"|B|_inf = {sup} exceeds radius {tp.inf_ball_radius}"
             )
-    scale = HuberScale.from_tuning(tp, problem.n).scale
-    r = problem.y - design_apply(problem, B)
-    return _huber_data_term(r, scale, tp.lambda_o) + tp.lambda_star * nuclear_norm(B)
+    return _data_term(problem, B, tp)[0] + tp.lambda_star * nuclear_norm(B)
 
 
 def grad_smooth_trace(problem: TraceProblem, B: np.ndarray, tp: TuningParams) -> np.ndarray:
     """Gradient of the Huber data term: -(lambda_o/sqrt n) sum_i h(u_i) X_i."""
-    B = np.asarray(B, dtype=float)
-    if B.shape != problem.dims:
-        raise DimensionMismatchError(f"B has shape {B.shape}, expected {problem.dims}")
-    n = problem.n
-    scale = HuberScale.from_tuning(tp, n).scale
-    u = (problem.y - design_apply(problem, B)) / scale
-    h = np.clip(u, -1.0, 1.0)
-    return -(tp.lambda_o / np.sqrt(n)) * design_adjoint(problem, h)
+    return design_adjoint(problem, _data_term(problem, _param(problem, B), tp)[1])

@@ -19,6 +19,12 @@ without a copy. Either way the write flags are cleared, so instances are
 safe to share across threads. The squared operator norm of the design is
 computed at most once per instance and cached on it (``opnorm_sq_estimate``
 and ``opnorm_sq``), so every solve on the same problem reuses it.
+
+Dense designs take one path. A trace problem's (n, d1, d2) covariates are
+used as the (n, d1 * d2) matrix of flattened X_i, so ``design_apply``, its
+adjoint and the simulated signal (``_dense_apply``) are each one GEMV, like a
+vector problem's ``X @ beta``. They are bit for bit the tensor contraction
+over the two cell axes.
 """
 
 from __future__ import annotations
@@ -392,12 +398,17 @@ def trace_inner(Xi, B: np.ndarray) -> float:
     return float(np.vdot(Xi, B))
 
 
+def _dense_apply(covariates: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """<X_i, B> for dense (n, d1, d2) covariates: one GEMV on the (n, d1 * d2) view."""
+    return covariates.reshape(covariates.shape[0], -1) @ B.reshape(-1)
+
+
 def design_apply(problem: TraceProblem, B: np.ndarray) -> np.ndarray:
     """All n inner products <X_i, B> at once."""
     if problem.is_mask:
         m = problem.covariates
         return problem.d_mc * m.signs * B[m.rows, m.cols]
-    return np.tensordot(problem.covariates, B, axes=([1, 2], [0, 1]))
+    return _dense_apply(problem.covariates, B)
 
 
 def design_adjoint(problem: TraceProblem, w: np.ndarray) -> np.ndarray:
@@ -408,8 +419,9 @@ def design_adjoint(problem: TraceProblem, w: np.ndarray) -> np.ndarray:
         flat = np.bincount(
             m.rows * d2 + m.cols, weights=problem.d_mc * m.signs * w, minlength=d1 * d2
         )
-        return flat.reshape(d1, d2)
-    return np.tensordot(w, problem.covariates, axes=(0, 0))
+    else:
+        flat = w @ problem.covariates.reshape(problem.n, d1 * d2)
+    return flat.reshape(d1, d2)
 
 
 def validate_problem(problem):

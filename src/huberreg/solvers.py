@@ -27,9 +27,9 @@ Cost per iteration: the engine keeps the fitted values ``A x`` with the
 iterate and forms those of the momentum point by linearity, so an
 iteration applies the design once per step size tried and its adjoint
 once, plus once more when a momentum overshoot restarts from x. The Huber
-loss on fitted values is fused: with u the scaled residual and
-c = clip(u, -1, 1), it sums c (u - c/2), which equals H(u) bit for bit on
-both branches (``penalties._huber_data_term``), and returns
+loss on fitted values is ``penalties._huber_loss``, the one implementation
+of the data term: with u the scaled residual and c = clip(u, -1, 1), it sums
+c (u - c/2), which equals H(u) bit for bit on both branches, and returns
 h = -(lambda_o / sqrt n) c from the same buffer.
 
 Joint formulation
@@ -62,7 +62,8 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .penalties import (
-    HuberScale,
+    _huber_loss,
+    huber_deriv,
     nuclear_norm,
     project_inf_ball,
     singular_value_threshold,
@@ -252,27 +253,11 @@ def _design_ops(problem):
     return (lambda B: design_apply(problem, B)), (lambda r: design_adjoint(problem, r))
 
 
-def _huber_loss(y: np.ndarray, n: int, tp: TuningParams):
-    """Huber data term of the fitted values z: (value, h), gradient A^T h."""
-    scale = tp.lambda_o * np.sqrt(n)
-    coef = tp.lambda_o / np.sqrt(n)
-    lam_o_sq = tp.lambda_o**2
-
-    def loss(z):
-        u = y - z
-        u /= scale
-        c = np.maximum(u, -1.0)
-        np.minimum(c, 1.0, out=c)
-        # c (u - c/2) is u^2/2 where |u| <= 1 and |u| - 1/2 elsewhere, bit for
-        # bit: u - u/2 == u/2 exactly, and -(u + 1/2) == -u - 1/2
-        w = c * 0.5
-        np.subtract(u, w, out=w)
-        w *= c
-        val = float(lam_o_sq * np.add.reduce(w))
-        c *= -coef
-        return val, c
-
-    return loss
+def _l1_terms(lambda_star: float):
+    """(penalty value, prox) of lambda_star |.|_1."""
+    pen = lambda b: lambda_star * float(np.abs(b).sum())
+    prox = lambda v, t: soft_threshold(v, t * lambda_star)
+    return pen, prox
 
 
 def _solve_huber(problem, tp, cfg, start, penalty_value, prox) -> SolverResult:
@@ -291,10 +276,8 @@ def solve_adversarial_lasso(
     x0: Optional[np.ndarray] = None,
 ) -> SolverResult:
     """l1-penalized Huber-loss regression; starts at zero unless x0 is given."""
-    pen = lambda b: tp.lambda_star * float(np.abs(b).sum())
-    prox = lambda v, t: soft_threshold(v, t * tp.lambda_star)
     start = np.zeros(problem.d) if x0 is None else np.array(x0, dtype=float)
-    return _solve_huber(problem, tp, cfg, start, pen, prox)
+    return _solve_huber(problem, tp, cfg, start, *_l1_terms(tp.lambda_star))
 
 
 def solve_matrix_cs(
@@ -354,9 +337,7 @@ def solve_joint_oracle(
     apply_fn, adjoint_fn = _design_ops(problem)
     inner_cfg = replace(cfg, initial_step=None)
     t0 = _initial_step(problem, cfg)
-
-    pen = lambda b: tp.lambda_star * float(np.abs(b).sum())
-    prox = lambda v, t: soft_threshold(v, t * tp.lambda_star)
+    pen, prox = _l1_terms(tp.lambda_star)
 
     beta = np.zeros(problem.d)
     theta = np.zeros(n)
@@ -376,7 +357,7 @@ def solve_joint_oracle(
         resid = r - sqn * theta
         new_obj = (
             float(np.vdot(resid, resid)) / (2.0 * n)
-            + tp.lambda_star * float(np.abs(beta).sum())
+            + pen(beta)
             + tp.lambda_o * float(np.abs(theta).sum())
         )
         if np.isfinite(obj) and abs(obj - new_obj) <= outer_tol * max(1.0, abs(obj)):
@@ -402,5 +383,4 @@ def directional_curvature(
     scale = lambda_o * np.sqrt(n)
     u = np.asarray(xi, dtype=float) / scale
     v = (X @ np.asarray(delta, dtype=float)) / scale
-    h = lambda t: np.clip(t, -1.0, 1.0)
-    return float(lambda_o**2 * np.sum((h(u) - h(u - v)) * v))
+    return float(lambda_o**2 * np.sum((huber_deriv(u) - huber_deriv(u - v)) * v))

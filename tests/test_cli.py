@@ -6,7 +6,20 @@ import sys
 import numpy as np
 import pytest
 
-from huberreg import TheoremInputs, tuning_lasso
+from huberreg import (
+    SolverConfig,
+    TheoremInputs,
+    TuningParams,
+    gen_low_rank,
+    gen_sparse_beta,
+    read_problem_bundle,
+    solve_adversarial_lasso,
+    solve_matrix_completion,
+    solve_matrix_cs,
+    tuning_completion,
+    tuning_lasso,
+    tuning_matrix_cs,
+)
 from huberreg.cli import main
 
 
@@ -178,3 +191,98 @@ def test_malformed_csv_exits_two_naming_line(tmp_path, capsys):
     rc = main(["diagnose", "spikiness", "--matrix-csv", str(tmp_path / "M.csv")])
     assert rc == 2
     assert "M.csv, line 2: could not convert string to float: 'x'" in capsys.readouterr().err
+
+
+# ------------------------------------------- generate -> solve, theorem tuning
+
+_KINDS = {
+    "lasso": (["--d", "30", "--s", "3"], "beta_true.csv"),
+    "matrix_cs": (["--d1", "5", "--d2", "4", "--rank", "2"], "B_true.csv"),
+    "completion": (["--d1", "8", "--d2", "6", "--rank", "2"], "B_true.csv"),
+}
+
+
+def _theorem_report(kind, n, o, sigma, alpha_star=None):
+    """The library's tuning on the inputs the CLI's defaults give."""
+    common = dict(n=n, o=o, delta=0.1, sigma=sigma, kappa=1.0, c0=3.0)
+    if kind == "lasso":
+        return tuning_lasso(TheoremInputs(d=30, s=3, L=1.0, rho=1.0, **common))
+    if kind == "matrix_cs":
+        return tuning_matrix_cs(TheoremInputs(dims=(5, 4), r=2, L=1.0, rho=1.0, **common))
+    return tuning_completion(TheoremInputs(dims=(8, 6), r=2, alpha=2.0, alpha_star=alpha_star,
+                                           **common), variant="subweibull")
+
+
+@pytest.mark.parametrize("kind", sorted(_KINDS))
+def test_generate_solve_theorem_tuning_matches_library(tmp_path, capsys, kind):
+    size, truth_name = _KINDS[kind]
+    bundle, fit = tmp_path / "b", tmp_path / "f"
+    seed, n, o = 5, 400, 8
+    assert main(["generate", "--kind", kind, "--n", str(n), *size, "--o", str(o),
+                 "--adversary", "random_large", "--magnitude", "10", "--sigma", "0.1",
+                 "--seed", str(seed), "--out", str(bundle)]) == 0
+    assert main(["solve", "--bundle", str(bundle), "--out", str(fit)]) == 0
+    capsys.readouterr()
+
+    truth_seed = np.random.SeedSequence([seed, 3])
+    if kind == "lasso":
+        truth = gen_sparse_beta(30, 3, 1.0, truth_seed)
+    else:
+        d1, d2 = (5, 4) if kind == "matrix_cs" else (8, 6)
+        truth = gen_low_rank(d1, d2, 2, 3.0 if kind == "completion" else np.inf, truth_seed)
+    written = np.loadtxt(bundle / truth_name, delimiter=",", ndmin=1 if kind == "lasso" else 2)
+    assert written.tobytes() == truth.tobytes()
+
+    problem = read_problem_bundle(str(bundle))
+    alpha_star = float(problem.meta["alpha_star"]) if kind != "lasso" else None
+    rep = _theorem_report(kind, n, o, 0.1, alpha_star)
+    meta = parse_kv((fit / "solve_meta.txt").read_text())
+    assert float(meta["lambda_o"]) == pytest.approx(rep.lambda_o, rel=1e-15)
+    assert float(meta["lambda_star"]) == pytest.approx(rep.lambda_star, rel=1e-15)
+
+    cfg = SolverConfig(max_iters=5000, rel_tol=1e-9)
+    if kind == "lasso":
+        res = solve_adversarial_lasso(problem, TuningParams(rep.lambda_o, rep.lambda_star), cfg)
+    elif kind == "matrix_cs":
+        res = solve_matrix_cs(problem, TuningParams(rep.lambda_o, rep.lambda_star), cfg)
+    else:
+        radius = alpha_star / np.sqrt(8 * 6)
+        assert float(meta["inf_ball_radius"]) == radius
+        res = solve_matrix_completion(
+            problem, TuningParams(rep.lambda_o, rep.lambda_star, inf_ball_radius=radius), cfg)
+    est = np.loadtxt(fit / "estimate.csv", delimiter=",", ndmin=2)
+    assert est.reshape(res.estimate.shape).tobytes() == res.estimate.tobytes()
+    assert int(meta["iterations"]) == res.iterations
+
+
+@pytest.mark.parametrize("kind", sorted(_KINDS))
+def test_tune_matches_library_for_every_model(capsys, kind):
+    size = _KINDS[kind][0]
+    extra = ["--alpha-star", "2.5"] if kind == "completion" else []
+    assert main(["tune", "--model", kind, "--n", "400", "--o", "8", "--sigma", "0.1",
+                 *size, *extra]) == 0
+    kv = parse_kv(capsys.readouterr().out)
+    rep = _theorem_report(kind, 400, 8, 0.1, 2.5)
+    assert kv["model"] == rep.model
+    assert float(kv["lambda_o"]) == pytest.approx(rep.lambda_o, rel=1e-15)
+    assert float(kv["lambda_star"]) == pytest.approx(rep.lambda_star, rel=1e-15)
+    assert float(kv["predicted_radius"]) == pytest.approx(rep.predicted_radius, rel=1e-15)
+
+
+@pytest.mark.parametrize("flag", ["--L", "--rho"])
+@pytest.mark.parametrize("model", ["lasso", "matrix_cs"])
+def test_tune_rejects_zero_L_and_rho(capsys, flag, model):
+    # 0 is a value, not a missing option: it must not turn into the default 1.0
+    rc = main(["tune", "--model", model, "--n", "400", *_KINDS[model][0], flag, "0"])
+    assert rc == 2
+    assert f"{flag[2:]} must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["", "1,2\n3,nan\n"])
+def test_diagnose_spikiness_rejects_empty_and_nonfinite(tmp_path, capsys, text):
+    path = tmp_path / "M.csv"
+    path.write_text(text, encoding="utf-8")
+    rc = main(["diagnose", "spikiness", "--matrix-csv", str(path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert ("nonempty" if not text else "finite") in err

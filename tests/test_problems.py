@@ -25,7 +25,8 @@ from huberreg import (
     validate_problem,
     write_problem_bundle,
 )
-from huberreg.problems import _Adopt
+from huberreg.problems import _Adopt, _dense_apply
+from huberreg.solvers import _design_ops
 
 
 def make_regression(n=20, d=6, seed=0):
@@ -141,6 +142,68 @@ def test_design_adjoint_mask_accumulates_duplicates():
     out = design_adjoint(problem, np.array([1.0, 1.0]))
     assert out[0, 1] == pytest.approx(2 * 2.0)  # d_mc = 2, two unit weights
     assert out[0, 0] == 0.0
+
+
+@pytest.mark.parametrize("n, d1, d2", [(37, 3, 5), (500, 7, 13), (2000, 20, 20), (1, 1, 1)])
+def test_dense_trace_design_matches_tensordot_bytes(n, d1, d2):
+    """The (n, d1 * d2) GEMV path gives exactly the bytes of the tensor
+    contraction over the cell axes, for apply, adjoint and the simulated
+    signal."""
+    rng = np.random.default_rng(n)
+    cov = rng.standard_normal((n, d1, d2))
+    problem = TraceProblem(y=np.zeros(n), covariates=cov, dims=(d1, d2))
+    B, w = rng.standard_normal((d1, d2)), rng.standard_normal(n)
+    want_apply = np.tensordot(cov, B, axes=([1, 2], [0, 1]))
+    assert design_apply(problem, B).tobytes() == want_apply.tobytes()
+    assert design_adjoint(problem, w).tobytes() == np.tensordot(w, cov, axes=(0, 0)).tobytes()
+    assert _dense_apply(cov, B).tobytes() == want_apply.tobytes()
+
+
+_bounded = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+
+
+def _assert_adjoint_identity(problem, x, w, max_entry):
+    """<A x, w> == <x, A^T w> for the engine's own apply and adjoint."""
+    apply_fn, adjoint_fn = _design_ops(problem)
+    lhs = float(np.dot(apply_fn(x), w))
+    rhs = float(np.vdot(x, adjoint_fn(w)))
+    # rounding bound: max |A_ij| |x|_1 |w|_1 times a generous multiple of eps
+    bound = 1e-12 * (1.0 + max_entry * np.abs(x).sum() * np.abs(w).sum())
+    assert abs(lhs - rhs) <= bound
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(1, 12), d=st.integers(1, 6))
+def test_adjoint_identity_property_dense_X(data, n, d):
+    X = data.draw(arrays(np.float64, (n, d), elements=_bounded))
+    problem = RegressionProblem(y=np.zeros(n), X=X)
+    x = data.draw(arrays(np.float64, d, elements=_bounded))
+    w = data.draw(arrays(np.float64, n, elements=_bounded))
+    _assert_adjoint_identity(problem, x, w, float(np.abs(X).max()))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(1, 10), d1=st.integers(1, 4), d2=st.integers(1, 4))
+def test_adjoint_identity_property_dense_trace(data, n, d1, d2):
+    cov = data.draw(arrays(np.float64, (n, d1, d2), elements=_bounded))
+    problem = TraceProblem(y=np.zeros(n), covariates=cov, dims=(d1, d2))
+    B = data.draw(arrays(np.float64, (d1, d2), elements=_bounded))
+    w = data.draw(arrays(np.float64, n, elements=_bounded))
+    _assert_adjoint_identity(problem, B, w, float(np.abs(cov).max()))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(1, 12), d1=st.integers(1, 4), d2=st.integers(1, 4))
+def test_adjoint_identity_property_mask(data, n, d1, d2):
+    cov = MaskCovariates(
+        rows=data.draw(arrays(np.int64, n, elements=st.integers(0, d1 - 1))),
+        cols=data.draw(arrays(np.int64, n, elements=st.integers(0, d2 - 1))),
+        signs=data.draw(arrays(np.int64, n, elements=st.sampled_from([-1, 1]))),
+    )
+    problem = TraceProblem(y=np.zeros(n), covariates=cov, dims=(d1, d2))
+    B = data.draw(arrays(np.float64, (d1, d2), elements=_bounded))
+    w = data.draw(arrays(np.float64, n, elements=_bounded))
+    _assert_adjoint_identity(problem, B, w, problem.d_mc)
 
 
 # ------------------------------------------------------------------ validation
