@@ -120,6 +120,10 @@ def cmd_solve(args) -> int:
     problem = read_problem_bundle(args.bundle)
     kind = _BUNDLE_KINDS[problem.meta["kind"]]
     estimator = kind if args.estimator == "auto" else args.estimator
+    # the matrix estimators fit either matrix bundle, but vectors and
+    # matrices do not mix
+    _require((estimator == "lasso") == (kind == "lasso"),
+             f"estimator {estimator} cannot fit a {problem.meta['kind']} bundle")
 
     if args.tuning == "fixed":
         _require(args.lambda_o is not None and args.lambda_star is not None,

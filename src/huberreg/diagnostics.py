@@ -16,6 +16,7 @@ from typing import Optional
 
 import numpy as np
 
+from .bundles import _fmt
 from .datagen import _psd_sqrt, spikiness  # spikiness re-exported: it is a diagnostic too
 from .problems import ProblemValidationError
 
@@ -101,34 +102,21 @@ class DiagnosticsReport:
     feasibility: dict
     terms: dict
 
+    def _fields(self, sep: str) -> list:
+        """(key, text) pairs; ``sep`` joins the feasible/term prefixes to their names."""
+        out = [(k, _fmt(getattr(self, k)))
+               for k in ("model", "lambda_o", "lambda_star", "predicted_radius")]
+        out += [(f"feasible{sep}{k}", "true" if self.feasibility[k] else "false")
+                for k in sorted(self.feasibility)]
+        out += [(f"term{sep}{k}", _fmt(self.terms[k])) for k in sorted(self.terms)]
+        return out
+
     def to_kv_text(self) -> str:
-        lines = [
-            f"model = {self.model}",
-            f"lambda_o = {self.lambda_o:.17g}",
-            f"lambda_star = {self.lambda_star:.17g}",
-            f"predicted_radius = {self.predicted_radius:.17g}",
-        ]
-        for k in sorted(self.feasibility):
-            lines.append(f"feasible.{k} = {'true' if self.feasibility[k] else 'false'}")
-        for k in sorted(self.terms):
-            lines.append(f"term.{k} = {self.terms[k]:.17g}")
-        return "\n".join(lines) + "\n"
+        return "".join(f"{k} = {v}\n" for k, v in self._fields("."))
 
     def to_csv_row(self):
-        header = ["model", "lambda_o", "lambda_star", "predicted_radius"]
-        row = [
-            self.model,
-            f"{self.lambda_o:.17g}",
-            f"{self.lambda_star:.17g}",
-            f"{self.predicted_radius:.17g}",
-        ]
-        for k in sorted(self.feasibility):
-            header.append(f"feasible_{k}")
-            row.append("true" if self.feasibility[k] else "false")
-        for k in sorted(self.terms):
-            header.append(f"term_{k}")
-            row.append(f"{self.terms[k]:.17g}")
-        return header, row
+        fields = self._fields("_")
+        return [k for k, _ in fields], [v for _, v in fields]
 
 
 def _outlier_rate_term(o: int, n: int) -> float:

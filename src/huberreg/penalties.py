@@ -19,8 +19,6 @@ apply the design and call it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .problems import (
@@ -36,21 +34,6 @@ from .problems import (
 
 # Feasibility slack for the entrywise box constraint.
 INF_BALL_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class HuberScale:
-    """Residual scale ``lambda_o * sqrt(n)`` at which the loss turns linear."""
-
-    scale: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.scale) and self.scale > 0):
-            raise ProblemValidationError(f"Huber scale must be positive, got {self.scale}")
-
-    @staticmethod
-    def from_tuning(tp: TuningParams, n: int) -> "HuberScale":
-        return HuberScale(tp.lambda_o * float(np.sqrt(n)))
 
 
 def _checked(t, name="t"):

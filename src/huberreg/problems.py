@@ -16,9 +16,9 @@ the caller's data. An array that one of the library's own producers
 (``datagen.gen_problem``, ``bundles.read_problem_bundle``) has just built,
 and that nothing else holds, is handed over wrapped in ``_Adopt`` and kept
 without a copy. Either way the write flags are cleared, so instances are
-safe to share across threads. The squared operator norm of the design is
-computed at most once per instance and cached on it (``opnorm_sq_estimate``
-and ``opnorm_sq``), so every solve on the same problem reuses it.
+safe to share across threads. The power-iteration estimate of the design's
+squared operator norm is computed at most once per instance and cached on it
+(``opnorm_sq_estimate``), so every solve on the same problem reuses it.
 
 Dense designs take one path. A trace problem's (n, d1, d2) covariates are
 used as the (n, d1 * d2) matrix of flattened X_i, so ``design_apply``, its
@@ -269,11 +269,6 @@ class RegressionProblem:
         X = self.X
         return _power_opnorm_sq(lambda b: X @ b, lambda r: X.T @ r, (self.d,))
 
-    @cached_property
-    def opnorm_sq(self) -> float:
-        """Exact |X|_op^2, the squared top singular value; cached."""
-        return max(float(np.linalg.norm(self.X, 2)) ** 2, 1e-300)
-
 
 @dataclass(frozen=True)
 class TraceProblem:
@@ -349,24 +344,6 @@ class TraceProblem:
         return _power_opnorm_sq(
             lambda B: design_apply(self, B), lambda r: design_adjoint(self, r), self.dims
         )
-
-    @cached_property
-    def opnorm_sq(self) -> float:
-        """Exact |A|_op^2 of the design; cached.
-
-        Masks give a diagonal A^T A with entries d1 * d2 * (samples of the
-        cell), so the norm is d1 * d2 times the largest cell count. Dense
-        covariates take the squared top singular value of the flattened
-        (n, d1 * d2) matrix.
-        """
-        d1, d2 = self.dims
-        if self.is_mask:
-            m = self.covariates
-            counts = np.bincount(m.rows * d2 + m.cols, minlength=d1 * d2)
-            value = float(d1 * d2 * counts.max())
-        else:
-            value = float(np.linalg.norm(self.covariates.reshape(self.n, d1 * d2), 2)) ** 2
-        return max(value, 1e-300)
 
 
 def trace_inner(Xi, B: np.ndarray) -> float:

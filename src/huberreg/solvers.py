@@ -6,22 +6,19 @@ candidate would increase the objective, the momentum is restarted and the
 step is retaken from the current iterate as a plain proximal-gradient
 step, whose backtracked step size guarantees descent. The recorded
 objective trace is therefore non-increasing up to 1e-12 per accepted
-step. Plain unaccelerated iterations are available via
-``SolverConfig(momentum=False)``.
+step.
 
 Step sizes come from a backtracking line search against the quadratic
 upper bound of the smooth part,
 
     f(z) <= f(y) + <grad f(y), z - y> + |z - y|^2 / (2 t),
 
-shrinking t by ``backtrack_factor`` until the bound holds. The smooth
-part's curvature is at most |A|_op^2 / n for every lambda_o, so the
-initial step is ``n / opnorm2``, where ``opnorm2`` is the 20-step
-power-iteration estimate of |A|_op^2 (``problem.opnorm_sq_estimate``).
-``step_rule="fixed"`` never checks the bound, so it takes
-``0.95 * n / |A|_op^2`` with the exact norm (``problem.opnorm_sq``), since
-the power estimate can fall below the true norm. Either norm is computed
-once per problem and cached on it, so a lambda path reuses it.
+halving t until the bound holds. The smooth part's curvature is at most
+|A|_op^2 / n for every lambda_o, so the initial step is ``n / opnorm2``,
+where ``opnorm2`` is the 20-step power-iteration estimate of |A|_op^2
+(``problem.opnorm_sq_estimate``). It is computed once per problem and
+cached on it, so a lambda path reuses it; the line search covers an
+estimate below the true norm.
 
 Cost per iteration: the engine keeps the fitted values ``A x`` with the
 iterate and forms those of the momentum point by linearity, so an
@@ -56,7 +53,7 @@ additive or multiplicative calibration constant remains in this scaling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -86,37 +83,21 @@ _MONOTONE_TOL = 1e-12
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs shared by all solvers.
+    """Stopping rule shared by all solvers.
 
-    step_rule "backtracking" shrinks the step until the descent lemma
-    holds; "fixed" uses initial_step (or a conservative default) as-is.
-    ``restart`` enables the function-value momentum restart; the descent
-    safeguard stays on regardless so traces remain monotone.
+    A solve stops after ``max_iters`` iterations, or once an accepted step
+    changes the objective by at most ``rel_tol`` relative to its previous
+    value (``converged``).
     """
 
     max_iters: int = 5000
     rel_tol: float = 1e-9
-    step_rule: str = "backtracking"
-    backtrack_factor: float = 0.5
-    initial_step: Optional[float] = None
-    momentum: bool = True
-    restart: bool = True
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ProblemValidationError(f"max_iters must be >= 1, got {self.max_iters}")
         if not (0 < self.rel_tol < 1):
             raise ProblemValidationError(f"rel_tol must be in (0, 1), got {self.rel_tol}")
-        if self.step_rule not in ("backtracking", "fixed"):
-            raise ProblemValidationError(f"unknown step_rule {self.step_rule!r}")
-        if not (0 < self.backtrack_factor < 1):
-            raise ProblemValidationError(
-                f"backtrack_factor must be in (0, 1), got {self.backtrack_factor}"
-            )
-        if self.initial_step is not None and not self.initial_step > 0:
-            raise ProblemValidationError(
-                f"initial_step must be positive when given, got {self.initial_step}"
-            )
 
 
 class JointResult(NamedTuple):
@@ -153,9 +134,8 @@ def _minimize(
     ``A x`` is kept with every iterate (always an exact apply of an
     accepted candidate), the momentum point's fitted values follow by
     linearity, and the gradient at x is formed only when a step is taken
-    from x (first iteration, restart, or no momentum).
+    from x (first iteration or restart).
     """
-    backtracking = cfg.step_rule == "backtracking"
     x = np.array(x0, dtype=float)
     Ax = apply_fn(x)
     f_x, h_x = loss(Ax)
@@ -171,7 +151,7 @@ def _minimize(
     t_floor = t0 * 1e-20
 
     for _ in range(cfg.max_iters):
-        if cfg.momentum and theta_mom > 1.0:
+        if theta_mom > 1.0:
             theta_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * theta_mom**2))
             m = (theta_mom - 1.0) / theta_next
             y = x + m * (x - x_prev)
@@ -179,7 +159,7 @@ def _minimize(
             g_y = adjoint_fn(h_y)
             from_x = False
         else:
-            theta_next = 1.0 if not cfg.momentum else 0.5 * (1.0 + math.sqrt(5.0))
+            theta_next = 0.5 * (1.0 + math.sqrt(5.0))
             if g_x is None:
                 g_x = adjoint_fn(h_x)
             y, f_y, g_y = x, f_x, g_x
@@ -190,17 +170,16 @@ def _minimize(
             cand = prox(y - t * g_y, t)
             A_c = apply_fn(cand)
             f_c, h_c = loss(A_c)
-            if backtracking:
-                d = cand - y
-                bound = f_y + float(np.vdot(g_y, d)) + float(np.vdot(d, d)) / (2.0 * t)
-                if f_c > bound + _MONOTONE_TOL * max(1.0, abs(bound)) and t > t_floor:
-                    t *= cfg.backtrack_factor
-                    continue
+            d = cand - y
+            bound = f_y + float(np.vdot(g_y, d)) + float(np.vdot(d, d)) / (2.0 * t)
+            if f_c > bound + _MONOTONE_TOL * max(1.0, abs(bound)) and t > t_floor:
+                t *= 0.5
+                continue
             F_c = f_c + penalty_value(cand)
             if F_c <= F_x + _MONOTONE_TOL:
                 accepted = (cand, A_c, f_c, h_c, F_c)
                 break
-            if not from_x and cfg.restart:
+            if not from_x:
                 # momentum overshoot: restart and retake the step from x
                 if g_x is None:
                     g_x = adjoint_fn(h_x)
@@ -209,8 +188,8 @@ def _minimize(
                 theta_next = 1.0
                 restarts += 1
                 continue
-            if backtracking and t > t_floor:
-                t *= cfg.backtrack_factor
+            if t > t_floor:
+                t *= 0.5
                 continue
             break
 
@@ -232,13 +211,9 @@ def _minimize(
     return _Run(x, np.asarray(trace), iterations, converged, t, restarts)
 
 
-def _initial_step(problem, cfg: SolverConfig) -> float:
+def _initial_step(problem) -> float:
     # the smooth-part curvature is at most opnorm^2 / n for every lambda_o:
     # the loss prefactor lambda_o^2 cancels against the residual rescaling
-    if cfg.initial_step is not None:
-        return cfg.initial_step
-    if cfg.step_rule == "fixed":
-        return 0.95 * problem.n / problem.opnorm_sq
     return problem.n / problem.opnorm_sq_estimate
 
 
@@ -264,7 +239,7 @@ def _solve_huber(problem, tp, cfg, start, penalty_value, prox) -> SolverResult:
     apply_fn, adjoint_fn = _design_ops(problem)
     run = _minimize(
         start, apply_fn, adjoint_fn, _huber_loss(problem.y, problem.n, tp),
-        penalty_value, prox, cfg, _initial_step(problem, cfg),
+        penalty_value, prox, cfg, _initial_step(problem),
     )
     return SolverResult(run.x, run.trace, run.iterations, run.converged, run.step)
 
@@ -335,8 +310,7 @@ def solve_joint_oracle(
     sqn = np.sqrt(n)
     scale = tp.lambda_o * sqn
     apply_fn, adjoint_fn = _design_ops(problem)
-    inner_cfg = replace(cfg, initial_step=None)
-    t0 = _initial_step(problem, cfg)
+    t0 = _initial_step(problem)
     pen, prox = _l1_terms(tp.lambda_star)
 
     beta = np.zeros(problem.d)
@@ -351,7 +325,7 @@ def solve_joint_oracle(
             r = y_adj - z
             return float(np.vdot(r, r)) / (2.0 * n), -r / n
 
-        beta = _minimize(beta, apply_fn, adjoint_fn, loss, pen, prox, inner_cfg, t0).x
+        beta = _minimize(beta, apply_fn, adjoint_fn, loss, pen, prox, cfg, t0).x
         r = y - X @ beta
         theta = soft_threshold(r, scale) / sqn
         resid = r - sqn * theta

@@ -286,3 +286,25 @@ def test_diagnose_spikiness_rejects_empty_and_nonfinite(tmp_path, capsys, text):
     assert rc == 2
     err = capsys.readouterr().err
     assert ("nonempty" if not text else "finite") in err
+
+
+@pytest.mark.parametrize("bundle_kind, estimator, code", [
+    ("matrix_cs", "lasso", 2),
+    ("completion", "lasso", 2),
+    ("lasso", "matrix_cs", 2),
+    ("lasso", "completion", 2),
+    ("completion", "matrix_cs", 0),
+    ("matrix_cs", "completion", 0),
+])
+def test_solve_rejects_vector_matrix_mismatch(tmp_path, capsys, bundle_kind, estimator, code):
+    bundle = tmp_path / "b"
+    assert main(["generate", "--kind", bundle_kind, "--n", "200", *_KINDS[bundle_kind][0],
+                 "--sigma", "0.1", "--seed", "3", "--out", str(bundle)]) == 0
+    capsys.readouterr()
+    rc = main(["solve", "--bundle", str(bundle), "--out", str(tmp_path / "f"),
+               "--estimator", estimator, "--alpha-star", "2"])
+    assert rc == code
+    if code == 2:
+        meta_kind = read_problem_bundle(str(bundle)).meta["kind"]
+        err = capsys.readouterr().err
+        assert f"estimator {estimator} cannot fit a {meta_kind} bundle" in err

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from huberreg import (
-    HuberScale,
     InfeasibleError,
     MaskCovariates,
     ProblemValidationError,
@@ -80,11 +79,6 @@ def test_huber_rejects_nonfinite():
         huber_value(np.inf)
     with pytest.raises(ProblemValidationError):
         huber_deriv(np.array([0.0, np.nan]))
-
-
-def test_huber_scale_from_tuning():
-    tp = TuningParams(0.5, 1.0)
-    assert HuberScale.from_tuning(tp, 64).scale == pytest.approx(4.0)
 
 
 # -------------------------------------------------------------------- proxes
