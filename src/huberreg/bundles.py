@@ -39,18 +39,12 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _write_vector(path: str, v: np.ndarray) -> None:
+def _write_matrix(path: str, M: np.ndarray) -> None:
+    """Comma-separated rows of M; a vector is written as a column, one entry per line."""
+    M = np.asarray(M, dtype=float)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for x in np.asarray(v, dtype=float):
-            fh.write(format(x, _F) + "\n")
-
-
-def _write_matrix(path: str, M: np.ndarray, header: str = "") -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        if header:
-            fh.write(header + "\n")
-        for row in np.atleast_2d(M):
-            fh.write(",".join(format(float(x), _F) for x in row) + "\n")
+        for row in (M[:, None] if M.ndim == 1 else M).tolist():
+            fh.write(",".join([format(x, _F) for x in row]) + "\n")
 
 
 def _write_kv(path: str, kv: dict) -> None:
@@ -59,12 +53,20 @@ def _write_kv(path: str, kv: dict) -> None:
             fh.write(f"{key} = {_fmt(val)}\n")
 
 
-def _read_matrix(path: str, skip_header: bool = False) -> np.ndarray:
+def _integral(token: str) -> float:
+    value = float(token)
+    if not value.is_integer():
+        raise ValueError(f"{token.strip()!r} is not an integer")
+    return value
+
+
+def _read_matrix(path: str, skip_header: bool = False, parse=float) -> np.ndarray:
     """Parse a comma-separated matrix, skipping blank lines.
 
-    Raises ProblemValidationError naming the file and the 1-based line for
-    a token that is not a number and for a row whose length differs from
-    the first row's.
+    Each token goes through ``parse`` (``float``, or ``_integral`` for
+    integer columns). Raises ProblemValidationError naming the file and the
+    1-based line for a token that ``parse`` rejects and for a row whose
+    length differs from the first row's.
     """
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -75,8 +77,8 @@ def _read_matrix(path: str, skip_header: bool = False) -> np.ndarray:
             if not ln:
                 continue
             try:
-                row = list(map(float, ln.split(",")))
-            except ValueError as exc:  # float's message quotes the bad token
+                row = list(map(parse, ln.split(",")))
+            except ValueError as exc:  # the message quotes the bad token
                 raise ProblemValidationError(f"{path}, line {lineno}: {exc}") from None
             if rows and len(row) != len(rows[0]):
                 raise ProblemValidationError(
@@ -100,37 +102,30 @@ def _parse_meta_value(raw: str):
 
 def write_problem_bundle(problem, out_dir: str) -> None:
     """Serialize a regression or trace problem into ``out_dir``."""
-    os.makedirs(out_dir, exist_ok=True)
-    meta = {}
     if isinstance(problem, RegressionProblem):
-        meta["kind"] = "lasso"
-        meta["n"], meta["d"] = problem.n, problem.d
-        _write_matrix(os.path.join(out_dir, "X.csv"), problem.X)
-        if problem.beta_true is not None:
-            _write_vector(os.path.join(out_dir, "beta_true.csv"), problem.beta_true)
+        meta = {"kind": "lasso", "n": problem.n, "d": problem.d}
+        truth, truth_name = problem.beta_true, "beta_true.csv"
     elif isinstance(problem, TraceProblem):
         d1, d2 = problem.dims
-        meta["n"], meta["d1"], meta["d2"] = problem.n, d1, d2
-        if problem.is_mask:
-            meta["kind"] = "completion"
-            cov = problem.covariates
-            with open(os.path.join(out_dir, "masks.csv"), "w",
-                      encoding="utf-8", newline="\n") as fh:
-                fh.write("i,k,l,sign\n")
-                for i in range(len(cov)):
-                    fh.write(f"{i},{cov.rows[i]},{cov.cols[i]},{cov.signs[i]}\n")
-        else:
-            meta["kind"] = "trace_dense"
-            flat = np.asarray(problem.covariates, dtype=float).reshape(problem.n, d1 * d2)
-            _write_matrix(os.path.join(out_dir, "X.csv"), flat)
-        if problem.B_true is not None:
-            _write_matrix(os.path.join(out_dir, "B_true.csv"), problem.B_true)
+        kind = "completion" if problem.is_mask else "trace_dense"
+        meta = {"n": problem.n, "d1": d1, "d2": d2, "kind": kind}
+        truth, truth_name = problem.B_true, "B_true.csv"
     else:
         raise ProblemValidationError(f"cannot bundle object of type {type(problem)!r}")
-
-    _write_vector(os.path.join(out_dir, "y.csv"), problem.y)
+    os.makedirs(out_dir, exist_ok=True)
+    if problem.is_mask:
+        cov = problem.covariates
+        with open(os.path.join(out_dir, "masks.csv"), "w", encoding="utf-8", newline="\n") as fh:
+            fh.write("i,k,l,sign\n")
+            for i in range(len(cov)):
+                fh.write(f"{i},{cov.rows[i]},{cov.cols[i]},{cov.signs[i]}\n")
+    else:
+        _write_matrix(os.path.join(out_dir, "X.csv"), problem._dense)
+    if truth is not None:
+        _write_matrix(os.path.join(out_dir, truth_name), truth)
+    _write_matrix(os.path.join(out_dir, "y.csv"), problem.y)
     if problem.theta_true is not None:
-        _write_vector(os.path.join(out_dir, "theta_true.csv"), problem.theta_true)
+        _write_matrix(os.path.join(out_dir, "theta_true.csv"), problem.theta_true)
 
     meta["o"] = (
         len(problem.outlier_index_set) if problem.outlier_index_set is not None else 0
@@ -176,23 +171,19 @@ def read_problem_bundle(bundle_dir: str):
     theta = parse("theta_true.csv", vector=True, optional=True)
 
     if kind == "lasso":
-        X = parse("X.csv")
         beta = parse("beta_true.csv", vector=True, optional=True)
-        return RegressionProblem(y=y, X=X, beta_true=beta, theta_true=theta, meta=meta)
+        return RegressionProblem(y, parse("X.csv"), beta, theta, meta=meta)
 
     d1, d2 = int(meta["d1"]), int(meta["d2"])
     B_true = parse("B_true.csv", optional=True)
     if kind == "completion":
-        raw = _read_matrix(os.path.join(bundle_dir, "masks.csv"), skip_header=True)
-        if raw.size == 0:
-            raise ProblemValidationError("masks.csv holds no rows")
-        order = np.argsort(raw[:, 0], kind="stable")
-        raw = raw[order]
-        cov = MaskCovariates(
-            rows=_Adopt(raw[:, 1].astype(int)),
-            cols=_Adopt(raw[:, 2].astype(int)),
-            signs=_Adopt(raw[:, 3].astype(int)),
-        )
+        path = os.path.join(bundle_dir, "masks.csv")
+        raw = _read_matrix(path, True, _integral)
+        if raw.ndim != 2 or raw.shape[1] != 4:
+            raise ProblemValidationError(f"{path}: expected rows of i,k,l,sign")
+        # rows, cols and signs in the order of i, each a contiguous int64 row
+        cells = raw[np.argsort(raw[:, 0], kind="stable"), 1:].T.astype(np.int64, order="C")
+        cov = MaskCovariates(*map(_Adopt, cells))
     else:
         flat = _read_matrix(os.path.join(bundle_dir, "X.csv"))
         if flat.shape[1] != d1 * d2:

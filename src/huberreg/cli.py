@@ -151,10 +151,8 @@ def cmd_solve(args) -> int:
         raise InternalInvariantError("estimate left the entrywise constraint ball")
 
     os.makedirs(args.out, exist_ok=True)
-    est = result.estimate
     # a 1-d estimate is written as a column, one entry per line
-    _write_matrix(os.path.join(args.out, "estimate.csv"),
-                  est.reshape(-1, 1) if est.ndim == 1 else est)
+    _write_matrix(os.path.join(args.out, "estimate.csv"), result.estimate)
     info = {"estimator": estimator, "lambda_o": lam_o, "lambda_star": lam_star}
     if radius is not None:
         info["inf_ball_radius"] = radius

@@ -30,7 +30,6 @@ from .problems import (
     RegressionProblem,
     TraceProblem,
     _Adopt,
-    _dense_apply,
 )
 
 _STREAM_COV, _STREAM_NOISE, _STREAM_ADV = 0, 1, 2
@@ -272,68 +271,46 @@ def gen_problem(
     rng_noise = child_rng(contamination.seed, _STREAM_NOISE)
     rng_adv = child_rng(contamination.seed, _STREAM_ADV)
 
-    if truth.ndim == 1:
-        if cov.kind == "mask_uniform":
-            raise ProblemValidationError("mask covariates need a matrix truth")
-        d = truth.shape[0]
-        if cov.kind == "gaussian":
-            X = rng_cov.standard_normal((n, d))
-            W = cov.sqrt_factor()
-            if W is not None:
-                if W.shape[0] != d:
-                    raise ProblemValidationError(
-                        f"covariance is {W.shape[0]}-dimensional but truth has {d} entries"
-                    )
-                X = X @ W
-        else:
-            X = (rng_cov.integers(0, 2, size=(n, d)) * 2 - 1).astype(float)
-        signal = X @ truth
-        xi = noise.sample(rng_noise, n)
-        theta = contamination.build_theta(rng_adv, n, signal, xi)
-        y = signal + xi + np.sqrt(n) * theta
-        return RegressionProblem(
-            _Adopt(y), _Adopt(X), beta_true=truth, theta_true=_Adopt(theta),
-            meta={
-                "seed": contamination.seed, "noise_kind": noise.kind,
-                "sigma": noise.sigma, "L": 1.0, "rho": cov.rho,
-                "o": int(np.count_nonzero(theta)), "adversary": contamination.strategy,
-            },
-        )
-
-    if truth.ndim != 2:
+    if truth.ndim not in (1, 2):
         raise ProblemValidationError(f"truth must be 1-d or 2-d, got shape {truth.shape}")
-    d1, d2 = truth.shape
     if cov.kind == "mask_uniform":
+        if truth.ndim != 2:
+            raise ProblemValidationError("mask covariates need a matrix truth")
+        d1, d2 = truth.shape
         # draw order fixed: cells first, then signs
         cells = rng_cov.integers(0, d1 * d2, size=n)
         signs = rng_cov.integers(0, 2, size=n) * 2 - 1
-        masks = MaskCovariates(_Adopt(cells // d2), _Adopt(cells % d2), _Adopt(signs))
-        d_mc = np.sqrt(d1 * d2)
-        signal = d_mc * signs * truth[masks.rows, masks.cols]
-        covariates = masks
+        covariates = MaskCovariates(_Adopt(cells // d2), _Adopt(cells % d2), _Adopt(signs))
+        signal = np.sqrt(d1 * d2) * signs * truth[covariates.rows, covariates.cols]
     else:
+        # one dense draw for both containers: row i is vec(X_i), and a vector
+        # truth is the d x 1 matrix case
+        p = truth.size
         if cov.kind == "rademacher":
-            Xs = (rng_cov.integers(0, 2, size=(n, d1, d2)) * 2 - 1).astype(float)
+            X = (rng_cov.integers(0, 2, size=(n, p)) * 2 - 1).astype(float)
         else:
-            Z = rng_cov.standard_normal((n, d1 * d2))
+            X = rng_cov.standard_normal((n, p))
             W = cov.sqrt_factor()
             if W is not None:
-                if W.shape[0] != d1 * d2:
+                if W.shape[0] != p:
                     raise ProblemValidationError(
-                        f"covariance must be {d1 * d2}-dimensional for dims {truth.shape}"
+                        f"covariance is {W.shape[0]}-dimensional but truth has {p} entries"
                     )
-                Z = Z @ W
-            Xs = Z.reshape(n, d1, d2)
-        signal = _dense_apply(Xs, truth)
-        covariates = _Adopt(Xs)
+                X = X @ W
+        signal = X @ truth.reshape(-1)
+        covariates = _Adopt(X.reshape(n, *truth.shape))
     xi = noise.sample(rng_noise, n)
     theta = contamination.build_theta(rng_adv, n, signal, xi)
     y = signal + xi + np.sqrt(n) * theta
+    meta = {
+        "seed": contamination.seed, "noise_kind": noise.kind, "sigma": noise.sigma,
+        "L": 1.0, "rho": cov.rho, "o": int(np.count_nonzero(theta)),
+        "adversary": contamination.strategy,
+    }
+    if truth.ndim == 1:
+        return RegressionProblem(
+            _Adopt(y), covariates, beta_true=truth, theta_true=_Adopt(theta), meta=meta
+        )
     return TraceProblem(
-        _Adopt(y), covariates, (d1, d2), B_true=truth, theta_true=_Adopt(theta),
-        meta={
-            "seed": contamination.seed, "noise_kind": noise.kind,
-            "sigma": noise.sigma, "L": 1.0, "rho": cov.rho,
-            "o": int(np.count_nonzero(theta)), "adversary": contamination.strategy,
-        },
+        _Adopt(y), covariates, truth.shape, B_true=truth, theta_true=_Adopt(theta), meta=meta
     )

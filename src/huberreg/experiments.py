@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -49,19 +49,6 @@ QUADRATIC_SCALE = 1e9
 DEFAULT_ORACLE_MULTIPLIERS = (
     1e-3, 3.16e-3, 1e-2, 3.16e-2, 1e-1, 3.16e-1, 1.0, 3.16,
 )
-
-RESULT_COLUMNS = [
-    "problem_kind", "cell_index", "trial_index", "n", "dim1", "dim2",
-    "sparsity", "o", "noise_kind", "noise_sigma", "noise_alpha",
-    "adversary", "adversary_magnitude", "lambda_o", "lambda_star",
-    "iterations", "converged", "error", "rel_error", "weighted_error",
-    "support_exact",
-]
-
-_INT_COLS = {"cell_index", "trial_index", "n", "dim1", "dim2", "sparsity",
-             "o", "iterations", "converged", "support_exact"}
-_STR_COLS = {"problem_kind", "noise_kind", "adversary"}
-
 
 @dataclass(frozen=True)
 class ExperimentRecord:
@@ -91,6 +78,11 @@ class ExperimentRecord:
     weighted_error: float
     support_exact: int
     wall_time: float = 0.0
+
+
+# the results CSV columns and their parsers, from ExperimentRecord's fields
+_PARSE = {f.name: {"int": int, "str": str}.get(f.type, float) for f in fields(ExperimentRecord)}
+RESULT_COLUMNS = [name for name in _PARSE if name != "wall_time"]
 
 
 @dataclass(frozen=True)
@@ -451,22 +443,34 @@ def write_results(records, path, include_timing: bool = False) -> None:
 
 
 def read_results(path) -> list:
-    """Inverse of write_results (wall_time restored when present)."""
+    """Inverse of write_results (wall_time restored when present).
+
+    Raises ProblemValidationError naming the file and the 1-based line for
+    an unknown or missing header column, a row whose length differs from
+    the header's, and a token that does not parse as its column's type.
+    """
+    header, records = None, []
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    if not lines:
+        for lineno, ln in enumerate(fh, start=1):
+            if not ln.strip():
+                continue
+            parts = ln.rstrip("\r\n").split(",")
+            if header is None:
+                header = parts
+                bad = [f"unknown column {c!r}" for c in header if c not in _PARSE] + [
+                    f"missing column {c!r}" for c in RESULT_COLUMNS if c not in header]
+                if bad:
+                    raise ProblemValidationError(f"{path}, line {lineno}: {', '.join(bad)}")
+                continue
+            if len(parts) != len(header):
+                raise ProblemValidationError(
+                    f"{path}, line {lineno}: {len(parts)} values, but the header has {len(header)}"
+                )
+            try:
+                kv = {col: _PARSE[col](raw) for col, raw in zip(header, parts)}
+            except ValueError as exc:  # the message quotes the bad token
+                raise ProblemValidationError(f"{path}, line {lineno}: {exc}") from None
+            records.append(ExperimentRecord(**kv))
+    if header is None:
         raise ProblemValidationError(f"results file {path} is empty")
-    header = lines[0].split(",")
-    records = []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        kv = {}
-        for col, raw in zip(header, parts):
-            if col in _STR_COLS:
-                kv[col] = raw
-            elif col in _INT_COLS:
-                kv[col] = int(raw)
-            else:
-                kv[col] = float(raw)
-        records.append(ExperimentRecord(**kv))
     return records

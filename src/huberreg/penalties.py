@@ -12,9 +12,10 @@ the loss transitions from quadratic to linear at residual magnitude
 
 That data term is computed in one place, ``_huber_loss``, on the fitted
 values ``A x``: the solvers' engine calls it every iteration, and
-``objective_lasso``/``objective_trace`` and ``grad_smooth_lasso``/
-``grad_smooth_trace`` are thin wrappers that check the parameter's shape,
-apply the design and call it.
+``objective_lasso``/``objective_trace`` and the one smooth gradient
+(``grad_smooth_trace``, also named ``grad_smooth_lasso``) are thin wrappers
+that check the parameter's shape, apply the design and call it. Both
+containers share the design protocol, so none of them asks which one it has.
 """
 
 from __future__ import annotations
@@ -133,29 +134,22 @@ def _huber_loss(y: np.ndarray, n: int, tp: TuningParams):
 def _param(problem, x) -> np.ndarray:
     """x as a float array, checked to have the shape of the problem's parameter."""
     x = np.asarray(x, dtype=float)
-    lasso = isinstance(problem, RegressionProblem)
-    name, shape = ("beta", (problem.d,)) if lasso else ("B", problem.dims)
+    shape = problem.param_shape
     if x.shape != shape:
+        name = ("beta", "B")[len(shape) - 1]
         raise DimensionMismatchError(f"{name} has shape {x.shape}, expected {shape}")
     return x
 
 
 def _data_term(problem, x: np.ndarray, tp: TuningParams):
     """(value, h) of the Huber data term at the parameter x."""
-    lasso = isinstance(problem, RegressionProblem)
-    fitted = problem.X @ x if lasso else design_apply(problem, x)
-    return _huber_loss(problem.y, problem.n, tp)(fitted)
+    return _huber_loss(problem.y, problem.n, tp)(design_apply(problem, x))
 
 
 def objective_lasso(problem: RegressionProblem, beta: np.ndarray, tp: TuningParams) -> float:
     """lambda_o^2 sum_i H((y_i - <x_i, beta>) / (lambda_o sqrt n)) + lambda_star |beta|_1."""
     beta = _param(problem, beta)
     return _data_term(problem, beta, tp)[0] + tp.lambda_star * float(np.abs(beta).sum())
-
-
-def grad_smooth_lasso(problem: RegressionProblem, beta: np.ndarray, tp: TuningParams) -> np.ndarray:
-    """Gradient of the smooth (Huber) part: -(lambda_o/sqrt n) sum_i h(u_i) x_i."""
-    return problem.X.T @ _data_term(problem, _param(problem, beta), tp)[1]
 
 
 def objective_trace(
@@ -179,6 +173,10 @@ def objective_trace(
     return _data_term(problem, B, tp)[0] + tp.lambda_star * nuclear_norm(B)
 
 
-def grad_smooth_trace(problem: TraceProblem, B: np.ndarray, tp: TuningParams) -> np.ndarray:
-    """Gradient of the Huber data term: -(lambda_o/sqrt n) sum_i h(u_i) X_i."""
+def grad_smooth_trace(problem, B: np.ndarray, tp: TuningParams) -> np.ndarray:
+    """Gradient of the Huber data term, -(lambda_o/sqrt n) sum_i h(u_i) X_i,
+    in the shape of the parameter; a vector problem's X_i are its rows."""
     return design_adjoint(problem, _data_term(problem, _param(problem, B), tp)[1])
+
+
+grad_smooth_lasso = grad_smooth_trace

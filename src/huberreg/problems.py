@@ -16,20 +16,24 @@ the caller's data. An array that one of the library's own producers
 (``datagen.gen_problem``, ``bundles.read_problem_bundle``) has just built,
 and that nothing else holds, is handed over wrapped in ``_Adopt`` and kept
 without a copy. Either way the write flags are cleared, so instances are
-safe to share across threads. The power-iteration estimate of the design's
-squared operator norm is computed at most once per instance and cached on it
-(``opnorm_sq_estimate``), so every solve on the same problem reuses it.
+safe to share across threads.
 
-Dense designs take one path. A trace problem's (n, d1, d2) covariates are
-used as the (n, d1 * d2) matrix of flattened X_i, so ``design_apply``, its
-adjoint and the simulated signal (``_dense_apply``) are each one GEMV, like a
-vector problem's ``X @ beta``. They are bit for bit the tensor contraction
-over the two cell axes.
+Both containers share one design protocol (``_Design``): ``n``, ``dims``,
+``is_mask``, ``param_shape`` and the power-iteration estimate of the design's
+squared operator norm, computed at most once per instance and cached on it
+(``opnorm_sq_estimate``), so every solve on the same problem reuses it.
+``design_apply`` and ``design_adjoint`` serve every problem. A vector problem
+is the trace problem with d2 = 1: its dims are (d, 1) and its parameter is
+the vector of length d. Dense designs take one path, one GEMV on the (n, p)
+matrix whose row i is vec(X_i): a vector problem's ``X`` as it is, a trace
+problem's (n, d1, d2) covariates as their (n, d1 * d2) view, bit for bit the
+tensor contraction over the two cell axes. Masks use a gather and a
+``bincount``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Optional
 
@@ -93,10 +97,6 @@ def _as_locked_float(a, name: str) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ProblemValidationError(f"{name} contains non-finite entries")
     return arr
-
-
-def _as_locked_int(a, name: str) -> np.ndarray:
-    return _locked(a, np.int64)
 
 
 def _power_opnorm_sq(apply_fn, adjoint_fn, shape, iters: int = POWER_ITERS) -> float:
@@ -175,9 +175,8 @@ class MaskCovariates:
     signs: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "rows", _as_locked_int(self.rows, "rows"))
-        object.__setattr__(self, "cols", _as_locked_int(self.cols, "cols"))
-        object.__setattr__(self, "signs", _as_locked_int(self.signs, "signs"))
+        for name in ("rows", "cols", "signs"):
+            object.__setattr__(self, name, _locked(getattr(self, name), np.int64))
         if not (self.rows.shape == self.cols.shape == self.signs.shape) or self.rows.ndim != 1:
             raise DimensionMismatchError(
                 f"mask arrays must be equal-length vectors, got rows {self.rows.shape}, "
@@ -197,33 +196,69 @@ class MaskCovariates:
         return out
 
 
-def _check_contamination(n: int, theta_true, outlier_index_set):
-    """Validate and normalize the (theta_true, outlier_index_set) pair."""
-    if theta_true is not None:
-        theta_true = _as_locked_float(theta_true, "theta_true")
-        if theta_true.shape != (n,):
-            raise DimensionMismatchError(
-                f"theta_true has shape {theta_true.shape}, expected ({n},)"
-            )
-        support = frozenset(np.flatnonzero(theta_true).tolist())
-        if outlier_index_set is None:
-            outlier_index_set = support
-        else:
-            outlier_index_set = frozenset(int(i) for i in outlier_index_set)
-            if outlier_index_set != support:
+class _Design:
+    """The design protocol both containers share.
+
+    A problem's design is one linear map A from its parameter (shape
+    ``param_shape``) to R^n. A subclass provides ``y``, ``dims`` and
+    ``_dense``: the (n, p) matrix whose row i is vec(X_i), or None for masks.
+    """
+
+    @property
+    def n(self) -> int:
+        return self.y.shape[0]
+
+    @property
+    def is_mask(self) -> bool:
+        return self._dense is None
+
+    @property
+    def param_shape(self) -> tuple:
+        return self.dims
+
+    @cached_property
+    def opnorm_sq_estimate(self) -> float:
+        """|A|_op^2 from POWER_ITERS power iterations (a lower bound); cached."""
+        return _power_opnorm_sq(
+            lambda x: design_apply(self, x), lambda r: design_adjoint(self, r), self.param_shape
+        )
+
+    def _lock_truth_and_contamination(self, truth_name: str) -> None:
+        """Check and lock the truth (parameter-shaped) and the pair
+        (theta_true, outlier_index_set); y and the design are already set."""
+        truth = getattr(self, truth_name)
+        if truth is not None:
+            truth = _as_locked_float(truth, truth_name)
+            if truth.shape != self.param_shape:
+                raise DimensionMismatchError(
+                    f"{truth_name} has shape {truth.shape}, expected {self.param_shape}"
+                )
+            object.__setattr__(self, truth_name, truth)
+        n, theta, outliers = self.n, self.theta_true, self.outlier_index_set
+        if outliers is not None:
+            outliers = frozenset(int(i) for i in outliers)
+        if theta is not None:
+            theta = _as_locked_float(theta, "theta_true")
+            if theta.shape != (n,):
+                raise DimensionMismatchError(
+                    f"theta_true has shape {theta.shape}, expected ({n},)"
+                )
+            support = frozenset(np.flatnonzero(theta).tolist())
+            if outliers is None:
+                outliers = support
+            elif outliers != support:
                 raise ProblemValidationError(
-                    f"outlier_index_set {sorted(outlier_index_set)} does not match "
+                    f"outlier_index_set {sorted(outliers)} does not match "
                     f"support of theta_true {sorted(support)}"
                 )
-    elif outlier_index_set is not None:
-        outlier_index_set = frozenset(int(i) for i in outlier_index_set)
-        if outlier_index_set and (min(outlier_index_set) < 0 or max(outlier_index_set) >= n):
+        elif outliers and (min(outliers) < 0 or max(outliers) >= n):
             raise ProblemValidationError("outlier_index_set contains out-of-range indices")
-    return theta_true, outlier_index_set
+        object.__setattr__(self, "theta_true", theta)
+        object.__setattr__(self, "outlier_index_set", outliers)
 
 
 @dataclass(frozen=True)
-class RegressionProblem:
+class RegressionProblem(_Design):
     """Vector regression data: responses y (n,), covariates X (n, d)."""
 
     y: np.ndarray
@@ -244,34 +279,27 @@ class RegressionProblem:
             raise DimensionMismatchError(
                 f"y has {self.y.shape[0]} rows but X has {self.X.shape[0]}"
             )
-        if self.beta_true is not None:
-            bt = _as_locked_float(self.beta_true, "beta_true")
-            if bt.shape != (self.X.shape[1],):
-                raise DimensionMismatchError(
-                    f"beta_true has shape {bt.shape}, expected ({self.X.shape[1]},)"
-                )
-            object.__setattr__(self, "beta_true", bt)
-        theta, outliers = _check_contamination(self.n, self.theta_true, self.outlier_index_set)
-        object.__setattr__(self, "theta_true", theta)
-        object.__setattr__(self, "outlier_index_set", outliers)
-
-    @property
-    def n(self) -> int:
-        return self.y.shape[0]
+        self._lock_truth_and_contamination("beta_true")
 
     @property
     def d(self) -> int:
         return self.X.shape[1]
 
-    @cached_property
-    def opnorm_sq_estimate(self) -> float:
-        """|X|_op^2 from POWER_ITERS power iterations (a lower bound); cached."""
-        X = self.X
-        return _power_opnorm_sq(lambda b: X @ b, lambda r: X.T @ r, (self.d,))
+    @property
+    def dims(self) -> tuple:
+        return (self.d, 1)
+
+    @property
+    def param_shape(self) -> tuple:
+        return (self.d,)
+
+    @property
+    def _dense(self) -> np.ndarray:
+        return self.X
 
 
 @dataclass(frozen=True)
-class TraceProblem:
+class TraceProblem(_Design):
     """Trace regression data.
 
     ``covariates`` is either an (n, d1, d2) dense array or MaskCovariates.
@@ -315,35 +343,17 @@ class TraceProblem:
                     f"covariates have shape {cov.shape}, expected ({n}, {d1}, {d2})"
                 )
             object.__setattr__(self, "covariates", cov)
-        if self.B_true is not None:
-            bt = _as_locked_float(self.B_true, "B_true")
-            if bt.shape != (d1, d2):
-                raise DimensionMismatchError(
-                    f"B_true has shape {bt.shape}, expected ({d1}, {d2})"
-                )
-            object.__setattr__(self, "B_true", bt)
-        theta, outliers = _check_contamination(n, self.theta_true, self.outlier_index_set)
-        object.__setattr__(self, "theta_true", theta)
-        object.__setattr__(self, "outlier_index_set", outliers)
-
-    @property
-    def n(self) -> int:
-        return self.y.shape[0]
+        self._lock_truth_and_contamination("B_true")
 
     @property
     def d_mc(self) -> float:
         return float(np.sqrt(self.dims[0] * self.dims[1]))
 
     @property
-    def is_mask(self) -> bool:
-        return isinstance(self.covariates, MaskCovariates)
-
-    @cached_property
-    def opnorm_sq_estimate(self) -> float:
-        """|A|_op^2 of the design from POWER_ITERS power iterations (a lower bound); cached."""
-        return _power_opnorm_sq(
-            lambda B: design_apply(self, B), lambda r: design_adjoint(self, r), self.dims
-        )
+    def _dense(self) -> Optional[np.ndarray]:
+        if isinstance(self.covariates, MaskCovariates):
+            return None
+        return self.covariates.reshape(self.n, self.dims[0] * self.dims[1])
 
 
 def trace_inner(Xi, B: np.ndarray) -> float:
@@ -375,30 +385,27 @@ def trace_inner(Xi, B: np.ndarray) -> float:
     return float(np.vdot(Xi, B))
 
 
-def _dense_apply(covariates: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """<X_i, B> for dense (n, d1, d2) covariates: one GEMV on the (n, d1 * d2) view."""
-    return covariates.reshape(covariates.shape[0], -1) @ B.reshape(-1)
-
-
-def design_apply(problem: TraceProblem, B: np.ndarray) -> np.ndarray:
-    """All n inner products <X_i, B> at once."""
-    if problem.is_mask:
+def design_apply(problem: _Design, x: np.ndarray) -> np.ndarray:
+    """All n inner products <X_i, x> at once."""
+    A = problem._dense
+    if A is None:
         m = problem.covariates
-        return problem.d_mc * m.signs * B[m.rows, m.cols]
-    return _dense_apply(problem.covariates, B)
+        return problem.d_mc * m.signs * x[m.rows, m.cols]
+    return A @ x.reshape(-1)
 
 
-def design_adjoint(problem: TraceProblem, w: np.ndarray) -> np.ndarray:
-    """Adjoint of design_apply: sum_i w_i X_i as a (d1, d2) matrix."""
-    d1, d2 = problem.dims
-    if problem.is_mask:
+def design_adjoint(problem: _Design, w: np.ndarray) -> np.ndarray:
+    """Adjoint of design_apply: sum_i w_i X_i in the shape of the parameter."""
+    A = problem._dense
+    if A is None:
+        d1, d2 = problem.dims
         m = problem.covariates
         flat = np.bincount(
             m.rows * d2 + m.cols, weights=problem.d_mc * m.signs * w, minlength=d1 * d2
         )
     else:
-        flat = w @ problem.covariates.reshape(problem.n, d1 * d2)
-    return flat.reshape(d1, d2)
+        flat = w @ A
+    return flat.reshape(problem.param_shape)
 
 
 def validate_problem(problem):
@@ -407,16 +414,7 @@ def validate_problem(problem):
     Dataclass construction already validates, so this is mainly useful after
     deserialization or for problems assembled field-by-field elsewhere.
     """
-    if isinstance(problem, RegressionProblem):
-        RegressionProblem(
-            problem.y, problem.X, problem.beta_true, problem.theta_true,
-            problem.outlier_index_set, problem.meta,
-        )
-        return problem
-    if isinstance(problem, TraceProblem):
-        TraceProblem(
-            problem.y, problem.covariates, problem.dims, problem.B_true,
-            problem.theta_true, problem.outlier_index_set, problem.meta,
-        )
-        return problem
-    raise ProblemValidationError(f"unsupported problem type {type(problem).__name__}")
+    if not isinstance(problem, _Design):
+        raise ProblemValidationError(f"unsupported problem type {type(problem).__name__}")
+    replace(problem)
+    return problem

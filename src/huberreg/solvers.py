@@ -218,14 +218,21 @@ def _initial_step(problem) -> float:
 
 
 def _design_ops(problem):
-    """(apply, adjoint) of the problem's design.
+    """(apply, adjoint) of the problem's design; each call looks up
+    ``design_apply``/``design_adjoint`` anew."""
+    return (lambda x: design_apply(problem, x)), (lambda r: design_adjoint(problem, r))
 
-    Trace designs look up ``design_apply``/``design_adjoint`` on every call.
-    """
-    if isinstance(problem, RegressionProblem):
-        X = problem.X
-        return (lambda b: X @ b), (lambda r: X.T @ r)
-    return (lambda B: design_apply(problem, B)), (lambda r: design_adjoint(problem, r))
+
+def _start(problem, x0, ndim: int, estimator: str) -> np.ndarray:
+    """``x0`` as a float array, else zeros of the problem's parameter shape.
+    A problem whose parameter is not ``ndim``-dimensional is rejected by name."""
+    shape = getattr(problem, "param_shape", ())
+    if len(shape) != ndim:
+        raise ProblemValidationError(
+            f"{estimator} fits a {('vector', 'matrix')[ndim - 1]} parameter and cannot "
+            f"take a {type(problem).__name__}"
+        )
+    return np.zeros(shape) if x0 is None else np.array(x0, dtype=float)
 
 
 def _l1_terms(lambda_star: float):
@@ -251,7 +258,7 @@ def solve_adversarial_lasso(
     x0: Optional[np.ndarray] = None,
 ) -> SolverResult:
     """l1-penalized Huber-loss regression; starts at zero unless x0 is given."""
-    start = np.zeros(problem.d) if x0 is None else np.array(x0, dtype=float)
+    start = _start(problem, x0, 1, "solve_adversarial_lasso")
     return _solve_huber(problem, tp, cfg, start, *_l1_terms(tp.lambda_star))
 
 
@@ -262,9 +269,9 @@ def solve_matrix_cs(
     x0: Optional[np.ndarray] = None,
 ) -> SolverResult:
     """Nuclear-norm penalized Huber-loss trace regression; zero start default."""
+    start = _start(problem, x0, 2, "solve_matrix_cs")
     pen = lambda B: tp.lambda_star * nuclear_norm(B)
     prox = lambda V, t: singular_value_threshold(V, t * tp.lambda_star)
-    start = np.zeros(problem.dims) if x0 is None else np.array(x0, dtype=float)
     return _solve_huber(problem, tp, cfg, start, pen, prox)
 
 
@@ -279,6 +286,7 @@ def solve_matrix_completion(
     Iterates stay inside the entrywise ball of radius ``tp.inf_ball_radius``;
     an infeasible start is projected onto the ball rather than rejected.
     """
+    x0 = _start(problem, B0, 2, "solve_matrix_completion")
     if tp.inf_ball_radius is None:
         raise ProblemValidationError("matrix completion requires inf_ball_radius")
     radius = tp.inf_ball_radius
@@ -286,7 +294,8 @@ def solve_matrix_completion(
     prox = lambda V, t: project_inf_ball(
         singular_value_threshold(V, t * tp.lambda_star), radius
     )
-    x0 = np.zeros(problem.dims) if B0 is None else project_inf_ball(np.asarray(B0, float), radius)
+    if B0 is not None:
+        x0 = project_inf_ball(x0, radius)
     return _solve_huber(problem, tp, cfg, x0, pen, prox)
 
 
@@ -306,14 +315,14 @@ def solve_joint_oracle(
     are exact block minimizers, so J decreases monotonically; the
     profiled value equals the Huber objective at the same beta.
     """
-    X, y, n = problem.X, problem.y, problem.n
+    beta = _start(problem, None, 1, "solve_joint_oracle")
+    y, n = problem.y, problem.n
     sqn = np.sqrt(n)
     scale = tp.lambda_o * sqn
     apply_fn, adjoint_fn = _design_ops(problem)
     t0 = _initial_step(problem)
     pen, prox = _l1_terms(tp.lambda_star)
 
-    beta = np.zeros(problem.d)
     theta = np.zeros(n)
     obj = np.inf
     converged = False
@@ -326,7 +335,7 @@ def solve_joint_oracle(
             return float(np.vdot(r, r)) / (2.0 * n), -r / n
 
         beta = _minimize(beta, apply_fn, adjoint_fn, loss, pen, prox, cfg, t0).x
-        r = y - X @ beta
+        r = y - apply_fn(beta)
         theta = soft_threshold(r, scale) / sqn
         resid = r - sqn * theta
         new_obj = (

@@ -21,6 +21,7 @@ from huberreg import (
     tuning_matrix_cs,
 )
 from huberreg.cli import main
+from huberreg.experiments import RESULT_COLUMNS
 
 
 def run_cli(*args):
@@ -308,3 +309,29 @@ def test_solve_rejects_vector_matrix_mismatch(tmp_path, capsys, bundle_kind, est
         meta_kind = read_problem_bundle(str(bundle)).meta["kind"]
         err = capsys.readouterr().err
         assert f"estimator {estimator} cannot fit a {meta_kind} bundle" in err
+
+
+def _results_csv(path):
+    """A three-point results file that ``slope --x n`` accepts."""
+    header = ",".join(RESULT_COLUMNS)
+    rows = [f"lasso,{i},0,{n},10,0,2,0,gaussian,0.1,nan,none,0,0.3,0.05,12,1,{e},0.5,0.5,1"
+            for i, (n, e) in enumerate([(50, 0.4), (100, 0.3), (200, 0.2)])]
+    path.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda lines: lines[:2] + [lines[2].rsplit(",", 3)[0]] + lines[3:],
+     "line 3: 18 values, but the header has 21"),
+    (lambda lines: ["foo,bar"] + lines[1:], "line 1: unknown column 'foo', unknown column 'bar'"),
+    (lambda lines: lines[:3] + [lines[3].replace(",12,", ",zero,")],
+     "line 4: invalid literal for int() with base 10: 'zero'"),
+], ids=["truncated_row", "unknown_header", "bad_token"])
+def test_slope_on_malformed_results_exits_two_naming_line(tmp_path, capsys, edit, message):
+    path = _results_csv(tmp_path / "r.csv")
+    assert main(["slope", "--results", str(path), "--x", "n"]) == 0
+    capsys.readouterr()
+    lines = path.read_text(encoding="utf-8").splitlines()
+    path.write_text("\n".join(edit(lines)) + "\n", encoding="utf-8")
+    assert main(["slope", "--results", str(path), "--x", "n"]) == 2
+    assert f"{path}, {message}" in capsys.readouterr().err

@@ -290,3 +290,27 @@ def test_gen_problem_holds_one_copy_of_the_design():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * p.X.nbytes
+
+
+def _cov_4x3():
+    A = np.random.default_rng(21).standard_normal((12, 12))
+    return A @ A.T / 12
+
+
+@pytest.mark.parametrize("kind, covariance", [
+    ("gaussian", None), ("gaussian", _cov_4x3()), ("rademacher", None),
+], ids=["gaussian", "gaussian_covariance", "rademacher"])
+def test_vector_problem_is_the_dense_trace_problem_on_vec_truth(kind, covariance):
+    """A lasso draw with truth vec(B) and a dense trace draw with truth B, at
+    one seed, hold the same bytes: X is the flattened trace covariates and y
+    is the same vector. The lasso is the d2 = 1 case of one dense path."""
+    B = gen_low_rank(4, 3, 2, seed=8)
+    cont = ContaminationSpec(o=3, strategy="random_large", magnitude=5.0, seed=31)
+    spec = CovariateSpec(kind=kind, covariance=covariance)
+    vec = gen_problem(spec, NoiseSpec(sigma=0.2), B.reshape(-1), 25, cont)
+    mat = gen_problem(spec, NoiseSpec(sigma=0.2), B, 25, cont)
+    assert vec.dims == (12, 1) and mat.dims == (4, 3)
+    assert vec.X.tobytes() == mat.covariates.reshape(25, -1).tobytes()
+    assert vec.y.tobytes() == mat.y.tobytes()
+    assert vec.theta_true.tobytes() == mat.theta_true.tobytes()
+    assert vec.meta == mat.meta

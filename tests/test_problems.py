@@ -25,8 +25,7 @@ from huberreg import (
     validate_problem,
     write_problem_bundle,
 )
-from huberreg.problems import _Adopt, _dense_apply
-from huberreg.solvers import _design_ops
+from huberreg.problems import _Adopt
 
 
 def make_regression(n=20, d=6, seed=0):
@@ -147,8 +146,8 @@ def test_design_adjoint_mask_accumulates_duplicates():
 @pytest.mark.parametrize("n, d1, d2", [(37, 3, 5), (500, 7, 13), (2000, 20, 20), (1, 1, 1)])
 def test_dense_trace_design_matches_tensordot_bytes(n, d1, d2):
     """The (n, d1 * d2) GEMV path gives exactly the bytes of the tensor
-    contraction over the cell axes, for apply, adjoint and the simulated
-    signal."""
+    contraction over the cell axes, for apply and adjoint, and a vector
+    problem on the flattened covariates gives the same bytes again."""
     rng = np.random.default_rng(n)
     cov = rng.standard_normal((n, d1, d2))
     problem = TraceProblem(y=np.zeros(n), covariates=cov, dims=(d1, d2))
@@ -156,17 +155,22 @@ def test_dense_trace_design_matches_tensordot_bytes(n, d1, d2):
     want_apply = np.tensordot(cov, B, axes=([1, 2], [0, 1]))
     assert design_apply(problem, B).tobytes() == want_apply.tobytes()
     assert design_adjoint(problem, w).tobytes() == np.tensordot(w, cov, axes=(0, 0)).tobytes()
-    assert _dense_apply(cov, B).tobytes() == want_apply.tobytes()
+    flat = RegressionProblem(y=np.zeros(n), X=cov.reshape(n, -1))
+    assert design_apply(flat, B.reshape(-1)).tobytes() == want_apply.tobytes()
+    assert design_adjoint(flat, w).tobytes() == design_adjoint(problem, w).tobytes()
 
 
 _bounded = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
 
 
 def _assert_adjoint_identity(problem, x, w, max_entry):
-    """<A x, w> == <x, A^T w> for the engine's own apply and adjoint."""
-    apply_fn, adjoint_fn = _design_ops(problem)
-    lhs = float(np.dot(apply_fn(x), w))
-    rhs = float(np.vdot(x, adjoint_fn(w)))
+    """<A x, w> == <x, A^T w> for design_apply/design_adjoint, which the
+    engine, the objectives and the power iteration all use; the adjoint
+    returns the parameter's shape."""
+    adj = design_adjoint(problem, w)
+    assert adj.shape == problem.param_shape == x.shape
+    lhs = float(np.dot(design_apply(problem, x), w))
+    rhs = float(np.vdot(x, adj))
     # rounding bound: max |A_ij| |x|_1 |w|_1 times a generous multiple of eps
     bound = 1e-12 * (1.0 + max_entry * np.abs(x).sum() * np.abs(w).sum())
     assert abs(lhs - rhs) <= bound
@@ -366,6 +370,11 @@ def test_validate_problem_passes_and_fails():
     validate_problem(make_mask_problem())
     with pytest.raises(ProblemValidationError):
         validate_problem("not a problem")
+    # a field changed behind the frozen dataclass's back is caught
+    bad = make_regression(n=20)
+    object.__setattr__(bad, "y", np.zeros(3))
+    with pytest.raises(DimensionMismatchError, match="y has 3 rows but X has 20"):
+        validate_problem(bad)
 
 
 # --------------------------------------------------------------- bundle I/O
@@ -449,6 +458,17 @@ def test_bundle_malformed_csv_names_file_and_line(tmp_path, bad_line, message):
     with open(tmp_path / "b" / "X.csv", "a", encoding="utf-8") as fh:
         fh.write(bad_line + "\n")
     with pytest.raises(ProblemValidationError, match=message):
+        read_problem_bundle(str(tmp_path / "b"))
+
+
+@pytest.mark.parametrize("row", ["0,2.7,1,-1", "0,1,1,0.5", "0.5,1,1,1"])
+def test_bundle_masks_reject_non_integral_entries(tmp_path, row):
+    p = make_mask_problem(n=5, seed=17)
+    write_problem_bundle(p, str(tmp_path / "b"))
+    path = tmp_path / "b" / "masks.csv"
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:2] + [row] + lines[3:]) + "\n")
+    with pytest.raises(ProblemValidationError, match=r"masks\.csv, line 3: .*not an integer"):
         read_problem_bundle(str(tmp_path / "b"))
 
 

@@ -197,6 +197,29 @@ def test_completion_requires_radius():
         solve_matrix_completion(problem, TuningParams(1.0, 1.0))
 
 
+def _dense_trace(n=12, d1=3, d2=2, seed=7):
+    rng = np.random.default_rng(seed)
+    return TraceProblem(y=rng.standard_normal(n), covariates=rng.standard_normal((n, d1, d2)),
+                        dims=(d1, d2))
+
+
+@pytest.mark.parametrize("solver, problem", [
+    (solve_adversarial_lasso, _dense_trace()),
+    (solve_joint_oracle, _dense_trace()),
+    (solve_adversarial_lasso, _dense_trace(d2=1)),
+    (solve_matrix_cs, lasso_instance()),
+    (solve_matrix_completion, lasso_instance()),
+], ids=["lasso_on_trace", "joint_on_trace", "lasso_on_d2_1_trace", "matrix_cs_on_vector",
+        "completion_on_vector"])
+def test_solvers_reject_the_other_container_by_name(solver, problem):
+    """A vector estimator on a trace problem, or a matrix estimator on a
+    vector problem, fails with one message naming both, not deep in numpy."""
+    tp = TuningParams(0.5, 0.1, inf_ball_radius=1.0)
+    with pytest.raises(ProblemValidationError,
+                       match=f"^{solver.__name__} .* {type(problem).__name__}$"):
+        solver(problem, tp)
+
+
 def test_completion_projects_infeasible_start():
     rng = np.random.default_rng(32)
     problem = TraceProblem(
