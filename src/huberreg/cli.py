@@ -121,7 +121,8 @@ def cmd_solve(args) -> int:
     kind = _BUNDLE_KINDS[problem.meta["kind"]]
     estimator = kind if args.estimator == "auto" else args.estimator
     # the matrix estimators fit either matrix bundle, but vectors and
-    # matrices do not mix
+    # matrices do not mix; checked here, by the bundle's kind, because the
+    # completion radius below reads a matrix bundle's dims before any solver
     _require((estimator == "lasso") == (kind == "lasso"),
              f"estimator {estimator} cannot fit a {problem.meta['kind']} bundle")
 

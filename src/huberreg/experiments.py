@@ -80,8 +80,10 @@ class ExperimentRecord:
     wall_time: float = 0.0
 
 
-# the results CSV columns and their parsers, from ExperimentRecord's fields
-_PARSE = {f.name: {"int": int, "str": str}.get(f.type, float) for f in fields(ExperimentRecord)}
+# the results CSV columns and their parsers, from ExperimentRecord's fields;
+# a field type is its name while annotations are strings, else the class
+_PARSE = {f.name: {"int": int, "float": float, "str": str}[getattr(f.type, "__name__", f.type)]
+          for f in fields(ExperimentRecord)}
 RESULT_COLUMNS = [name for name in _PARSE if name != "wall_time"]
 
 

@@ -18,17 +18,16 @@ and that nothing else holds, is handed over wrapped in ``_Adopt`` and kept
 without a copy. Either way the write flags are cleared, so instances are
 safe to share across threads.
 
-Both containers share one design protocol (``_Design``): ``n``, ``dims``,
+Both containers share one design protocol (``_Design``): ``n``,
 ``is_mask``, ``param_shape`` and the power-iteration estimate of the design's
 squared operator norm, computed at most once per instance and cached on it
 (``opnorm_sq_estimate``), so every solve on the same problem reuses it.
 ``design_apply`` and ``design_adjoint`` serve every problem. A vector problem
-is the trace problem with d2 = 1: its dims are (d, 1) and its parameter is
-the vector of length d. Dense designs take one path, one GEMV on the (n, p)
-matrix whose row i is vec(X_i): a vector problem's ``X`` as it is, a trace
-problem's (n, d1, d2) covariates as their (n, d1 * d2) view, bit for bit the
-tensor contraction over the two cell axes. Masks use a gather and a
-``bincount``.
+is the trace problem with d2 = 1: its parameter is the vector of length d.
+Dense designs take one path, one GEMV on the (n, p) matrix whose row i is
+vec(X_i): a vector problem's ``X`` as it is, a trace problem's (n, d1, d2)
+covariates as their (n, d1 * d2) view, bit for bit the tensor contraction
+over the two cell axes. Masks use a gather and a ``bincount``.
 """
 
 from __future__ import annotations
@@ -200,7 +199,7 @@ class _Design:
     """The design protocol both containers share.
 
     A problem's design is one linear map A from its parameter (shape
-    ``param_shape``) to R^n. A subclass provides ``y``, ``dims`` and
+    ``param_shape``) to R^n. A subclass provides ``y``, ``param_shape`` and
     ``_dense``: the (n, p) matrix whose row i is vec(X_i), or None for masks.
     """
 
@@ -211,10 +210,6 @@ class _Design:
     @property
     def is_mask(self) -> bool:
         return self._dense is None
-
-    @property
-    def param_shape(self) -> tuple:
-        return self.dims
 
     @cached_property
     def opnorm_sq_estimate(self) -> float:
@@ -286,10 +281,6 @@ class RegressionProblem(_Design):
         return self.X.shape[1]
 
     @property
-    def dims(self) -> tuple:
-        return (self.d, 1)
-
-    @property
     def param_shape(self) -> tuple:
         return (self.d,)
 
@@ -344,6 +335,10 @@ class TraceProblem(_Design):
                 )
             object.__setattr__(self, "covariates", cov)
         self._lock_truth_and_contamination("B_true")
+
+    @property
+    def param_shape(self) -> tuple:
+        return self.dims
 
     @property
     def d_mc(self) -> float:

@@ -37,22 +37,39 @@ def test_every_bench_hook_is_installable(tracing):
     assert rec.absent_names(hooks + tracing.COUNT_HOOKS) == set()
 
 
-def test_lasso_trial_records_design_spans(tracing):
-    """The dense lasso's matvecs go through the hooked design names."""
+def _trial_spans(tracing, spec):
+    """Span name -> count, and the design spans' byte counts, of one traced trial."""
     import huberreg.experiments as experiments
 
-    spec = SweepSpec(problem_kind="lasso", n_grid=(60,), d_grid=(15,), s_grid=(3,),
-                     o_grid=(4,), adversary_grid=({"strategy": "random_large", "magnitude": 5.0},),
-                     oracle_multipliers=(0.3, 1.0))
     rec = tracing.Recorder()
     with rec.hooked(tracing.SOLVE_HOOKS + tracing.LAYER_HOOKS):
         experiments.run_trial(spec, 0, 0)
     calls = {}
     for span in rec.spans:
         calls[span.name] = calls.get(span.name, 0) + 1
-    assert calls["experiments.trial"] == 1
-    assert calls["solvers.solve"] == 2
+    return calls, {s.info for s in rec.spans if s.name.startswith("problems.design_")}
+
+
+_ORACLE = dict(n_grid=(60,), s_grid=(2,), o_grid=(4,), oracle_multipliers=(0.3, 1.0),
+               adversary_grid=({"strategy": "random_large", "magnitude": 5.0},))
+
+
+def test_dense_trace_trial_records_design_spans(tracing):
+    """The dense trace matvecs go through the hooked design names."""
+    spec = SweepSpec(problem_kind="matrix_cs", d_grid=((5, 3),), **_ORACLE)
+    calls, dense_bytes = _trial_spans(tracing, spec)
+    assert calls["experiments.trial"] == 1 and calls["solvers.solve"] == 2
     assert calls.get("problems.design_apply", 0) > 0
     assert calls.get("problems.design_adjoint", 0) > 0
-    dense_bytes = [s.info for s in rec.spans if s.name.startswith("problems.design_")]
-    assert set(dense_bytes) == {60 * 15 * 8}
+    assert dense_bytes == {60 * 5 * 3 * 8}
+
+
+def test_lasso_trial_records_no_design_spans(tracing):
+    """The lasso's matvecs stay off the hooked design names: the benchmark's
+    self-test takes lasso_oracle as the workload that never calls them and
+    checks that the tracer reports such a name as absent."""
+    spec = SweepSpec(problem_kind="lasso", d_grid=(15,), **_ORACLE)
+    calls, _ = _trial_spans(tracing, spec)
+    assert calls["experiments.trial"] == 1 and calls["solvers.solve"] == 2
+    assert "problems.design_apply" not in calls
+    assert "problems.design_adjoint" not in calls

@@ -309,7 +309,7 @@ def test_vector_problem_is_the_dense_trace_problem_on_vec_truth(kind, covariance
     spec = CovariateSpec(kind=kind, covariance=covariance)
     vec = gen_problem(spec, NoiseSpec(sigma=0.2), B.reshape(-1), 25, cont)
     mat = gen_problem(spec, NoiseSpec(sigma=0.2), B, 25, cont)
-    assert vec.dims == (12, 1) and mat.dims == (4, 3)
+    assert vec.param_shape == (12,) and mat.param_shape == (4, 3)
     assert vec.X.tobytes() == mat.covariates.reshape(25, -1).tobytes()
     assert vec.y.tobytes() == mat.y.tobytes()
     assert vec.theta_true.tobytes() == mat.theta_true.tobytes()
