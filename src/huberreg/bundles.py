@@ -174,6 +174,11 @@ def read_problem_bundle(bundle_dir: str):
         beta = parse("beta_true.csv", vector=True, optional=True)
         return RegressionProblem(y, parse("X.csv"), beta, theta, meta=meta)
 
+    for key in ("d1", "d2"):
+        if key not in meta:
+            raise ProblemValidationError(
+                f"{os.path.join(bundle_dir, 'meta.txt')}: a {kind} bundle needs a {key} line"
+            )
     d1, d2 = int(meta["d1"]), int(meta["d2"])
     B_true = parse("B_true.csv", optional=True)
     if kind == "completion":

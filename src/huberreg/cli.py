@@ -63,11 +63,31 @@ def _size(args, kind: str, option: str):
     return (args.d1, args.d2), args.rank
 
 
-def _tuning(args, kind, n, dims, s, **inputs):
-    """Theorem tuning from the options tune and solve share, plus ``inputs``."""
+# Defaults of the theorem options the parser leaves None: an omitted one is
+# taken from the bundle's meta.txt (solve), else from here.
+_THEOREM_DEFAULTS = {"o": 0, "sigma": 1.0, "L": 1.0, "rho": 1.0}
+
+
+def _given(args, meta, name):
+    """The option ``name`` if given, else ``meta``'s entry, else its default."""
+    val = getattr(args, name)
+    return meta.get(name, _THEOREM_DEFAULTS.get(name)) if val is None else val
+
+
+def _tuning(args, kind, n, dims, meta):
+    """Theorem tuning report of ``kind``; ``meta`` is a bundle's meta.txt, or {}."""
+    size = "s" if kind == "lasso" else "rank"
+    s = _given(args, meta, size)
+    _require(s is not None, f"theorem tuning needs --{size}")
+    a_star = _given(args, meta, "alpha_star")
+    if kind == "completion":
+        _require(a_star is not None, "completion tuning needs --alpha-star")
+        a_star = float(a_star)
     return _theorem_tuning(
-        kind, n, dims, s, variant=args.variant, delta=args.delta, kappa=args.kappa,
-        c0=args.c0, sigma_xi=args.sigma_xi, alpha=args.alpha, **inputs,
+        kind, n, dims, int(s), o=int(_given(args, meta, "o")), variant=args.variant,
+        delta=args.delta, sigma=float(_given(args, meta, "sigma")), sigma_xi=args.sigma_xi,
+        kappa=args.kappa, c0=args.c0, L=float(_given(args, meta, "L")),
+        rho=float(_given(args, meta, "rho")), alpha=args.alpha, alpha_star=a_star,
     )
 
 
@@ -91,31 +111,6 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _given(args, problem, name, default=None):
-    """The option ``name`` if given, else the bundle's meta.txt entry of that name."""
-    val = getattr(args, name)
-    return problem.meta.get(name, default) if val is None else val
-
-
-def _bundle_tuning(args, kind, problem):
-    """Theorem tuning of a bundle: each input from its option, else from meta.txt."""
-    given = lambda name, default=None: _given(args, problem, name, default)
-    size_option = "s" if kind == "lasso" else "rank"
-    s = given(size_option)
-    _require(s is not None, f"theorem tuning needs --{size_option} (not recorded in bundle)")
-    a_star = given("alpha_star")
-    if kind == "completion":
-        _require(a_star is not None,
-                 "completion tuning needs --alpha-star (not recorded in bundle)")
-        a_star = float(a_star)
-    dims = problem.d if kind == "lasso" else problem.dims
-    return _tuning(
-        args, kind, problem.n, dims, int(s), o=int(given("o", 0)),
-        sigma=float(given("sigma", 1.0)), L=float(given("L", 1.0)),
-        rho=float(given("rho", 1.0)), alpha_star=a_star,
-    )
-
-
 def cmd_solve(args) -> int:
     problem = read_problem_bundle(args.bundle)
     kind = _BUNDLE_KINDS[problem.meta["kind"]]
@@ -131,12 +126,13 @@ def cmd_solve(args) -> int:
                  "--tuning fixed needs --lambda-o and --lambda-star")
         lam_o, lam_star = args.lambda_o, args.lambda_star
     else:
-        report = _bundle_tuning(args, kind, problem)
+        dims = problem.d if kind == "lasso" else problem.dims
+        report = _tuning(args, kind, problem.n, dims, problem.meta)
         lam_o, lam_star = report.lambda_o, report.lambda_star
 
     radius = args.inf_radius if estimator == "completion" else None
     if estimator == "completion" and radius is None:
-        a_star = _given(args, problem, "alpha_star")
+        a_star = _given(args, problem.meta, "alpha_star")
         _require(a_star is not None, "completion needs --inf-radius or --alpha-star")
         radius = _box_radius(estimator, float(a_star), problem.dims)
 
@@ -167,11 +163,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_tune(args) -> int:
-    dims, s = _size(args, args.model, "--model")
-    if args.model == "completion":
-        _require(args.alpha_star is not None, "--model completion needs --alpha-star")
-    report = _tuning(args, args.model, args.n, dims, s, o=args.o, sigma=args.sigma,
-                     L=args.L, rho=args.rho, alpha_star=args.alpha_star)
+    dims, _ = _size(args, args.model, "--model")
+    report = _tuning(args, args.model, args.n, dims, {})
     text = report.to_kv_text()
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
@@ -234,14 +227,34 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("generate", help="simulate a problem and write a bundle")
+    # options several subcommands share, each declared once; the theorem
+    # options --o, --sigma, --L and --rho default to None (see _THEOREM_DEFAULTS)
+    dims = argparse.ArgumentParser(add_help=False)
+    dims.add_argument("--d", type=int)
+    dims.add_argument("--d1", type=int)
+    dims.add_argument("--d2", type=int)
+    sizes = argparse.ArgumentParser(add_help=False)
+    sizes.add_argument("--s", type=int, help="sparsity of the true vector")
+    sizes.add_argument("--rank", type=int, help="rank of the true matrix")
+    cone = argparse.ArgumentParser(add_help=False)
+    cone.add_argument("--c0", type=float, default=3.0)
+    theorem = argparse.ArgumentParser(add_help=False, parents=[cone])
+    theorem.add_argument("--o", type=int)
+    theorem.add_argument("--sigma", type=float)
+    theorem.add_argument("--sigma-xi", type=float)
+    theorem.add_argument("--delta", type=float, default=0.1)
+    theorem.add_argument("--kappa", type=float, default=1.0)
+    theorem.add_argument("--L", type=float)
+    theorem.add_argument("--rho", type=float)
+    theorem.add_argument("--alpha", type=float, default=2.0)
+    theorem.add_argument("--alpha-star", type=float)
+    theorem.add_argument("--variant", default="subweibull",
+                         choices=["heavy_tailed", "subweibull"])
+
+    p = sub.add_parser("generate", parents=[dims, sizes],
+                       help="simulate a problem and write a bundle")
     p.add_argument("--kind", required=True, choices=["lasso", "matrix_cs", "completion"])
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int)
-    p.add_argument("--d1", type=int)
-    p.add_argument("--d2", type=int)
-    p.add_argument("--s", type=int, help="sparsity of the true vector")
-    p.add_argument("--rank", type=int, help="rank of the true matrix")
     p.add_argument("--beta-magnitude", type=float, default=1.0)
     p.add_argument("--spikiness-cap", type=float, default=3.0)
     p.add_argument("--noise", default="gaussian",
@@ -256,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("solve", help="fit an estimator on a bundle")
+    p = sub.add_parser("solve", parents=[sizes, theorem], help="fit an estimator on a bundle")
     p.add_argument("--bundle", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--estimator", default="auto",
@@ -265,56 +278,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda-o", type=float, default=None)
     p.add_argument("--lambda-star", type=float, default=None)
     p.add_argument("--inf-radius", type=float, default=None)
-    p.add_argument("--s", type=int, default=None)
-    p.add_argument("--rank", type=int, default=None)
-    p.add_argument("--o", type=int, default=None)
-    p.add_argument("--sigma", type=float, default=None)
-    p.add_argument("--sigma-xi", type=float, default=None)
-    p.add_argument("--delta", type=float, default=0.1)
-    p.add_argument("--kappa", type=float, default=1.0)
-    p.add_argument("--c0", type=float, default=3.0)
-    p.add_argument("--L", type=float, default=None)
-    p.add_argument("--rho", type=float, default=None)
-    p.add_argument("--alpha", type=float, default=2.0)
-    p.add_argument("--alpha-star", type=float, default=None)
-    p.add_argument("--variant", default="subweibull",
-                   choices=["heavy_tailed", "subweibull"])
     p.add_argument("--max-iters", type=int, default=5000)
     p.add_argument("--rel-tol", type=float, default=1e-9)
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("tune", help="print theorem-driven penalty levels")
+    p = sub.add_parser("tune", parents=[dims, sizes, theorem],
+                       help="print theorem-driven penalty levels")
     p.add_argument("--model", required=True,
                    choices=["lasso", "matrix_cs", "completion"])
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--o", type=int, default=0)
-    p.add_argument("--d", type=int)
-    p.add_argument("--d1", type=int)
-    p.add_argument("--d2", type=int)
-    p.add_argument("--s", type=int)
-    p.add_argument("--rank", type=int)
-    p.add_argument("--delta", type=float, default=0.1)
-    p.add_argument("--sigma", type=float, default=1.0)
-    p.add_argument("--sigma-xi", type=float, default=None)
-    p.add_argument("--L", type=float, default=1.0)
-    p.add_argument("--rho", type=float, default=1.0)
-    p.add_argument("--kappa", type=float, default=1.0)
-    p.add_argument("--c0", type=float, default=3.0)
-    p.add_argument("--alpha", type=float, default=2.0)
-    p.add_argument("--alpha-star", type=float, default=None)
-    p.add_argument("--variant", default="subweibull",
-                   choices=["heavy_tailed", "subweibull"])
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_tune)
 
-    p = sub.add_parser("diagnose", help="restricted-eigenvalue and spikiness checks")
+    p = sub.add_parser("diagnose", parents=[dims, sizes, cone],
+                       help="restricted-eigenvalue and spikiness checks")
     p.add_argument("what", choices=["re", "mre", "spikiness"])
-    p.add_argument("--d", type=int)
-    p.add_argument("--d1", type=int)
-    p.add_argument("--d2", type=int)
-    p.add_argument("--s", type=int)
-    p.add_argument("--rank", type=int)
-    p.add_argument("--c0", type=float, default=3.0)
     p.add_argument("--grid", type=int, default=64)
     p.add_argument("--probes", type=int, default=10000)
     p.add_argument("--seed", type=int, default=0)

@@ -1,9 +1,9 @@
 """Tuning calculators, restricted-eigenvalue probes, and error metrics.
 
 The tuning calculators transcribe the finite-sample penalty and radius
-prescriptions for the three estimators. Unspecified leading constants
-default to 1.0 and are overridable through ``TheoremInputs.constants``;
-the radii are meant for scaling-shape checks, not absolute guarantees.
+prescriptions for the three estimators. The paper states them only up to
+absolute constants; every such constant is 1 here, so the radii are meant
+for scaling-shape checks, not absolute guarantees.
 Outlier terms follow the convention that ``(o/n) sqrt(log(n/o))`` is 0 at
 o = 0 and the o-dependent branch of a min is skipped when o = 0.
 """
@@ -11,7 +11,7 @@ o = 0 and the o-dependent branch of a min is skipped when o = 0.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -45,9 +45,8 @@ class TheoremInputs:
     completion, the sub-Weibull scale for sub-Weibull completion.
     ``sigma_xi`` is the second-moment scale used inside the completion
     radius terms and defaults to ``sigma``. ``alpha`` is the moment /
-    sub-Weibull order, ``alpha_star`` the spikiness bound. Constants
-    c_lasso, c_lasso_prime, c_mcs, c_mcs_prime, c_mc1, c_mc1_prime, c_mc2,
-    c_mc2_prime default to 1.0.
+    sub-Weibull order, ``alpha_star`` the spikiness bound. The absolute
+    constants the paper leaves unspecified in lambda_star and the radii are 1.
     """
 
     n: int
@@ -65,7 +64,6 @@ class TheoremInputs:
     c0: float = 3.0
     alpha: Optional[float] = None
     alpha_star: Optional[float] = None
-    constants: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.n < 1:
@@ -78,9 +76,6 @@ class TheoremInputs:
                 raise ProblemValidationError(f"{name} must be positive, got {v}")
         if self.sigma_xi is not None and not self.sigma_xi > 0:
             raise ProblemValidationError(f"sigma_xi must be positive, got {self.sigma_xi}")
-
-    def const(self, name: str) -> float:
-        return float(self.constants.get(name, 1.0))
 
     @property
     def c_kappa(self) -> float:
@@ -131,10 +126,9 @@ def _check_delta(delta: float, upper: float):
         raise ProblemValidationError(f"delta must lie in (0, {upper}), got {delta}")
 
 
-def _sub_gaussian_tuning(ti, model, size, t_dim, c_pen, c_rad) -> DiagnosticsReport:
+def _sub_gaussian_tuning(ti, model, size, t_dim) -> DiagnosticsReport:
     """The lasso and matrix compressed sensing prescriptions, which differ only
-    in the dimension term ``t_dim``, the structure size ``size`` (s or r) and
-    the names of their constants."""
+    in the dimension term ``t_dim`` and the structure size ``size`` (s or r)."""
     n = ti.n
     lam_o_sqn = 72.0 * ti.L**4 * ti.sigma
     lam_o = lam_o_sqn / np.sqrt(n)
@@ -142,8 +136,8 @@ def _sub_gaussian_tuning(ti, model, size, t_dim, c_pen, c_rad) -> DiagnosticsRep
     t_conf = (1.0 + np.sqrt(np.log(1.0 / ti.delta))) / (ck * np.sqrt(size) * np.sqrt(n))
     t_out = _outlier_rate_term(ti.o, n) / (ck * np.sqrt(size))
     r_lam = t_dim + t_conf + t_out
-    lam_star = ti.const(c_pen) * lam_o_sqn * ti.L * r_lam
-    radius = ti.const(c_rad) * lam_o_sqn * ti.L * ck * np.sqrt(size) * r_lam
+    lam_star = lam_o_sqn * ti.L * r_lam
+    radius = lam_o_sqn * ti.L * ck * np.sqrt(size) * r_lam
     rsc_cap = 1.0 / (4.0 * np.sqrt(3.0) * ti.L**2)
     return DiagnosticsReport(
         model=model,
@@ -167,7 +161,7 @@ def tuning_lasso(ti: TheoremInputs) -> DiagnosticsReport:
     if ti.d is None or ti.s is None or not 1 <= ti.s <= ti.d:
         raise ProblemValidationError(f"need 1 <= s <= d, got s={ti.s}, d={ti.d}")
     t_dim = ti.rho * np.sqrt(np.log(ti.d / ti.s) / ti.n)
-    return _sub_gaussian_tuning(ti, "lasso", ti.s, t_dim, "c_lasso", "c_lasso_prime")
+    return _sub_gaussian_tuning(ti, "lasso", ti.s, t_dim)
 
 
 def tuning_matrix_cs(ti: TheoremInputs) -> DiagnosticsReport:
@@ -179,7 +173,7 @@ def tuning_matrix_cs(ti: TheoremInputs) -> DiagnosticsReport:
     if not 1 <= ti.r <= min(d1, d2):
         raise ProblemValidationError(f"need 1 <= r <= min(d1, d2), got r={ti.r}")
     t_dim = ti.rho * np.sqrt((d1 + d2) / ti.n)
-    return _sub_gaussian_tuning(ti, "matrix_cs", ti.r, t_dim, "c_mcs", "c_mcs_prime")
+    return _sub_gaussian_tuning(ti, "matrix_cs", ti.r, t_dim)
 
 
 def tuning_completion(ti: TheoremInputs, variant: str = "heavy_tailed") -> DiagnosticsReport:
@@ -247,18 +241,14 @@ def tuning_completion(ti: TheoremInputs, variant: str = "heavy_tailed") -> Diagn
     t_rad_noise = a_star * np.sqrt(r * d_mc * LL / n)
     t_rad_dim = np.sqrt(r) * d_mc * log_dmc / n
     if variant == "heavy_tailed":
-        c_pen, c_rad = ti.const("c_mc1"), ti.const("c_mc1_prime")
         t_rad_out = a_star * (o / n) ** (alpha / (2.0 * (1.0 + alpha)))
-        model = "completion_heavy_tailed"
     else:
-        c_pen, c_rad = ti.const("c_mc2"), ti.const("c_mc2_prime")
         t_rad_out = a_star * np.sqrt(o / n)
-        model = "completion_subweibull"
-    lam_star = c_pen * r_lam / np.sqrt(r)
-    radius = c_rad * a_star * (r_lam + t_rad_noise + t_rad_dim + t_rad_out)
+    lam_star = r_lam / np.sqrt(r)
+    radius = a_star * (r_lam + t_rad_noise + t_rad_dim + t_rad_out)
 
     return DiagnosticsReport(
-        model=model,
+        model=f"completion_{variant}",
         lambda_o=float(lam_o),
         lambda_star=float(lam_star),
         predicted_radius=float(radius),

@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -87,6 +87,16 @@ _PARSE = {f.name: {"int": int, "float": float, "str": str}[getattr(f.type, "__na
 RESULT_COLUMNS = [name for name in _PARSE if name != "wall_time"]
 
 
+# the keys run_trial reads from a noise_grid or adversary_grid entry
+_ENTRY_KEYS = {"noise_grid": ("kind", "sigma", "alpha"),
+               "adversary_grid": ("strategy", "magnitude")}
+
+
+def _pair(dims) -> tuple:
+    d1, d2 = dims
+    return int(d1), int(d2)
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """Grid description for run_sweep; JSON-friendly (see from_dict).
@@ -143,27 +153,25 @@ class SweepSpec:
             raise ProblemValidationError(
                 "tuning_mode 'fixed' needs fixed_lambda_o and fixed_lambda_star"
             )
-        for g, name in (
-            (self.n_grid, "n_grid"), (self.d_grid, "d_grid"),
-            (self.s_grid, "s_grid"), (self.o_grid, "o_grid"),
-            (self.noise_grid, "noise_grid"), (self.adversary_grid, "adversary_grid"),
+        # normalize to hashable tuples so specs pickle cleanly; a grid that is
+        # not a sequence of such entries is rejected by name
+        for name, entry in (
+            ("n_grid", int), ("d_grid", int if self.problem_kind == "lasso" else _pair),
+            ("s_grid", int), ("o_grid", int), ("noise_grid", dict), ("adversary_grid", dict),
         ):
-            if len(tuple(g)) == 0:
+            try:
+                grid = tuple(entry(v) for v in getattr(self, name))
+            except (TypeError, ValueError) as exc:
+                raise ProblemValidationError(f"{name}: {exc}") from None
+            if not grid:
                 raise ProblemValidationError(f"{name} must be nonempty")
-        # normalize to hashable tuples so specs pickle cleanly
-        object.__setattr__(self, "n_grid", tuple(int(v) for v in self.n_grid))
-        object.__setattr__(self, "s_grid", tuple(int(v) for v in self.s_grid))
-        object.__setattr__(self, "o_grid", tuple(int(v) for v in self.o_grid))
-        if self.problem_kind == "lasso":
-            object.__setattr__(self, "d_grid", tuple(int(v) for v in self.d_grid))
-        else:
-            object.__setattr__(
-                self, "d_grid", tuple((int(a), int(b)) for a, b in self.d_grid)
-            )
-        object.__setattr__(self, "noise_grid", tuple(dict(v) for v in self.noise_grid))
-        object.__setattr__(
-            self, "adversary_grid", tuple(dict(v) for v in self.adversary_grid)
-        )
+            keys = _ENTRY_KEYS.get(name)
+            unknown = sorted(set().union(*grid) - set(keys)) if keys else []
+            if unknown:
+                raise ProblemValidationError(
+                    f"{name}: unknown keys {unknown}; an entry takes {', '.join(keys)}"
+                )
+            object.__setattr__(self, name, grid)
         object.__setattr__(
             self, "oracle_multipliers", tuple(float(v) for v in self.oracle_multipliers)
         )
@@ -196,10 +204,13 @@ class SweepSpec:
 
     @staticmethod
     def from_dict(cfg: dict) -> "SweepSpec":
-        known = {f.name for f in SweepSpec.__dataclass_fields__.values()}
-        unknown = set(cfg) - known
+        known = SweepSpec.__dataclass_fields__
+        unknown = set(cfg) - set(known)
         if unknown:
             raise ProblemValidationError(f"unknown sweep config keys: {sorted(unknown)}")
+        missing = [k for k, f in known.items() if f.default is MISSING and k not in cfg]
+        if missing:
+            raise ProblemValidationError(f"missing sweep config keys: {missing}")
         return SweepSpec(**cfg)
 
     def cells(self):

@@ -73,3 +73,24 @@ def test_lasso_trial_records_no_design_spans(tracing):
     assert calls["experiments.trial"] == 1 and calls["solvers.solve"] == 2
     assert "problems.design_apply" not in calls
     assert "problems.design_adjoint" not in calls
+
+
+def test_cli_fit_records_command_and_bundle_spans(tracing, tmp_path, capsys):
+    """``cli.main`` builds its parser on every call, so the subcommand functions
+    it dispatches to are the hooked ``huberreg.cli.cmd_*`` attributes."""
+    from huberreg import cli
+
+    bundle, fit = str(tmp_path / "b"), str(tmp_path / "f")
+    generate = ["generate", "--kind", "lasso", "--n", "40", "--d", "8", "--s", "2",
+                "--sigma", "0.1", "--out", bundle]
+    # a first call before hooking: a parser kept from it would dispatch to the
+    # unhooked functions
+    assert cli.main(generate) == 0
+    rec = tracing.Recorder()
+    with rec.hooked(tracing.SOLVE_HOOKS + tracing.LAYER_HOOKS):
+        assert cli.main(generate) == 0
+        assert cli.main(["solve", "--bundle", bundle, "--out", fit]) == 0
+    capsys.readouterr()
+    names = {span.name for span in rec.spans}
+    for name in ("cli.generate", "cli.solve", "bundles.write", "bundles.read", "solvers.solve"):
+        assert name in names

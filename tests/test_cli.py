@@ -164,6 +164,23 @@ def test_bad_sweep_config_exits_two(tmp_path):
     assert "bogus" in proc.stderr
 
 
+@pytest.mark.parametrize("cfg, message", [
+    ({}, "missing sweep config keys: ['problem_kind', 'n_grid', 'd_grid', 's_grid']"),
+    ({"n_grid": 5}, "n_grid: 'int' object is not iterable"),
+    ({"noise_grid": [{"kind": "gaussian", "sigam": 0.01}]},
+     "noise_grid: unknown keys ['sigam']"),
+    ({"o_grid": [5], "adversary_grid": [{"strategy": "random_large", "magnitud": 3}]},
+     "adversary_grid: unknown keys ['magnitud']"),
+], ids=["no_keys", "scalar_grid", "noise_entry_key", "adversary_entry_key"])
+def test_malformed_sweep_config_exits_two_naming_key(tmp_path, capsys, cfg, message):
+    base = {"problem_kind": "lasso", "n_grid": [50], "d_grid": [10], "s_grid": [2]}
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps({**base, **cfg} if cfg else {}))
+    assert main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "r.csv")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_missing_bundle_exits_three(tmp_path):
     proc = run_cli("solve", "--bundle", str(tmp_path / "nope"),
                    "--out", str(tmp_path / "fit"))
@@ -203,15 +220,16 @@ _KINDS = {
 }
 
 
-def _theorem_report(kind, n, o, sigma, alpha_star=None):
-    """The library's tuning on the inputs the CLI's defaults give."""
+def _theorem_report(kind, n, o, sigma, alpha_star=None, size=None, L=1.0, rho=1.0):
+    """The library's tuning on the inputs the CLI's defaults give, where ``size``
+    (the sparsity or rank), ``L`` and ``rho`` are not given otherwise."""
     common = dict(n=n, o=o, delta=0.1, sigma=sigma, kappa=1.0, c0=3.0)
     if kind == "lasso":
-        return tuning_lasso(TheoremInputs(d=30, s=3, L=1.0, rho=1.0, **common))
+        return tuning_lasso(TheoremInputs(d=30, s=size or 3, L=L, rho=rho, **common))
     if kind == "matrix_cs":
-        return tuning_matrix_cs(TheoremInputs(dims=(5, 4), r=2, L=1.0, rho=1.0, **common))
-    return tuning_completion(TheoremInputs(dims=(8, 6), r=2, alpha=2.0, alpha_star=alpha_star,
-                                           **common), variant="subweibull")
+        return tuning_matrix_cs(TheoremInputs(dims=(5, 4), r=size or 2, L=L, rho=rho, **common))
+    return tuning_completion(TheoremInputs(dims=(8, 6), r=size or 2, alpha=2.0,
+                                           alpha_star=alpha_star, **common), variant="subweibull")
 
 
 @pytest.mark.parametrize("kind", sorted(_KINDS))
@@ -254,6 +272,33 @@ def test_generate_solve_theorem_tuning_matches_library(tmp_path, capsys, kind):
     est = np.loadtxt(fit / "estimate.csv", delimiter=",", ndmin=2)
     assert est.reshape(res.estimate.shape).tobytes() == res.estimate.tobytes()
     assert int(meta["iterations"]) == res.iterations
+
+
+@pytest.mark.parametrize("kind", sorted(_KINDS))
+def test_options_override_bundle_meta_in_solve_and_tune(tmp_path, capsys, kind):
+    """An option given to solve wins over the bundle's meta.txt entry, and tune
+    on the same options prints the same penalty levels."""
+    size = _KINDS[kind][0]
+    bundle = tmp_path / "b"
+    assert main(["generate", "--kind", kind, "--n", "400", *size, "--o", "8",
+                 "--adversary", "random_large", "--magnitude", "10", "--sigma", "0.1",
+                 "--seed", "5", "--out", str(bundle)]) == 0
+    options = ["--sigma", "0.3", "--o", "4", "--L", "2", "--rho", "0.5",
+               *(["--s", "2"] if kind == "lasso" else ["--rank", "1"]),
+               *(["--alpha-star", "2.5"] if kind == "completion" else [])]
+    assert main(["solve", "--bundle", str(bundle), "--out", str(tmp_path / "f"), *options]) == 0
+    solved = parse_kv((tmp_path / "f" / "solve_meta.txt").read_text())
+    capsys.readouterr()
+    assert main(["tune", "--model", kind, "--n", "400", *size[:-2], *options]) == 0
+    tuned = parse_kv(capsys.readouterr().out)
+
+    rep = _theorem_report(kind, 400, 4, 0.3, alpha_star=2.5, size=2 if kind == "lasso" else 1,
+                          L=2.0, rho=0.5)
+    for kv in (solved, tuned):
+        assert float(kv["lambda_o"]) == rep.lambda_o
+        assert float(kv["lambda_star"]) == rep.lambda_star
+    if kind == "completion":
+        assert float(solved["inf_ball_radius"]) == 2.5 / np.sqrt(8 * 6)
 
 
 @pytest.mark.parametrize("kind", sorted(_KINDS))
@@ -335,3 +380,17 @@ def test_slope_on_malformed_results_exits_two_naming_line(tmp_path, capsys, edit
     path.write_text("\n".join(edit(lines)) + "\n", encoding="utf-8")
     assert main(["slope", "--results", str(path), "--x", "n"]) == 2
     assert f"{path}, {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind, key", [("matrix_cs", "d1"), ("completion", "d2")])
+def test_solve_on_bundle_without_dims_exits_two_naming_key(tmp_path, capsys, kind, key):
+    bundle = tmp_path / "b"
+    assert main(["generate", "--kind", kind, "--n", "30", "--d1", "3", "--d2", "3",
+                 "--rank", "1", "--out", str(bundle)]) == 0
+    meta = bundle / "meta.txt"
+    lines = meta.read_text(encoding="utf-8").splitlines(keepends=True)
+    meta.write_text("".join(ln for ln in lines if not ln.startswith(f"{key} =")), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["solve", "--bundle", str(bundle), "--out", str(tmp_path / "f")]) == 2
+    err = capsys.readouterr().err
+    assert str(meta) in err and f"needs a {key} line" in err

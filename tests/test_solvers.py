@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import huberreg.penalties as penalties_mod
 import huberreg.problems as problems_mod
@@ -316,6 +318,58 @@ def test_objective_traces_monotone():
         diffs = np.diff(res.objective_trace)
         slack = 1e-12 * max(1.0, abs(float(res.objective_trace[0])))
         assert np.all(diffs <= slack), name
+
+
+_SOLVERS = {"lasso": solve_adversarial_lasso, "matrix_cs": solve_matrix_cs,
+            "completion": solve_matrix_completion}
+# (kind, case): the all-zero design is a dense case, the one-cell mask a completion case
+_DEGENERATE = [
+    (kind, case) for kind in _SOLVERS
+    for case in ("n_below_d", "half_outliers", "zero_column", "constant_y",
+                 "one_cell_mask" if kind == "completion" else "zero_design")
+]
+
+
+def _degenerate_problem(kind, case, seed):
+    """A small problem of ``kind`` (param size 12, n = 6 or 24) with the degeneracy ``case``."""
+    rng = np.random.default_rng(seed)
+    n, (d1, d2) = (6 if case == "n_below_d" else 24), (4, 3)
+    y = np.full(n, 1.5) if case == "constant_y" else rng.standard_normal(n)
+    if case == "half_outliers":
+        y[: n // 2] += 100.0 * rng.choice([-1.0, 1.0], n // 2)
+    if kind == "completion":
+        rows, cols = rng.integers(0, d1, n), rng.integers(0, d2, n)
+        if case == "zero_column":  # column 0 is never observed
+            cols = rng.integers(1, d2, n)
+        if case == "one_cell_mask":
+            rows, cols = np.zeros(n, dtype=int), np.zeros(n, dtype=int)
+        cov = MaskCovariates(rows, cols, rng.choice([-1, 1], n))
+        return TraceProblem(y=y, covariates=cov, dims=(d1, d2))
+    X = np.zeros((n, d1 * d2)) if case == "zero_design" else rng.standard_normal((n, d1 * d2))
+    if case == "zero_column":
+        X[:, 0] = 0.0
+    if kind == "lasso":
+        return RegressionProblem(y=y, X=X)
+    return TraceProblem(y=y, covariates=X.reshape(n, d1, d2), dims=(d1, d2))
+
+
+@pytest.mark.parametrize("kind, case", _DEGENERATE)
+@settings(derandomize=True, database=None, deadline=None, max_examples=12)
+@given(seed=st.integers(0, 2**32 - 1), lambda_o=st.floats(1e-8, 1e2),
+       lambda_star=st.floats(1e-8, 1e2))
+def test_degenerate_problems_keep_trace_monotone_and_estimate_finite(
+        kind, case, seed, lambda_o, lambda_star):
+    """The per-step promise of SolverResult.objective_trace holds on degenerate
+    problems too. ``converged`` is not asserted: below an objective of 1 the
+    stopping rule's max(1, |F|) floor makes it an absolute test."""
+    problem = _degenerate_problem(kind, case, seed)
+    radius = 2.0 if kind == "completion" else None
+    res = _SOLVERS[kind](problem, TuningParams(lambda_o, lambda_star, radius),
+                         SolverConfig(max_iters=500))
+    trace = res.objective_trace
+    assert np.isfinite(trace).all() and np.isfinite(res.estimate).all()
+    # 1e-12 per step, plus the rounding of adding it to the previous value
+    assert np.all(np.diff(trace) <= 1e-12 + np.spacing(np.abs(trace[:-1])))
 
 
 def test_accelerated_solve_matches_joint_oracle():
