@@ -60,20 +60,24 @@ def _integral(token: str) -> float:
     return value
 
 
-def _read_matrix(path: str, skip_header: bool = False, parse=float) -> np.ndarray:
+def _read_matrix(path: str, header=None, parse=float, linenos=None) -> np.ndarray:
     """Parse a comma-separated matrix, skipping blank lines.
 
     Each token goes through ``parse`` (``float``, or ``_integral`` for
-    integer columns). Raises ProblemValidationError naming the file and the
-    1-based line for a token that ``parse`` rejects and for a row whose
-    length differs from the first row's.
+    integer columns); a ``header`` must be line 1; ``linenos``, a list, gets
+    each row's line. Raises ProblemValidationError naming the file and the
+    1-based line for a wrong header, a token that ``parse`` rejects and a
+    row whose length differs from the first row's.
     """
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, ln in enumerate(fh, start=1):
-            if skip_header and lineno == 1:
-                continue
             ln = ln.strip()
+            if header is not None and lineno == 1:
+                if ln != header:
+                    raise ProblemValidationError(
+                        f"{path}, line 1: expected the header {header!r}, got {ln!r}")
+                continue
             if not ln:
                 continue
             try:
@@ -86,6 +90,8 @@ def _read_matrix(path: str, skip_header: bool = False, parse=float) -> np.ndarra
                     f"has {len(rows[0])}"
                 )
             rows.append(row)
+            if linenos is not None:
+                linenos.append(lineno)
     return np.array(rows, dtype=float)
 
 
@@ -183,11 +189,21 @@ def read_problem_bundle(bundle_dir: str):
     B_true = parse("B_true.csv", optional=True)
     if kind == "completion":
         path = os.path.join(bundle_dir, "masks.csv")
-        raw = _read_matrix(path, True, _integral)
+        linenos = []
+        raw = _read_matrix(path, "i,k,l,sign", _integral, linenos)
         if raw.ndim != 2 or raw.shape[1] != 4:
             raise ProblemValidationError(f"{path}: expected rows of i,k,l,sign")
+        # the first row whose i is out of range or repeats an earlier one
+        i = raw[:, 0]
+        repeat = np.ones(len(i), dtype=bool)
+        repeat[np.unique(i, return_index=True)[1]] = False
+        bad = np.flatnonzero(repeat | (i < 0) | (i >= len(i)))
+        if bad.size:
+            raise ProblemValidationError(
+                f"{path}, line {linenos[bad[0]]}: i = {i[bad[0]]:g}, but the i values "
+                f"must be a permutation of 0..{len(i) - 1}")
         # rows, cols and signs in the order of i, each a contiguous int64 row
-        cells = raw[np.argsort(raw[:, 0], kind="stable"), 1:].T.astype(np.int64, order="C")
+        cells = raw[np.argsort(i), 1:].T.astype(np.int64, order="C")
         cov = MaskCovariates(*map(_Adopt, cells))
     else:
         flat = _read_matrix(os.path.join(bundle_dir, "X.csv"))

@@ -63,15 +63,17 @@ def _size(args, kind: str, option: str):
     return (args.d1, args.d2), args.rank
 
 
-# Defaults of the theorem options the parser leaves None: an omitted one is
-# taken from the bundle's meta.txt (solve), else from here.
-_THEOREM_DEFAULTS = {"o": 0, "sigma": 1.0, "L": 1.0, "rho": 1.0}
+# The theorem options besides --c0 and --variant, with their types. One not
+# given is taken from the bundle's meta.txt (solve), else left to its default
+# in TheoremInputs or, for completion's variant and alpha, _theorem_tuning.
+_THEOREM = {"o": int, **dict.fromkeys(
+    ("sigma", "sigma_xi", "delta", "kappa", "L", "rho", "alpha", "alpha_star"), float)}
 
 
 def _given(args, meta, name):
-    """The option ``name`` if given, else ``meta``'s entry, else its default."""
+    """The option ``name`` if given, else ``meta``'s entry, else None."""
     val = getattr(args, name)
-    return meta.get(name, _THEOREM_DEFAULTS.get(name)) if val is None else val
+    return meta.get(name) if val is None else val
 
 
 def _tuning(args, kind, n, dims, meta):
@@ -79,16 +81,12 @@ def _tuning(args, kind, n, dims, meta):
     size = "s" if kind == "lasso" else "rank"
     s = _given(args, meta, size)
     _require(s is not None, f"theorem tuning needs --{size}")
-    a_star = _given(args, meta, "alpha_star")
-    if kind == "completion":
-        _require(a_star is not None, "completion tuning needs --alpha-star")
-        a_star = float(a_star)
-    return _theorem_tuning(
-        kind, n, dims, int(s), o=int(_given(args, meta, "o")), variant=args.variant,
-        delta=args.delta, sigma=float(_given(args, meta, "sigma")), sigma_xi=args.sigma_xi,
-        kappa=args.kappa, c0=args.c0, L=float(_given(args, meta, "L")),
-        rho=float(_given(args, meta, "rho")), alpha=args.alpha, alpha_star=a_star,
-    )
+    given = {name: cast(val) for name, cast in _THEOREM.items()
+             if (val := _given(args, meta, name)) is not None}
+    _require(kind != "completion" or "alpha_star" in given, "completion tuning needs --alpha-star")
+    if args.variant is not None:  # else _theorem_tuning's
+        given["variant"] = args.variant
+    return _theorem_tuning(kind, n, dims, int(s), c0=args.c0, **given)
 
 
 def cmd_generate(args) -> int:
@@ -228,7 +226,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     # options several subcommands share, each declared once; the theorem
-    # options --o, --sigma, --L and --rho default to None (see _THEOREM_DEFAULTS)
+    # options default to None (see _THEOREM), but --c0, which diagnose re and
+    # mre read directly, to the cone constant
     dims = argparse.ArgumentParser(add_help=False)
     dims.add_argument("--d", type=int)
     dims.add_argument("--d1", type=int)
@@ -239,17 +238,9 @@ def build_parser() -> argparse.ArgumentParser:
     cone = argparse.ArgumentParser(add_help=False)
     cone.add_argument("--c0", type=float, default=3.0)
     theorem = argparse.ArgumentParser(add_help=False, parents=[cone])
-    theorem.add_argument("--o", type=int)
-    theorem.add_argument("--sigma", type=float)
-    theorem.add_argument("--sigma-xi", type=float)
-    theorem.add_argument("--delta", type=float, default=0.1)
-    theorem.add_argument("--kappa", type=float, default=1.0)
-    theorem.add_argument("--L", type=float)
-    theorem.add_argument("--rho", type=float)
-    theorem.add_argument("--alpha", type=float, default=2.0)
-    theorem.add_argument("--alpha-star", type=float)
-    theorem.add_argument("--variant", default="subweibull",
-                         choices=["heavy_tailed", "subweibull"])
+    for name, cast in _THEOREM.items():
+        theorem.add_argument("--" + name.replace("_", "-"), type=cast)
+    theorem.add_argument("--variant", choices=["heavy_tailed", "subweibull"])
 
     p = sub.add_parser("generate", parents=[dims, sizes],
                        help="simulate a problem and write a bundle")

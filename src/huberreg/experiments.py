@@ -9,10 +9,10 @@ are recorded (``converged`` flag), never dropped.
 
 What a problem kind (lasso, matrix_cs, completion) means is decided here,
 once, in ``_kind`` and the helpers beside it: how its truth is drawn and on
-which covariates, which tuning calculator it takes and which
-``TheoremInputs`` fields that calculator reads, its completion box radius,
-and its solver. ``run_trial`` and the command line both use them. The kind
-table is built on every call rather than once at import, so the
+which covariates, which tuning calculator it takes, its completion box
+radius, and its solver. ``run_trial`` and the command line both use them;
+a theorem input neither is given takes its ``TheoremInputs`` default. The
+kind table is built on every call rather than once at import, so the
 calculators, solvers and generators in it are whatever this module's
 attributes are at call time, and a wrapper installed on one of them (a
 profiler, a test double) sees every call.
@@ -21,6 +21,7 @@ profiler, a test double) sees every call.
 from __future__ import annotations
 
 import itertools
+import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, fields
@@ -92,9 +93,23 @@ _ENTRY_KEYS = {"noise_grid": ("kind", "sigma", "alpha"),
                "adversary_grid": ("strategy", "magnitude")}
 
 
+def _real(v) -> float:
+    """``v`` as a float: a number, never a bool or a string."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        raise TypeError(f"expected a number, got {v!r}")
+    return float(v)
+
+
+def _integer(v) -> int:
+    """``v`` as an int: an integer, never a bool, a float or a string."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+        raise TypeError(f"expected an integer, got {v!r}")
+    return int(v)
+
+
 def _pair(dims) -> tuple:
     d1, d2 = dims
-    return int(d1), int(d2)
+    return _integer(d1), _integer(d2)
 
 
 @dataclass(frozen=True)
@@ -109,7 +124,8 @@ class SweepSpec:
     known here; this separates statistical rates from tuning
     sensitivity). ``loss_regime`` "quadratic" pushes lambda_o so high the
     loss never leaves its quadratic branch, giving the plain penalized
-    least-squares baseline.
+    least-squares baseline. No theorem input is set here: o comes from the
+    cell, sigma, L and rho from the problem's meta, the rest are defaults.
     """
 
     problem_kind: str
@@ -126,15 +142,7 @@ class SweepSpec:
     fixed_lambda_star: Optional[float] = None
     oracle_multipliers: tuple = DEFAULT_ORACLE_MULTIPLIERS
     loss_regime: str = "huber"
-    beta_magnitude: float = 1.0
     spikiness_cap: float = 3.0
-    completion_variant: str = "subweibull"
-    completion_alpha: float = 2.0
-    delta: float = 0.1
-    kappa: float = 1.0
-    c0: float = 3.0
-    L: float = 1.0
-    rho: float = 1.0
     max_iters: int = 2000
     rel_tol: float = 1e-9
 
@@ -145,6 +153,31 @@ class SweepSpec:
             raise ProblemValidationError(f"unknown tuning_mode {self.tuning_mode!r}")
         if self.loss_regime not in ("huber", "quadratic"):
             raise ProblemValidationError(f"unknown loss_regime {self.loss_regime!r}")
+        # numbers to int or float and grids to hashable tuples, so specs pickle
+        # cleanly; a value of the wrong type is rejected by name
+        for name, entry in (
+            ("n_grid", _integer), ("d_grid", _integer if self.problem_kind == "lasso" else _pair),
+            ("s_grid", _integer), ("o_grid", _integer), ("noise_grid", dict),
+            ("adversary_grid", dict), ("oracle_multipliers", _real),
+            ("trials_per_cell", _integer), ("base_seed", _integer), ("max_iters", _integer),
+            ("spikiness_cap", _real), ("rel_tol", _real),
+            ("fixed_lambda_o", _real), ("fixed_lambda_star", _real),
+        ):
+            value, grid = getattr(self, name), name.endswith(("_grid", "_multipliers"))
+            try:
+                if grid or value is not None:
+                    value = tuple(map(entry, value)) if grid else entry(value)
+            except (TypeError, ValueError) as exc:
+                raise ProblemValidationError(f"{name}: {exc}") from None
+            if grid and not value:
+                raise ProblemValidationError(f"{name} must be nonempty")
+            keys = _ENTRY_KEYS.get(name)
+            unknown = sorted(set().union(*value) - set(keys)) if keys else []
+            if unknown:
+                raise ProblemValidationError(
+                    f"{name}: unknown keys {unknown}; an entry takes {', '.join(keys)}"
+                )
+            object.__setattr__(self, name, value)
         if self.trials_per_cell < 1:
             raise ProblemValidationError("trials_per_cell must be >= 1")
         if self.tuning_mode == "fixed" and (
@@ -153,28 +186,6 @@ class SweepSpec:
             raise ProblemValidationError(
                 "tuning_mode 'fixed' needs fixed_lambda_o and fixed_lambda_star"
             )
-        # normalize to hashable tuples so specs pickle cleanly; a grid that is
-        # not a sequence of such entries is rejected by name
-        for name, entry in (
-            ("n_grid", int), ("d_grid", int if self.problem_kind == "lasso" else _pair),
-            ("s_grid", int), ("o_grid", int), ("noise_grid", dict), ("adversary_grid", dict),
-        ):
-            try:
-                grid = tuple(entry(v) for v in getattr(self, name))
-            except (TypeError, ValueError) as exc:
-                raise ProblemValidationError(f"{name}: {exc}") from None
-            if not grid:
-                raise ProblemValidationError(f"{name} must be nonempty")
-            keys = _ENTRY_KEYS.get(name)
-            unknown = sorted(set().union(*grid) - set(keys)) if keys else []
-            if unknown:
-                raise ProblemValidationError(
-                    f"{name}: unknown keys {unknown}; an entry takes {', '.join(keys)}"
-                )
-            object.__setattr__(self, name, grid)
-        object.__setattr__(
-            self, "oracle_multipliers", tuple(float(v) for v in self.oracle_multipliers)
-        )
         self._check_cell_sizes()
 
     def _check_cell_sizes(self):
@@ -247,17 +258,15 @@ def _noise_from_dict(d: dict) -> NoiseSpec:
 class _Kind(NamedTuple):
     covariates: str  # CovariateSpec kind of the design
     tuning: Callable  # theorem tuning calculator
-    fields: tuple  # TheoremInputs fields it reads beyond n, o, size, delta, sigma, kappa, c0
     solver: Callable  # called as solver(problem, tp, cfg, start)
 
 
 def _kind(name: str) -> _Kind:
     """What the problem kind ``name`` means; built per call (see the module docstring)."""
     return {
-        "lasso": _Kind("gaussian", tuning_lasso, ("L", "rho"), solve_adversarial_lasso),
-        "matrix_cs": _Kind("gaussian", tuning_matrix_cs, ("L", "rho"), solve_matrix_cs),
-        "completion": _Kind("mask_uniform", tuning_completion,
-                            ("sigma_xi", "alpha", "alpha_star"), solve_matrix_completion),
+        "lasso": _Kind("gaussian", tuning_lasso, solve_adversarial_lasso),
+        "matrix_cs": _Kind("gaussian", tuning_matrix_cs, solve_matrix_cs),
+        "completion": _Kind("mask_uniform", tuning_completion, solve_matrix_completion),
     }[name]
 
 
@@ -276,18 +285,18 @@ def _draw_truth(kind, dims, s, seed, beta_magnitude=1.0, spikiness_cap=3.0):
     return truth, CovariateSpec(kind=_kind(kind).covariates)
 
 
-def _theorem_tuning(kind, n, dims, s, o, variant="subweibull", **inputs):
+def _theorem_tuning(kind, n, dims, s, variant="subweibull", alpha=2.0, **inputs):
     """The kind's theorem tuning report (a DiagnosticsReport).
 
-    ``inputs`` are TheoremInputs fields; those the kind's calculator does not
-    read (``_Kind.fields``) are dropped. ``variant`` goes to completion only.
+    ``inputs`` are the TheoremInputs fields the caller was given; any other
+    takes its TheoremInputs default, and the kind's calculator ignores the
+    fields it does not read. Completion defaults to the sub-Weibull variant
+    at alpha = 2, the one order both variants accept; ``variant`` goes to
+    completion only.
     """
-    k = _kind(kind)
     size = {"d": dims, "s": s} if kind == "lasso" else {"dims": dims, "r": s}
-    common = ("delta", "sigma", "kappa", "c0") + k.fields
-    ti = TheoremInputs(n=n, o=o, **size, **{f: inputs[f] for f in common if f in inputs})
     extra = {"variant": variant} if kind == "completion" else {}
-    return k.tuning(ti, **extra)
+    return _kind(kind).tuning(TheoremInputs(n=n, **size, alpha=alpha, **inputs), **extra)
 
 
 def _box_radius(kind, alpha_star, dims):
@@ -320,12 +329,17 @@ def run_trial(spec: SweepSpec, cell_index: int, trial_index: int) -> ExperimentR
 
     t_start = time.perf_counter()
     kind = spec.problem_kind
-    truth, cov = _draw_truth(kind, dims, s, master, spec.beta_magnitude, spec.spikiness_cap)
+    truth, cov = _draw_truth(kind, dims, s, master, spikiness_cap=spec.spikiness_cap)
     dim1, dim2 = (dims, 0) if kind == "lasso" else dims
     alpha_star = None if kind == "lasso" else spikiness(truth)
     problem = gen_problem(cov, noise, truth, n, contamination)
 
-    lam_o, lam_star = _base_tuning(spec, n, dims, s, o, noise.sigma, alpha_star)
+    if spec.tuning_mode == "fixed":
+        lam_o, lam_star = spec.fixed_lambda_o, spec.fixed_lambda_star
+    else:  # sigma, L and rho as gen_problem recorded them, as solve reads a bundle's
+        rep = _theorem_tuning(kind, n, dims, s, o=o, alpha_star=alpha_star,
+                              **{k: problem.meta[k] for k in ("sigma", "L", "rho")})
+        lam_o, lam_star = rep.lambda_o, rep.lambda_star
     if spec.loss_regime == "quadratic":
         lam_o = QUADRATIC_SCALE * noise.sigma / np.sqrt(n)
 
@@ -367,17 +381,6 @@ def run_trial(spec: SweepSpec, cell_index: int, trial_index: int) -> ExperimentR
         weighted_error=metrics["weighted_error"], support_exact=int(exact),
         wall_time=wall,
     )
-
-
-def _base_tuning(spec, n, dims, s, o, sigma, alpha_star):
-    if spec.tuning_mode == "fixed":
-        return float(spec.fixed_lambda_o), float(spec.fixed_lambda_star)
-    rep = _theorem_tuning(
-        spec.problem_kind, n, dims, s, o, variant=spec.completion_variant,
-        delta=spec.delta, sigma=sigma, kappa=spec.kappa, c0=spec.c0, L=spec.L,
-        rho=spec.rho, alpha=spec.completion_alpha, alpha_star=alpha_star,
-    )
-    return rep.lambda_o, rep.lambda_star
 
 
 def _trial_args(spec, idx):

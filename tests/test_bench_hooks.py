@@ -1,9 +1,11 @@
-"""The benchmark's tracer still finds the calls it measures.
+"""The benchmark's tracer still finds the calls it measures, and its
+workload configs still build.
 
 ``bench/tracing.py`` wraps module attributes that the package looks up at
 call time. It is imported here read-only: if a rename moves a call away from
 the name the tracer hooks, its per-layer counts drop to zero or go absent,
-and these tests fail first.
+and these tests fail first. ``bench/run.py`` is imported the same way, so a
+``SweepSpec`` change that would break a workload's spec fails here too.
 """
 
 import importlib.util
@@ -15,6 +17,7 @@ import pytest
 from huberreg.experiments import SweepSpec
 
 _TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+_RUN = _TRACING.with_name("run.py")
 
 
 @pytest.fixture(scope="module")
@@ -94,3 +97,17 @@ def test_cli_fit_records_command_and_bundle_spans(tracing, tmp_path, capsys):
     names = {span.name for span in rec.spans}
     for name in ("cli.generate", "cli.solve", "bundles.write", "bundles.read", "solvers.solve"):
         assert name in names
+
+
+def test_every_bench_workload_spec_builds(tracing, monkeypatch):
+    # run.py imports tracing.py, the file beside it, as ``tracing``: it gets
+    # the copy loaded above
+    monkeypatch.setitem(sys.modules, "tracing", tracing)
+    spec = importlib.util.spec_from_file_location("bench_run", _RUN)
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    oracles = [w for w in run.WORKLOADS if w != "cli_session"]
+    assert len(oracles) == 3
+    for workload in oracles:
+        assert run.oracle_spec(workload, 0).problem_kind == workload.split("_oracle")[0]
+    assert SweepSpec.from_dict(run.sweep_config(0)).trials_per_cell == 20

@@ -21,7 +21,7 @@ from huberreg import (
     tuning_matrix_cs,
 )
 from huberreg.cli import main
-from huberreg.experiments import RESULT_COLUMNS
+from huberreg.experiments import RESULT_COLUMNS, SweepSpec, _trial_master_seed, run_trial
 
 
 def run_cli(*args):
@@ -171,7 +171,16 @@ def test_bad_sweep_config_exits_two(tmp_path):
      "noise_grid: unknown keys ['sigam']"),
     ({"o_grid": [5], "adversary_grid": [{"strategy": "random_large", "magnitud": 3}]},
      "adversary_grid: unknown keys ['magnitud']"),
-], ids=["no_keys", "scalar_grid", "noise_entry_key", "adversary_entry_key"])
+    # theorem inputs are not sweep keys: they come from TheoremInputs and the problem
+    ({"delta": 0.05}, "unknown sweep config keys: ['delta']"),
+    # a number of the wrong type is named, not truncated, compared or counted
+    ({"n_grid": [50.7]}, "n_grid: expected an integer, got 50.7"),
+    ({"trials_per_cell": "2"}, "trials_per_cell: expected an integer, got '2'"),
+    ({"max_iters": 2.5}, "max_iters: expected an integer, got 2.5"),
+    ({"trials_per_cell": True}, "trials_per_cell: expected an integer, got True"),
+    ({"spikiness_cap": True}, "spikiness_cap: expected a number, got True"),
+], ids=["no_keys", "scalar_grid", "noise_entry_key", "adversary_entry_key", "theorem_key",
+        "fractional_grid_entry", "string_int", "fractional_int", "bool_int", "bool_float"])
 def test_malformed_sweep_config_exits_two_naming_key(tmp_path, capsys, cfg, message):
     base = {"problem_kind": "lasso", "n_grid": [50], "d_grid": [10], "s_grid": [2]}
     cfg_path = tmp_path / "bad.json"
@@ -322,6 +331,41 @@ def test_tune_rejects_zero_L_and_rho(capsys, flag, model):
     rc = main(["tune", "--model", model, "--n", "400", *_KINDS[model][0], flag, "0"])
     assert rc == 2
     assert f"{flag[2:]} must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", sorted(_KINDS))
+def test_theorem_trial_and_solve_tune_alike(tmp_path, capsys, kind):
+    """A theorem-mode sweep trial and solve, on the bundle generate writes from
+    the trial's seed and cell, fit the same penalty levels."""
+    size = _KINDS[kind][0]
+    dims = 30 if kind == "lasso" else (int(size[1]), int(size[3]))
+    spec = SweepSpec(problem_kind=kind, n_grid=(400,), d_grid=(dims,), s_grid=(int(size[-1]),),
+                     o_grid=(8,), noise_grid=({"kind": "gaussian", "sigma": 0.1},),
+                     adversary_grid=({"strategy": "random_large", "magnitude": 10.0},),
+                     trials_per_cell=2, base_seed=4, tuning_mode="theorem", max_iters=20)
+    rec = run_trial(spec, 0, 1)
+    bundle, fit = tmp_path / "b", tmp_path / "f"
+    assert main(["generate", "--kind", kind, "--n", "400", *size, "--o", "8",
+                 "--adversary", "random_large", "--magnitude", "10", "--sigma", "0.1",
+                 "--seed", str(_trial_master_seed(4, 0, 1)), "--out", str(bundle)]) == 0
+    assert main(["solve", "--bundle", str(bundle), "--out", str(fit), "--max-iters", "20"]) == 0
+    capsys.readouterr()
+    meta = parse_kv((fit / "solve_meta.txt").read_text())
+    assert float(meta["lambda_o"]) == rec.lambda_o
+    assert float(meta["lambda_star"]) == rec.lambda_star
+
+
+def test_tune_completion_reads_L_and_rho_but_checks_them(capsys):
+    """Completion's calculator reads neither L nor rho, so they do not move its
+    penalty levels; they are still theorem inputs and must be positive."""
+    base = ["tune", "--model", "completion", "--n", "400", *_KINDS["completion"][0],
+            "--alpha-star", "2.5"]
+    assert main(base) == 0
+    plain = parse_kv(capsys.readouterr().out)
+    assert main([*base, "--L", "2", "--rho", "0.5"]) == 0
+    assert parse_kv(capsys.readouterr().out) == plain
+    assert main([*base, "--L", "0"]) == 2
+    assert "L must be positive" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("text", ["", "1,2\n3,nan\n"])

@@ -189,6 +189,15 @@ def test_spec_validation_errors():
                  "fixed_lambda_o": 1.0, "fixed_lambda_star": 0.1})
 
 
+def test_spec_numbers_take_their_field_types():
+    spec = SweepSpec(problem_kind="matrix_cs", n_grid=(np.int64(100), 200),
+                     d_grid=([4, np.int32(5)],), s_grid=(1,), trials_per_cell=np.int64(2),
+                     spikiness_cap=3, rel_tol=1)
+    assert spec.n_grid == (100, 200) and spec.d_grid == ((4, 5),)
+    assert {type(v) for v in (*spec.n_grid, *spec.d_grid[0], spec.trials_per_cell)} == {int}
+    assert type(spec.spikiness_cap) is float and type(spec.rel_tol) is float
+
+
 @pytest.mark.parametrize("kind, over, match", [
     ("lasso", dict(s_grid=(5,), d_grid=(3,)), "s=5, d=3"),
     ("lasso", dict(s_grid=(-1,)), "s=-1"),

@@ -472,6 +472,39 @@ def test_bundle_masks_reject_non_integral_entries(tmp_path, row):
         read_problem_bundle(str(tmp_path / "b"))
 
 
+@pytest.mark.parametrize("edit, message", [
+    # the header of a file whose columns are in that order: read without the
+    # check, its rows and cols would be swapped
+    (lambda rows: ["i,l,k,sign"] + [",".join(r.split(",")[j] for j in (0, 2, 1, 3))
+                                    for r in rows[1:]],
+     r"line 1: expected the header 'i,k,l,sign', got 'i,l,k,sign'"),
+    (lambda rows: ["foo"] + rows[1:], r"line 1: expected the header 'i,k,l,sign', got 'foo'"),
+    (lambda rows: rows[:1] + ["0" + r[r.index(","):] for r in rows[1:]],
+     r"line 3: i = 0, but the i values must be a permutation of 0\.\.4"),
+    (lambda rows: rows[:2] + ["7" + rows[2][1:]] + rows[3:],
+     r"line 3: i = 7, but the i values must be a permutation of 0\.\.4"),
+], ids=["swapped_columns", "foreign_header", "all_zero_i", "i_out_of_range"])
+def test_bundle_masks_check_header_and_row_indices(tmp_path, edit, message):
+    p = make_mask_problem(n=5, seed=17)
+    write_problem_bundle(p, str(tmp_path / "b"))
+    path = tmp_path / "b" / "masks.csv"
+    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+    with pytest.raises(ProblemValidationError, match=r"masks\.csv, " + message):
+        read_problem_bundle(str(tmp_path / "b"))
+
+
+def test_bundle_masks_rows_may_come_in_any_order_of_i(tmp_path):
+    p = make_mask_problem(n=5, seed=17)
+    write_problem_bundle(p, str(tmp_path / "b"))
+    path = tmp_path / "b" / "masks.csv"
+    rows = path.read_text().splitlines()
+    path.write_text("\n".join(rows[:1] + rows[:0:-1]) + "\n")
+    q = read_problem_bundle(str(tmp_path / "b"))
+    np.testing.assert_array_equal(q.covariates.rows, p.covariates.rows)
+    np.testing.assert_array_equal(q.covariates.cols, p.covariates.cols)
+    np.testing.assert_array_equal(q.covariates.signs, p.covariates.signs)
+
+
 # Finite float64 values the 17-digit text format must carry exactly: signed
 # zeros, subnormals, the extremes and values that need all 17 digits.
 _EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
