@@ -30,7 +30,6 @@ __all__ = [
     "empirical_re",
     "empirical_mre",
     "error_metrics",
-    "matrix_weight_apply",
 ]
 
 SUPPORT_TOL = 1e-8
@@ -97,21 +96,14 @@ class DiagnosticsReport:
     feasibility: dict
     terms: dict
 
-    def _fields(self, sep: str) -> list:
-        """(key, text) pairs; ``sep`` joins the feasible/term prefixes to their names."""
+    def to_kv_text(self) -> str:
+        """``key = value`` lines: the headline values, then feasible.* and term.*, sorted."""
         out = [(k, _fmt(getattr(self, k)))
                for k in ("model", "lambda_o", "lambda_star", "predicted_radius")]
-        out += [(f"feasible{sep}{k}", "true" if self.feasibility[k] else "false")
+        out += [(f"feasible.{k}", "true" if self.feasibility[k] else "false")
                 for k in sorted(self.feasibility)]
-        out += [(f"term{sep}{k}", _fmt(self.terms[k])) for k in sorted(self.terms)]
-        return out
-
-    def to_kv_text(self) -> str:
-        return "".join(f"{k} = {v}\n" for k, v in self._fields("."))
-
-    def to_csv_row(self):
-        fields = self._fields("_")
-        return [k for k, _ in fields], [v for _, v in fields]
+        out += [(f"term.{k}", _fmt(self.terms[k])) for k in sorted(self.terms)]
+        return "".join(f"{k} = {v}\n" for k, v in out)
 
 
 def _outlier_rate_term(o: int, n: int) -> float:
@@ -267,11 +259,6 @@ def tuning_completion(ti: TheoremInputs, variant: str = "heavy_tailed") -> Diagn
             "radius_outlier": float(t_rad_out),
         },
     )
-
-
-def matrix_weight_apply(sqrt_sigma: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """T applied to a matrix: unvec(Sigma^(1/2) vec(M)), row-major vec."""
-    return (sqrt_sigma @ M.reshape(-1)).reshape(M.shape)
 
 
 def _project_l1_rows(W: np.ndarray, R: np.ndarray) -> np.ndarray:

@@ -107,6 +107,19 @@ def _integer(v) -> int:
     return int(v)
 
 
+def _entry(d) -> dict:
+    """A noise or adversary grid entry as a dict, its numbers (an alpha of None
+    aside) as floats."""
+    d = dict(d)
+    for k in ("sigma", "alpha", "magnitude"):
+        if k in d and not (k == "alpha" and d[k] is None):
+            try:
+                d[k] = _real(d[k])
+            except TypeError as exc:
+                raise TypeError(f"{k!r}: {exc}") from None
+    return d
+
+
 def _pair(dims) -> tuple:
     d1, d2 = dims
     return _integer(d1), _integer(d2)
@@ -157,8 +170,8 @@ class SweepSpec:
         # cleanly; a value of the wrong type is rejected by name
         for name, entry in (
             ("n_grid", _integer), ("d_grid", _integer if self.problem_kind == "lasso" else _pair),
-            ("s_grid", _integer), ("o_grid", _integer), ("noise_grid", dict),
-            ("adversary_grid", dict), ("oracle_multipliers", _real),
+            ("s_grid", _integer), ("o_grid", _integer), ("noise_grid", _entry),
+            ("adversary_grid", _entry), ("oracle_multipliers", _real),
             ("trials_per_cell", _integer), ("base_seed", _integer), ("max_iters", _integer),
             ("spikiness_cap", _real), ("rel_tol", _real),
             ("fixed_lambda_o", _real), ("fixed_lambda_star", _real),
@@ -178,6 +191,9 @@ class SweepSpec:
                     f"{name}: unknown keys {unknown}; an entry takes {', '.join(keys)}"
                 )
             object.__setattr__(self, name, value)
+        # run_trial would read a missing magnitude as 0 and corrupt no row
+        if max(self.o_grid) > 0 and any("magnitude" not in a for a in self.adversary_grid):
+            raise ProblemValidationError("adversary_grid: an entry needs 'magnitude' when o > 0")
         if self.trials_per_cell < 1:
             raise ProblemValidationError("trials_per_cell must be >= 1")
         if self.tuning_mode == "fixed" and (
@@ -247,14 +263,6 @@ def _trial_master_seed(base_seed: int, cell_index: int, trial_index: int) -> int
     return (int(state[0]) << 32) | int(state[1])
 
 
-def _noise_from_dict(d: dict) -> NoiseSpec:
-    return NoiseSpec(
-        kind=d.get("kind", "gaussian"),
-        sigma=float(d.get("sigma", 1.0)),
-        alpha=d.get("alpha"),
-    )
-
-
 class _Kind(NamedTuple):
     covariates: str  # CovariateSpec kind of the design
     tuning: Callable  # theorem tuning calculator
@@ -314,9 +322,9 @@ def run_trial(spec: SweepSpec, cell_index: int, trial_index: int) -> ExperimentR
     """Generate, tune, solve, and score one trial. Deterministic."""
     cell = spec.cells()[cell_index]
     n, dims, s, o, noise_d, adv_d = cell
-    noise = _noise_from_dict(noise_d)
+    noise = NoiseSpec(**noise_d)  # an entry holds NoiseSpec fields only (_ENTRY_KEYS)
     strategy = adv_d.get("strategy", "none")
-    magnitude = float(adv_d.get("magnitude", 0.0))
+    magnitude = adv_d.get("magnitude", 0.0)
     if o > 0 and strategy == "none":
         raise ProblemValidationError(
             f"cell {cell_index} has o={o} but adversary strategy 'none'"

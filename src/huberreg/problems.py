@@ -32,7 +32,7 @@ over the two cell axes. Masks use a gather and a ``bincount``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
@@ -186,13 +186,6 @@ class MaskCovariates:
 
     def __len__(self) -> int:
         return self.rows.shape[0]
-
-    def densify(self, d1: int, d2: int) -> np.ndarray:
-        """Materialize the n covariate matrices as an (n, d1, d2) array."""
-        d_mc = float(np.sqrt(d1 * d2))
-        out = np.zeros((len(self), d1, d2))
-        out[np.arange(len(self)), self.rows, self.cols] = d_mc * self.signs
-        return out
 
 
 class _Design:
@@ -351,35 +344,6 @@ class TraceProblem(_Design):
         return self.covariates.reshape(self.n, self.dims[0] * self.dims[1])
 
 
-def trace_inner(Xi, B: np.ndarray) -> float:
-    """Trace inner product <Xi, B> = tr(Xi^T B).
-
-    ``Xi`` is either a (d1, d2) matrix or a mask triple ``(k, l, sign)``;
-    for a triple the value is ``d_mc * sign * B[k, l]`` with
-    ``d_mc = sqrt(d1 * d2)`` taken from B's shape. No 1/n normalization.
-    """
-    B = np.asarray(B, dtype=float)
-    if B.ndim != 2:
-        raise DimensionMismatchError(f"B must be 2-d, got shape {B.shape}")
-    if isinstance(Xi, tuple):
-        k, l, sign = Xi
-        if sign not in (-1, 1):
-            raise ProblemValidationError(f"mask sign must be +1 or -1, got {sign}")
-        d1, d2 = B.shape
-        if not (0 <= k < d1 and 0 <= l < d2):
-            raise ProblemValidationError(
-                f"mask cell ({k}, {l}) out of range for shape {B.shape}"
-            )
-        d_mc = float(np.sqrt(d1 * d2))
-        return float(d_mc * sign * B[k, l])
-    Xi = np.asarray(Xi, dtype=float)
-    if Xi.shape != B.shape:
-        raise DimensionMismatchError(
-            f"covariate shape {Xi.shape} does not match B shape {B.shape}"
-        )
-    return float(np.vdot(Xi, B))
-
-
 def design_apply(problem: _Design, x: np.ndarray) -> np.ndarray:
     """All n inner products <X_i, x> at once."""
     A = problem._dense
@@ -401,15 +365,3 @@ def design_adjoint(problem: _Design, w: np.ndarray) -> np.ndarray:
     else:
         flat = w @ A
     return flat.reshape(problem.param_shape)
-
-
-def validate_problem(problem):
-    """Re-run all container invariants; returns the problem unchanged.
-
-    Dataclass construction already validates, so this is mainly useful after
-    deserialization or for problems assembled field-by-field elsewhere.
-    """
-    if not isinstance(problem, _Design):
-        raise ProblemValidationError(f"unsupported problem type {type(problem).__name__}")
-    replace(problem)
-    return problem

@@ -61,7 +61,6 @@ import numpy as np
 from . import problems
 from .penalties import (
     _huber_loss,
-    huber_deriv,
     nuclear_norm,
     project_inf_ball,
     singular_value_threshold,
@@ -355,21 +354,3 @@ def solve_joint_oracle(
             break
         obj = new_obj
     return JointResult(beta, theta, obj, it, converged)
-
-
-def directional_curvature(
-    X: np.ndarray, xi: np.ndarray, delta: np.ndarray, lambda_o: float
-) -> float:
-    """Empirical curvature of the Huber data term along a parameter offset.
-
-    Computes lambda_o^2 sum_i (h(u_i) - h(u_i - v_i)) v_i with
-    u_i = xi_i / (lambda_o sqrt n) and v_i = <x_i, delta> / (lambda_o sqrt n).
-    Convexity makes every summand nonnegative; on clean designs the total
-    concentrates near the quadratic form |X delta|^2 / n.
-    """
-    X = np.asarray(X, dtype=float)
-    n = X.shape[0]
-    scale = lambda_o * np.sqrt(n)
-    u = np.asarray(xi, dtype=float) / scale
-    v = (X @ np.asarray(delta, dtype=float)) / scale
-    return float(lambda_o**2 * np.sum((huber_deriv(u) - huber_deriv(u - v)) * v))

@@ -179,8 +179,18 @@ def test_bad_sweep_config_exits_two(tmp_path):
     ({"max_iters": 2.5}, "max_iters: expected an integer, got 2.5"),
     ({"trials_per_cell": True}, "trials_per_cell: expected an integer, got True"),
     ({"spikiness_cap": True}, "spikiness_cap: expected a number, got True"),
+    # grid entry values too, and an o > 0 cell must say how large its spikes are
+    ({"noise_grid": [{"kind": "gaussian", "sigma": True}]},
+     "noise_grid: 'sigma': expected a number, got True"),
+    ({"noise_grid": [{"kind": "student_t", "alpha": "3"}]},
+     "noise_grid: 'alpha': expected a number, got '3'"),
+    ({"o_grid": [5], "adversary_grid": [{"strategy": "random_large", "magnitude": "x"}]},
+     "adversary_grid: 'magnitude': expected a number, got 'x'"),
+    ({"o_grid": [0, 5], "adversary_grid": [{"strategy": "random_large"}]},
+     "adversary_grid: an entry needs 'magnitude' when o > 0"),
 ], ids=["no_keys", "scalar_grid", "noise_entry_key", "adversary_entry_key", "theorem_key",
-        "fractional_grid_entry", "string_int", "fractional_int", "bool_int", "bool_float"])
+        "fractional_grid_entry", "string_int", "fractional_int", "bool_int", "bool_float",
+        "bool_entry_value", "string_alpha", "string_entry_value", "missing_magnitude"])
 def test_malformed_sweep_config_exits_two_naming_key(tmp_path, capsys, cfg, message):
     base = {"problem_kind": "lasso", "n_grid": [50], "d_grid": [10], "s_grid": [2]}
     cfg_path = tmp_path / "bad.json"

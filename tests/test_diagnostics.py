@@ -8,7 +8,6 @@ from huberreg import (
     empirical_mre,
     empirical_re,
     error_metrics,
-    matrix_weight_apply,
     tuning_completion,
     tuning_lasso,
     tuning_matrix_cs,
@@ -235,10 +234,6 @@ def test_report_kv_text_shape():
     lines = text.strip().split("\n")
     assert lines[0] == "model = lasso"
     assert all(" = " in ln for ln in lines)
-    header, row = rep.to_csv_row()
-    assert len(header) == len(row)
-    assert header[0] == "model"
-    assert float(dict(zip(header, row))["lambda_star"]) == pytest.approx(rep.lambda_star)
 
 
 # --------------------------------------------------- restricted eigenvalues
@@ -296,15 +291,6 @@ def test_empirical_mre_guards():
         empirical_mre(None, (5, 3), r=1, c0=3.0)
     with pytest.raises(ProblemValidationError):
         empirical_mre(None, (4, 4), r=3, c0=3.0)
-
-
-def test_matrix_weight_apply_row_major():
-    # vec convention: rows concatenated, so weighting by a diagonal matrix
-    # rescales entry (i, j) by the diagonal element at position i * d2 + j
-    W = np.diag(np.arange(1.0, 7.0))
-    M = np.ones((2, 3))
-    out = matrix_weight_apply(W, M)
-    np.testing.assert_allclose(out, np.arange(1.0, 7.0).reshape(2, 3))
 
 
 # --------------------------------------------------------------- error stats

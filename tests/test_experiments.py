@@ -192,10 +192,16 @@ def test_spec_validation_errors():
 def test_spec_numbers_take_their_field_types():
     spec = SweepSpec(problem_kind="matrix_cs", n_grid=(np.int64(100), 200),
                      d_grid=([4, np.int32(5)],), s_grid=(1,), trials_per_cell=np.int64(2),
-                     spikiness_cap=3, rel_tol=1)
+                     spikiness_cap=3, rel_tol=1,
+                     noise_grid=({"kind": "student_t", "sigma": 1, "alpha": np.int64(3)},
+                                 {"kind": "gaussian", "alpha": None}),
+                     adversary_grid=({"strategy": "none"},))  # o = 0: no magnitude needed
     assert spec.n_grid == (100, 200) and spec.d_grid == ((4, 5),)
     assert {type(v) for v in (*spec.n_grid, *spec.d_grid[0], spec.trials_per_cell)} == {int}
     assert type(spec.spikiness_cap) is float and type(spec.rel_tol) is float
+    assert spec.noise_grid == ({"kind": "student_t", "sigma": 1.0, "alpha": 3.0},
+                               {"kind": "gaussian", "alpha": None})
+    assert {type(v) for v in spec.noise_grid[0].values()} == {str, float}
 
 
 @pytest.mark.parametrize("kind, over, match", [

@@ -21,8 +21,6 @@ from huberreg import (
     gen_problem,
     read_meta,
     read_problem_bundle,
-    trace_inner,
-    validate_problem,
     write_problem_bundle,
 )
 from huberreg.problems import _Adopt
@@ -46,75 +44,28 @@ def make_mask_problem(n=30, d1=4, d2=4, seed=1, theta=None):
     return TraceProblem(y=y, covariates=cov, dims=(d1, d2), theta_true=theta)
 
 
-# ---------------------------------------------------------------- trace_inner
-
-
-def test_trace_inner_mask_hand_value():
-    # d_mc = sqrt(4*4) = 4, so <X, B> = 4 * sign * B[k, l] = 4 * (-1) * 0.5
-    B = np.zeros((4, 4))
-    B[0, 1] = 0.5
-    assert trace_inner((0, 1, -1), B) == -2.0
-
-
-def test_trace_inner_mask_scales_with_dims():
-    B = np.zeros((9, 4))
-    B[2, 3] = 1.0
-    assert trace_inner((2, 3, 1), B) == pytest.approx(6.0)  # sqrt(36)
-
-
-def test_trace_inner_dense_is_frobenius_pairing():
-    rng = np.random.default_rng(2)
-    X = rng.standard_normal((5, 7))
-    B = rng.standard_normal((5, 7))
-    assert trace_inner(X, B) == pytest.approx(float(np.sum(X * B)), rel=1e-14)
-
-
-def test_trace_inner_bilinear():
-    rng = np.random.default_rng(3)
-    B1 = rng.standard_normal((4, 4))
-    B2 = rng.standard_normal((4, 4))
-    a, b = 0.7, -2.3
-    for Xi in [(1, 2, -1), rng.standard_normal((4, 4))]:
-        lhs = trace_inner(Xi, a * B1 + b * B2)
-        rhs = a * trace_inner(Xi, B1) + b * trace_inner(Xi, B2)
-        assert lhs == pytest.approx(rhs, rel=1e-12)
-
-
-def test_mask_densify_matches_one_hot():
-    cov = MaskCovariates(rows=[1], cols=[2], signs=[-1])
-    dense = cov.densify(3, 4)
-    expected = np.zeros((3, 4))
-    expected[1, 2] = -np.sqrt(12.0)
-    np.testing.assert_allclose(dense[0], expected, atol=1e-15)
-
-
-def test_mask_densify_agrees_with_trace_inner():
-    problem = make_mask_problem(n=12, seed=5)
-    rng = np.random.default_rng(6)
-    B = rng.standard_normal((4, 4))
-    dense = problem.covariates.densify(4, 4)
-    for i in range(12):
-        ki = problem.covariates.rows[i]
-        li = problem.covariates.cols[i]
-        si = problem.covariates.signs[i]
-        assert trace_inner((ki, li, si), B) == pytest.approx(
-            float(np.sum(dense[i] * B)), rel=1e-12
-        )
-
-
 # --------------------------------------------------------- apply and adjoint
 
 
 def test_design_apply_mask_equals_row_by_row():
-    problem = make_mask_problem(n=25, seed=7)
-    rng = np.random.default_rng(8)
-    B = rng.standard_normal((4, 4))
-    out = design_apply(problem, B)
-    cov = problem.covariates
-    manual = np.array(
-        [trace_inner((cov.rows[i], cov.cols[i], cov.signs[i]), B) for i in range(25)]
-    )
-    np.testing.assert_allclose(out, manual, rtol=1e-13)
+    # row i of a mask design is d_mc * sign_i * E_{k_i, l_i}; here d_mc = sqrt(2 * 3)
+    cov = MaskCovariates(rows=[0, 1, 1, 0], cols=[2, 0, 2, 2], signs=[1, -1, 1, -1])
+    problem = TraceProblem(y=np.zeros(4), covariates=cov, dims=(2, 3))
+    B = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+    d_mc = np.sqrt(6.0)
+    want = [d_mc * 3.0, -d_mc * 4.0, d_mc * 6.0, -d_mc * 3.0]
+    np.testing.assert_allclose(design_apply(problem, B), want, rtol=1e-15)
+
+
+def test_design_apply_dense_row_is_trace_pairing():
+    # <X_i, B> = tr(X_i^T B) = sum_kl X_i[k, l] B[k, l], written out for 2 x 2
+    X0 = np.array([[1.0, -2.0], [0.5, 3.0]])
+    X1 = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    problem = TraceProblem(y=np.zeros(2), covariates=np.stack([X0, X1]), dims=(2, 2))
+    B = np.array([[2.0, 1.0], [4.0, -1.0]])
+    want = [1.0 * 2.0 + (-2.0) * 1.0 + 0.5 * 4.0 + 3.0 * (-1.0),  # = -1
+            0.0 * 2.0 + 1.0 * 1.0 + (-1.0) * 4.0 + 0.0 * (-1.0)]  # = -3
+    assert design_apply(problem, B).tolist() == want == [-1.0, -3.0]
 
 
 def test_design_adjoint_is_true_adjoint():
@@ -363,18 +314,6 @@ def test_adopted_arrays_still_checked_finite(bad):
     cov[0, 1, 1] = bad
     with pytest.raises(ProblemValidationError, match="covariates contains non-finite"):
         TraceProblem(y=_Adopt(np.zeros(4)), covariates=_Adopt(cov), dims=(2, 2))
-
-
-def test_validate_problem_passes_and_fails():
-    validate_problem(make_regression())
-    validate_problem(make_mask_problem())
-    with pytest.raises(ProblemValidationError):
-        validate_problem("not a problem")
-    # a field changed behind the frozen dataclass's back is caught
-    bad = make_regression(n=20)
-    object.__setattr__(bad, "y", np.zeros(3))
-    with pytest.raises(DimensionMismatchError, match="y has 3 rows but X has 20"):
-        validate_problem(bad)
 
 
 # --------------------------------------------------------------- bundle I/O

@@ -17,7 +17,6 @@ from huberreg import (
     TraceProblem,
     TuningParams,
     design_adjoint,
-    directional_curvature,
     gen_low_rank,
     gen_problem,
     gen_sparse_beta,
@@ -501,35 +500,3 @@ def test_iterations_capped_and_reported():
     )
     assert res.iterations == 3
     assert not res.converged
-
-
-# ------------------------------------------------- curvature probe
-
-
-def test_directional_curvature_equals_quadratic_in_small_zone():
-    rng = np.random.default_rng(46)
-    X = rng.standard_normal((50, 6))
-    delta = 1e-3 * rng.standard_normal(6)
-    got = directional_curvature(X, np.zeros(50), delta, lambda_o=1.0)
-    want = float(np.linalg.norm(X @ delta) ** 2) / 50
-    assert got == pytest.approx(want, rel=1e-9)
-
-
-def test_directional_curvature_nonnegative_and_concentrated():
-    """restricted strong convexity, empirically: on a clean Gaussian design
-    the Huber curvature along random directions stays above a third of the
-    squared norm in at least 95 percent of draws."""
-    rng = np.random.default_rng(47)
-    n, d = 500, 20
-    X = rng.standard_normal((n, d))
-    xi = 0.1 * rng.standard_normal(n)
-    lam_o = 7.2 / np.sqrt(n)
-    hits = 0
-    for _ in range(200):
-        delta = rng.standard_normal(d) * 10 ** rng.uniform(-1, 0)
-        c = directional_curvature(X, xi, delta, lam_o)
-        assert c >= -1e-12
-        nd2 = float(delta @ delta)
-        if c >= nd2 / 3.0 - 0.05 * nd2:
-            hits += 1
-    assert hits >= 190
