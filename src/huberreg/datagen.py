@@ -187,12 +187,19 @@ class CovariateSpec:
         return _psd_sqrt(self.covariance, "covariance")
 
 
+def _check_sparse(d: int, s: int) -> None:
+    """gen_sparse_beta's size rule."""
+    if d < 1:
+        raise ProblemValidationError(f"d must be >= 1, got {d}")
+    if not 0 <= s <= d:
+        raise ProblemValidationError(f"need 0 <= s <= d, got s={s}, d={d}")
+
+
 def gen_sparse_beta(
     d: int, s: int, magnitude: float = 1.0, seed: int = 0
 ) -> np.ndarray:
     """s-sparse coefficient vector: uniform support, +/- magnitude entries."""
-    if not 0 <= s <= d:
-        raise ProblemValidationError(f"need 0 <= s <= d, got s={s}, d={d}")
+    _check_sparse(d, s)
     if not (np.isfinite(magnitude) and magnitude > 0):
         raise ProblemValidationError(f"magnitude must be positive, got {magnitude}")
     rng = np.random.default_rng(seed)
@@ -217,6 +224,14 @@ def spikiness(M: np.ndarray) -> float:
     return float(np.sqrt(M.shape[0] * M.shape[1]) * np.abs(M).max() / fro)
 
 
+def _check_low_rank(d1: int, d2: int, r: int, spikiness_cap: float) -> None:
+    """gen_low_rank's size and cap rule, checked before any draw."""
+    if not 1 <= r <= min(d1, d2):
+        raise ProblemValidationError(f"need 1 <= r <= min(d1, d2), got r={r}")
+    if spikiness_cap < 1.0:  # spikiness is always >= 1
+        raise ProblemValidationError(f"a spikiness bound must be >= 1, got {spikiness_cap}")
+
+
 def gen_low_rank(
     d1: int,
     d2: int,
@@ -230,12 +245,7 @@ def gen_low_rank(
     Draws B = A1 A2^T with standard normal factors, rescales to
     |B|_F = 1, and resamples until the spikiness cap is met.
     """
-    if not 1 <= r <= min(d1, d2):
-        raise ProblemValidationError(f"need 1 <= r <= min(d1, d2), got r={r}")
-    if spikiness_cap < 1.0:
-        raise ProblemValidationError(
-            f"spikiness is always >= 1, cap {spikiness_cap} unattainable"
-        )
+    _check_low_rank(d1, d2, r, spikiness_cap)
     rng = np.random.default_rng(seed)
     for _ in range(max_attempts):
         B = rng.standard_normal((d1, r)) @ rng.standard_normal((r, d2))

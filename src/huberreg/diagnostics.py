@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .bundles import _fmt
-from .datagen import _psd_sqrt, spikiness  # spikiness re-exported: it is a diagnostic too
+from .datagen import _check_low_rank, _psd_sqrt, spikiness  # spikiness: a diagnostic too
 from .problems import ProblemValidationError
 
 __all__ = [
@@ -33,6 +33,8 @@ __all__ = [
 ]
 
 SUPPORT_TOL = 1e-8
+# projected-gradient steps empirical_re takes where the cone constraint binds
+RE_PG_ITERS = 500
 
 
 @dataclass(frozen=True)
@@ -69,12 +71,10 @@ class TheoremInputs:
             raise ProblemValidationError(f"n must be >= 1, got {self.n}")
         if not 0 <= self.o <= self.n:
             raise ProblemValidationError(f"need 0 <= o <= n, got o={self.o}")
-        for name in ("sigma", "L", "rho", "kappa", "c0"):
+        for name in ("sigma", "sigma_xi", "L", "rho", "kappa", "c0"):
             v = getattr(self, name)
-            if not (np.isfinite(v) and v > 0):
+            if not ((v is None and name == "sigma_xi") or (np.isfinite(v) and v > 0)):
                 raise ProblemValidationError(f"{name} must be positive, got {v}")
-        if self.sigma_xi is not None and not self.sigma_xi > 0:
-            raise ProblemValidationError(f"sigma_xi must be positive, got {self.sigma_xi}")
 
     @property
     def c_kappa(self) -> float:
@@ -162,8 +162,7 @@ def tuning_matrix_cs(ti: TheoremInputs) -> DiagnosticsReport:
     if ti.dims is None or ti.r is None:
         raise ProblemValidationError("matrix compressed sensing needs dims and r")
     d1, d2 = ti.dims
-    if not 1 <= ti.r <= min(d1, d2):
-        raise ProblemValidationError(f"need 1 <= r <= min(d1, d2), got r={ti.r}")
+    _check_low_rank(d1, d2, ti.r, np.inf)
     t_dim = ti.rho * np.sqrt((d1 + d2) / ti.n)
     return _sub_gaussian_tuning(ti, "matrix_cs", ti.r, t_dim)
 
@@ -185,10 +184,7 @@ def tuning_completion(ti: TheoremInputs, variant: str = "heavy_tailed") -> Diagn
     if ti.alpha is None or ti.alpha_star is None:
         raise ProblemValidationError("completion needs alpha and alpha_star")
     d1, d2 = ti.dims
-    if not 1 <= ti.r <= min(d1, d2):
-        raise ProblemValidationError(f"need 1 <= r <= min(d1, d2), got r={ti.r}")
-    if ti.alpha_star < 1.0:
-        raise ProblemValidationError(f"alpha_star must be >= 1, got {ti.alpha_star}")
+    _check_low_rank(d1, d2, ti.r, ti.alpha_star)  # alpha_star bounds the truth's spikiness
     n, o, r, alpha = ti.n, ti.o, ti.r, float(ti.alpha)
     d_mc = float(np.sqrt(d1 * d2))
     if d_mc <= 1.0:
@@ -294,9 +290,7 @@ def _sphere_grid(k: int, m: int) -> np.ndarray:
     return np.column_stack([rad * np.cos(phi), rad * np.sin(phi), z])
 
 
-def empirical_re(
-    Sigma: np.ndarray, s: int, c0: float, grid: int = 64, pg_iters: int = 500
-) -> float:
+def empirical_re(Sigma: np.ndarray, s: int, c0: float, grid: int = 64) -> float:
     """Smallest restricted eigenvalue found by exhaustive desk-scale search.
 
     Minimizes |Sigma^(1/2) v|_2 / |v_J|_2 over all supports |J| <= s and a
@@ -344,7 +338,7 @@ def empirical_re(
                 Vc = V[~feas]
                 lmax = float(np.linalg.eigvalsh(S_cc).max())
                 eta = 1.0 / (2.0 * max(lmax, 1e-300))
-                for _ in range(pg_iters):
+                for _ in range(RE_PG_ITERS):
                     gradc = 2.0 * (Vc @ S_Jc + Wc @ S_cc)
                     Wc = _project_l1_rows(Wc - eta * gradc, R[~feas])
                 W[~feas] = Wc

@@ -34,6 +34,8 @@ from .datagen import (
     ContaminationSpec,
     CovariateSpec,
     NoiseSpec,
+    _check_low_rank,
+    _check_sparse,
     gen_low_rank,
     gen_problem,
     gen_sparse_beta,
@@ -191,43 +193,36 @@ class SweepSpec:
                     f"{name}: unknown keys {unknown}; an entry takes {', '.join(keys)}"
                 )
             object.__setattr__(self, name, value)
-        # run_trial would read a missing magnitude as 0 and corrupt no row
-        if max(self.o_grid) > 0 and any("magnitude" not in a for a in self.adversary_grid):
-            raise ProblemValidationError("adversary_grid: an entry needs 'magnitude' when o > 0")
         if self.trials_per_cell < 1:
             raise ProblemValidationError("trials_per_cell must be >= 1")
-        if self.tuning_mode == "fixed" and (
-            self.fixed_lambda_o is None or self.fixed_lambda_star is None
-        ):
-            raise ProblemValidationError(
-                "tuning_mode 'fixed' needs fixed_lambda_o and fixed_lambda_star"
-            )
-        self._check_cell_sizes()
-
-    def _check_cell_sizes(self):
-        """Reject a grid with a cell the generators cannot draw.
-
-        Without this, such a cell fails only when its trials run, possibly
-        inside a sweep worker process.
-        """
-        n_min = min(self.n_grid)
-        if n_min < 1:
-            raise ProblemValidationError(f"n must be >= 1, got n={n_min}")
-        for o in self.o_grid:
-            if not 0 <= o <= n_min:
-                raise ProblemValidationError(f"need 0 <= o <= n, got o={o}, n={n_min}")
-        lasso = self.problem_kind == "lasso"
-        for dims in self.d_grid:
-            d_min = dims if lasso else min(dims)
-            if d_min < 1:
-                raise ProblemValidationError(f"dimensions must be >= 1, got {dims}")
-            for s in self.s_grid:
-                if lasso and not 0 <= s <= d_min:
-                    raise ProblemValidationError(f"need 0 <= s <= d, got s={s}, d={dims}")
-                if not lasso and not 1 <= s <= d_min:
-                    raise ProblemValidationError(
-                        f"need 1 <= rank <= min(d1, d2), got rank={s}, dims={dims}"
-                    )
+        # every cell meets its trials' own checks before any trial runs, drawing
+        # nothing; only a completion truth no draw brings under the cap fails later
+        SolverConfig(max_iters=self.max_iters, rel_tol=self.rel_tol)
+        fixed = self.tuning_mode == "fixed"
+        if fixed:
+            if self.fixed_lambda_o is None or self.fixed_lambda_star is None:
+                raise ProblemValidationError(
+                    "tuning_mode 'fixed' needs fixed_lambda_o and fixed_lambda_star")
+            try:
+                TuningParams(self.fixed_lambda_o, self.fixed_lambda_star)
+            except ProblemValidationError as exc:  # it names lambda_o or lambda_star
+                raise ProblemValidationError(f"fixed_{exc}") from None
+        kind, cap = self.problem_kind, self.spikiness_cap
+        size, dim = ("s", "d") if kind == "lasso" else ("rank", "dims")
+        for i, (n, dims, s, o, noise_d, adv_d) in enumerate(self.cells()):
+            try:
+                TheoremInputs(n=n, o=o)
+                sigma = NoiseSpec(**noise_d).sigma
+                _contamination(o, adv_d)
+                if kind == "lasso":  # the truth generator's size rule
+                    _check_sparse(dims, s)
+                else:
+                    _check_low_rank(*dims, s, cap if kind == "completion" else np.inf)
+                if not fixed:  # a completion truth's alpha_star is at most the cap
+                    _theorem_tuning(kind, n, dims, s, o=o, sigma=sigma, alpha_star=cap)
+            except ProblemValidationError as exc:
+                raise ProblemValidationError(
+                    f"cell {i} (o={o}, n={n}, {size}={s}, {dim}={dims}): {exc}") from None
 
     @staticmethod
     def from_dict(cfg: dict) -> "SweepSpec":
@@ -314,26 +309,26 @@ def _box_radius(kind, alpha_star, dims):
     return alpha_star / np.sqrt(dims[0] * dims[1])
 
 
+def _contamination(o, adversary, seed=0):
+    """A cell's ContaminationSpec; an o = 0 cell takes strategy 'none'. A missing
+    magnitude would read as 0 and corrupt no row, so an o > 0 entry must give one."""
+    if o > 0 and "magnitude" not in adversary:
+        raise ProblemValidationError("adversary_grid: an entry needs 'magnitude' when o > 0")
+    strategy = adversary.get("strategy", "none") if o > 0 else "none"
+    return ContaminationSpec(o=o, strategy=strategy,
+                             magnitude=adversary.get("magnitude", 0.0), seed=seed)
+
+
 def _solve(kind, problem, tp, cfg, x0=None):
     return _kind(kind).solver(problem, tp, cfg, x0)
 
 
 def run_trial(spec: SweepSpec, cell_index: int, trial_index: int) -> ExperimentRecord:
     """Generate, tune, solve, and score one trial. Deterministic."""
-    cell = spec.cells()[cell_index]
-    n, dims, s, o, noise_d, adv_d = cell
+    n, dims, s, o, noise_d, adv_d = spec.cells()[cell_index]
     noise = NoiseSpec(**noise_d)  # an entry holds NoiseSpec fields only (_ENTRY_KEYS)
-    strategy = adv_d.get("strategy", "none")
-    magnitude = adv_d.get("magnitude", 0.0)
-    if o > 0 and strategy == "none":
-        raise ProblemValidationError(
-            f"cell {cell_index} has o={o} but adversary strategy 'none'"
-        )
     master = _trial_master_seed(spec.base_seed, cell_index, trial_index)
-    contamination = ContaminationSpec(
-        o=o, strategy=strategy if o > 0 else "none",
-        magnitude=magnitude, seed=master,
-    )
+    contamination = _contamination(o, adv_d, master)
 
     t_start = time.perf_counter()
     kind = spec.problem_kind
@@ -382,7 +377,7 @@ def run_trial(spec: SweepSpec, cell_index: int, trial_index: int) -> ExperimentR
         n=n, dim1=dim1, dim2=dim2, sparsity=s, o=o,
         noise_kind=noise.kind, noise_sigma=noise.sigma,
         noise_alpha=float(noise.alpha) if noise.alpha is not None else float("nan"),
-        adversary=strategy, adversary_magnitude=magnitude,
+        adversary=adv_d.get("strategy", "none"), adversary_magnitude=contamination.magnitude,
         lambda_o=float(lam_o), lambda_star=float(lam_star),
         iterations=result.iterations, converged=int(result.converged),
         error=metrics["error"], rel_error=metrics["rel_error"],

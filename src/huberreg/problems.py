@@ -132,16 +132,10 @@ class TuningParams:
     inf_ball_radius: Optional[float] = None
 
     def __post_init__(self):
-        if not (np.isfinite(self.lambda_o) and self.lambda_o > 0):
-            raise ProblemValidationError(f"lambda_o must be positive, got {self.lambda_o}")
-        if not (np.isfinite(self.lambda_star) and self.lambda_star > 0):
-            raise ProblemValidationError(f"lambda_star must be positive, got {self.lambda_star}")
-        if self.inf_ball_radius is not None and not (
-            np.isfinite(self.inf_ball_radius) and self.inf_ball_radius > 0
-        ):
-            raise ProblemValidationError(
-                f"inf_ball_radius must be positive when given, got {self.inf_ball_radius}"
-            )
+        for name in ("lambda_o", "lambda_star", "inf_ball_radius"):
+            v = getattr(self, name)
+            if not ((v is None and name == "inf_ball_radius") or (np.isfinite(v) and v > 0)):
+                raise ProblemValidationError(f"{name} must be positive, got {v}")
 
 
 @dataclass(frozen=True)

@@ -80,6 +80,10 @@ from .problems import (
 # per-step tolerance promised by SolverResult.objective_trace.
 _MONOTONE_TOL = 1e-12
 
+# solve_joint_oracle's alternation cap and its relative objective-change stop
+JOINT_OUTER_ITERS = 500
+JOINT_OUTER_TOL = 1e-13
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -308,8 +312,6 @@ def solve_joint_oracle(
     problem: RegressionProblem,
     tp: TuningParams,
     cfg: SolverConfig = SolverConfig(),
-    outer_iters: int = 500,
-    outer_tol: float = 1e-13,
 ) -> JointResult:
     """Alternating minimization of the joint quadratic objective J.
 
@@ -332,7 +334,7 @@ def solve_joint_oracle(
     obj = np.inf
     converged = False
     it = 0
-    for it in range(1, outer_iters + 1):
+    for it in range(1, JOINT_OUTER_ITERS + 1):
         y_adj = y - sqn * theta
 
         def loss(z, y_adj=y_adj):
@@ -348,7 +350,7 @@ def solve_joint_oracle(
             + pen(beta)
             + tp.lambda_o * float(np.abs(theta).sum())
         )
-        if np.isfinite(obj) and abs(obj - new_obj) <= outer_tol * max(1.0, abs(obj)):
+        if np.isfinite(obj) and abs(obj - new_obj) <= JOINT_OUTER_TOL * max(1.0, abs(obj)):
             obj = new_obj
             converged = True
             break

@@ -164,6 +164,9 @@ def test_bad_sweep_config_exits_two(tmp_path):
     assert "bogus" in proc.stderr
 
 
+_COMPLETION = {"problem_kind": "completion", "n_grid": [400], "d_grid": [[8, 8]], "s_grid": [2]}
+
+
 @pytest.mark.parametrize("cfg, message", [
     ({}, "missing sweep config keys: ['problem_kind', 'n_grid', 'd_grid', 's_grid']"),
     ({"n_grid": 5}, "n_grid: 'int' object is not iterable"),
@@ -188,15 +191,59 @@ def test_bad_sweep_config_exits_two(tmp_path):
      "adversary_grid: 'magnitude': expected a number, got 'x'"),
     ({"o_grid": [0, 5], "adversary_grid": [{"strategy": "random_large"}]},
      "adversary_grid: an entry needs 'magnitude' when o > 0"),
+    # a cell its trial would reject: named with the rule that rejects it
+    ({"o_grid": [0, 5], "adversary_grid": [{"strategy": "none", "magnitude": 0.0}]},
+     "cell 1 (o=5, n=50, s=2, d=10): strategy 'none' requires o == 0"),
+    ({"noise_grid": [{"kind": "gaussian", "sigma": 0.1}, {"kind": "student_t", "sigma": 0.1}]},
+     "cell 1 (o=0, n=50, s=2, d=10): student_t needs alpha (dof) > 2"),
+    ({"noise_grid": [{"kind": "weibull_symmetric", "sigma": 0.1, "alpha": 3}]},
+     "cell 0 (o=0, n=50, s=2, d=10): weibull_symmetric needs alpha in (0, 2]"),
+    ({"noise_grid": [{"kind": "gaussian", "sigma": -1}]},
+     "cell 0 (o=0, n=50, s=2, d=10): sigma must be positive, got -1.0"),
+    ({"o_grid": [5], "adversary_grid": [{"strategy": "random_large", "magnitude": float("inf")}]},
+     "cell 0 (o=5, n=50, s=2, d=10): magnitude must be finite"),
+    ({"s_grid": [2, 0]}, "cell 1 (o=0, n=50, s=0, d=10): need 1 <= s <= d, got s=0, d=10"),
+    ({**_COMPLETION, "d_grid": [[8, 8], [1, 1]], "s_grid": [1]},
+     "cell 1 (o=0, n=400, rank=1, dims=(1, 1)): completion needs d1 * d2 > 1"),
+    ({**_COMPLETION, "n_grid": [400, 10], "d_grid": [[20, 20]]},
+     "cell 1 (o=0, n=10, rank=2, dims=(20, 20)): sub-Weibull lambda_o undefined"),
+    ({**_COMPLETION, "spikiness_cap": 0.5},
+     "cell 0 (o=0, n=400, rank=2, dims=(8, 8)): a spikiness bound must be >= 1, got 0.5"),
+    # the solver config and fixed penalties are the same for every cell: named by key
+    ({"tuning_mode": "fixed", "fixed_lambda_o": -1, "fixed_lambda_star": 0.1},
+     "fixed_lambda_o must be positive, got -1.0"),
+    ({"rel_tol": 1}, "rel_tol must be in (0, 1), got 1.0"),
+    ({"max_iters": 0}, "max_iters must be >= 1, got 0"),
 ], ids=["no_keys", "scalar_grid", "noise_entry_key", "adversary_entry_key", "theorem_key",
         "fractional_grid_entry", "string_int", "fractional_int", "bool_int", "bool_float",
-        "bool_entry_value", "string_alpha", "string_entry_value", "missing_magnitude"])
+        "bool_entry_value", "string_alpha", "string_entry_value", "missing_magnitude",
+        "o_without_adversary", "student_t_without_alpha", "weibull_alpha_3", "negative_sigma",
+        "infinite_magnitude", "lasso_s0_theorem", "completion_1x1", "completion_subweibull_n10",
+        "completion_cap_below_1", "negative_fixed_lambda", "rel_tol_1", "max_iters_0"])
 def test_malformed_sweep_config_exits_two_naming_key(tmp_path, capsys, cfg, message):
     base = {"problem_kind": "lasso", "n_grid": [50], "d_grid": [10], "s_grid": [2]}
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps({**base, **cfg} if cfg else {}))
     assert main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "r.csv")]) == 2
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_bad_last_cell_exits_two_before_any_trial_or_worker(tmp_path, capsys, monkeypatch):
+    import huberreg.experiments as experiments
+
+    calls = []
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(experiments, "run_trial", lambda *a, **k: calls.append(a))
+    # only the last cell has more outliers than samples
+    cfg = {"problem_kind": "lasso", "n_grid": [100, 50], "d_grid": [10], "s_grid": [2],
+           "o_grid": [0, 60], "adversary_grid": [{"strategy": "random_large", "magnitude": 5}]}
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(cfg))
+    argv = ["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "r.csv"), "--jobs", "2"]
+    assert main(argv) == 2
+    assert "cell 3 (o=60, n=50, s=2, d=10): need 0 <= o <= n, got o=60" in capsys.readouterr().err
+    assert calls == []
     assert not (tmp_path / "r.csv").exists()
 
 

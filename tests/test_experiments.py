@@ -192,7 +192,7 @@ def test_spec_validation_errors():
 def test_spec_numbers_take_their_field_types():
     spec = SweepSpec(problem_kind="matrix_cs", n_grid=(np.int64(100), 200),
                      d_grid=([4, np.int32(5)],), s_grid=(1,), trials_per_cell=np.int64(2),
-                     spikiness_cap=3, rel_tol=1,
+                     spikiness_cap=3,
                      noise_grid=({"kind": "student_t", "sigma": 1, "alpha": np.int64(3)},
                                  {"kind": "gaussian", "alpha": None}),
                      adversary_grid=({"strategy": "none"},))  # o = 0: no magnitude needed
@@ -207,9 +207,12 @@ def test_spec_numbers_take_their_field_types():
 @pytest.mark.parametrize("kind, over, match", [
     ("lasso", dict(s_grid=(5,), d_grid=(3,)), "s=5, d=3"),
     ("lasso", dict(s_grid=(-1,)), "s=-1"),
-    ("lasso", dict(d_grid=(10, 0), s_grid=(0,)), "got 0"),
+    ("lasso", dict(d_grid=(10, 0), s_grid=(0,), tuning_mode="fixed",
+                   fixed_lambda_o=0.1, fixed_lambda_star=0.1), "got 0"),
     ("lasso", dict(n_grid=(100, 0)), "n=0"),
-    ("lasso", dict(n_grid=(100, 20), o_grid=(0, 30)), "o=30, n=20"),
+    ("lasso", dict(n_grid=(100, 20), o_grid=(0, 30),
+                   adversary_grid=({"strategy": "random_large", "magnitude": 5.0},)),
+     "o=30, n=20"),
     ("lasso", dict(o_grid=(-2,)), "o=-2"),
     ("matrix_cs", dict(d_grid=((8, 8), (6, 2)), s_grid=(3,)), r"rank=3, dims=\(6, 2\)"),
     ("completion", dict(s_grid=(0,)), "rank=0"),
@@ -220,6 +223,17 @@ def test_spec_rejects_cells_generators_cannot_draw(kind, over, match):
     base = dict(problem_kind=kind, n_grid=(100,), d_grid=dims, s_grid=(2,))
     with pytest.raises(ProblemValidationError, match=match):
         SweepSpec(**{**base, **over})
+
+
+@pytest.mark.parametrize("kind, dims", [("lasso", 10), ("matrix_cs", (6, 5)), ("completion", (8, 8))])
+def test_spec_cell_checks_draw_nothing(monkeypatch, kind, dims):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a SweepSpec check drew random numbers")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    monkeypatch.setattr(np.random, "SeedSequence", no_draw)
+    SweepSpec(problem_kind=kind, n_grid=(400,), d_grid=(dims,), s_grid=(2,), o_grid=(0, 10),
+              adversary_grid=({"strategy": "random_large", "magnitude": 5.0},))
 
 
 @pytest.mark.parametrize("kind, dims, s", [("lasso", 4, 4), ("lasso", 4, 0), ("matrix_cs", (3, 5), 3)])
@@ -242,9 +256,8 @@ def test_cells_follow_grid_product_order():
 
 
 def test_contaminated_cell_requires_strategy():
-    spec = small_lasso_spec(o_grid=(5,))
     with pytest.raises(ProblemValidationError):
-        run_trial(spec, 0, 0)
+        small_lasso_spec(o_grid=(5,))
 
 
 # ------------------------------------------------------------ trial behavior
