@@ -240,10 +240,7 @@ def tuning_completion(ti: TheoremInputs, variant: str = "heavy_tailed") -> Diagn
         lambda_o=float(lam_o),
         lambda_star=float(lam_star),
         predicted_radius=float(radius),
-        feasibility={
-            "o_branch_active": bool(branch_o <= branch_dim),
-            "spikiness_bound_valid": bool(a_star >= 1.0),
-        },
+        feasibility={"o_branch_active": bool(branch_o <= branch_dim)},
         terms={
             "lambda_o_sqrt_n": float(lam_o_sqn),
             "noise": float(t_noise),

