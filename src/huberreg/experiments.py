@@ -5,7 +5,10 @@ Cells are the cartesian product of the SweepSpec grids in the documented order
 Trial randomness is addressed as ``SeedSequence([base_seed, cell_index,
 trial_index])``, collapsed to one 64-bit master seed per trial, so runs
 are reproducible record for record regardless of parallelism. Failures
-are recorded (``converged`` flag), never dropped.
+are recorded (``converged`` flag), never dropped. A grid-oracle trial stops
+its lambda_star path once a coarse screening pass shows no smaller
+lambda_star can beat the best error; ``run_trial`` states the rule and
+when its pick equals the full grid's minimum.
 
 What a problem kind (lasso, matrix_cs, completion) means is decided here,
 once, in ``_kind`` and the helpers beside it: how its truth is drawn and on
@@ -155,8 +158,8 @@ class SweepSpec:
     known here; this separates statistical rates from tuning
     sensitivity). The grid is walked from the largest lambda_star down,
     each solve warm-started at the last; once a coarse pass over the rest
-    shows no smaller lambda_star can win, the walk stops early, with the
-    same pick as the full walk (see run_trial). ``loss_regime``
+    shows no smaller lambda_star can win, the walk stops early (run_trial
+    says when its pick equals the full walk's). ``loss_regime``
     "quadratic" pushes lambda_o so high the loss never leaves its quadratic
     branch, giving the plain penalized least-squares baseline. No theorem
     input is set here: o comes from the cell, sigma, L and rho from the

@@ -327,7 +327,7 @@ def test_matrix_cs_trial_smoke():
 
 # ------------------------------------------------ grid oracle's early stop
 
-_SCREENED = {  # one contaminated cell per kind; the last is the quadratic regime's
+_SCREENED = {  # one cell per kind, and the lasso cell in the quadratic regime
     "lasso": dict(problem_kind="lasso", n_grid=(150,), d_grid=(30,), s_grid=(3,)),
     "matrix_cs": dict(problem_kind="matrix_cs", n_grid=(200,), d_grid=((5, 5),), s_grid=(1,)),
     "completion": dict(problem_kind="completion", n_grid=(300,), d_grid=((8, 8),), s_grid=(1,)),
@@ -378,15 +378,15 @@ def test_grid_oracle_early_stop_keeps_the_full_path_pick(monkeypatch, case, marg
     monkeypatch.setattr(E, "_solve", lambda kind, p, tp, cfg, x0=None: (
         tols.append(cfg.rel_tol), solve(kind, p, tp, cfg, x0))[1])
     rec = run_trial(spec, 0, 0)
+    grid, fine = len(spec.oracle_multipliers), tols.count(spec.rel_tol)
+    coarse = tols.count(E.SCREEN_REL_TOL)
+    assert fine + coarse == len(tols)
     lam_star, res, truth = _full_path(spec, 0)
     metrics = error_metrics(res.estimate, truth)
     assert (rec.lambda_star, rec.iterations, rec.converged) == (lam_star, res.iterations,
                                                                int(res.converged))
     assert (rec.error, rec.rel_error, rec.weighted_error) == (
         metrics["error"], metrics["rel_error"], metrics["weighted_error"])
-    grid, fine = len(spec.oracle_multipliers), tols.count(spec.rel_tol)
-    coarse = tols.count(E.SCREEN_REL_TOL)
-    assert fine + coarse == len(tols)
     if stops:  # every lambda past the stop was solved once, coarsely
         assert fine < grid and fine + coarse == grid
     else:  # one coarse solve, then the whole path as before
