@@ -8,7 +8,6 @@ to study their error rates.
 
 from .problems import (
     DimensionMismatchError,
-    InfeasibleError,
     InternalInvariantError,
     MaskCovariates,
     ProblemValidationError,
@@ -81,7 +80,6 @@ __all__ = [
     "DiagnosticsReport",
     "DimensionMismatchError",
     "ExperimentRecord",
-    "InfeasibleError",
     "InternalInvariantError",
     "JointResult",
     "MaskCovariates",

@@ -133,9 +133,7 @@ def write_problem_bundle(problem, out_dir: str) -> None:
     if problem.theta_true is not None:
         _write_matrix(os.path.join(out_dir, "theta_true.csv"), problem.theta_true)
 
-    meta["o"] = (
-        len(problem.outlier_index_set) if problem.outlier_index_set is not None else 0
-    )
+    meta["o"] = len(problem.outlier_index_set)
     meta["seed"] = problem.meta.get("seed", 0)
     for key in sorted(problem.meta):
         if key not in meta:
@@ -185,7 +183,12 @@ def read_problem_bundle(bundle_dir: str):
             raise ProblemValidationError(
                 f"{os.path.join(bundle_dir, 'meta.txt')}: a {kind} bundle needs a {key} line"
             )
-    d1, d2 = int(meta["d1"]), int(meta["d2"])
+        if not isinstance(meta[key], int):
+            raise ProblemValidationError(
+                f"{os.path.join(bundle_dir, 'meta.txt')}: {key} must be an integer, "
+                f"got {meta[key]!r}"
+            )
+    d1, d2 = meta["d1"], meta["d2"]
     B_true = parse("B_true.csv", optional=True)
     if kind == "completion":
         path = os.path.join(bundle_dir, "masks.csv")

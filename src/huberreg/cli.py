@@ -1,7 +1,8 @@
 """Command line front end.
 
 Subcommands: generate, solve, tune, diagnose, sweep, slope. Output is
-machine-parseable ``key=value`` lines on stdout. Exit codes: 0 success,
+machine-parseable lines on stdout: ``key=value``, except ``tune``, which
+prints its tuning report's ``key = value`` lines. Exit codes: 0 success,
 2 bad arguments or configuration, 3 file system trouble, 4 an internal
 postcondition failed (a bug worth reporting, not a usage problem).
 """
@@ -36,7 +37,7 @@ from .experiments import (
     run_sweep,
     write_results,
 )
-from .problems import InfeasibleError, InternalInvariantError, ProblemValidationError, TuningParams
+from .problems import InternalInvariantError, ProblemValidationError, TuningParams
 from .solvers import SolverConfig
 
 # problem kind of each bundle kind in meta.txt
@@ -316,7 +317,7 @@ def main(argv=None) -> int:
     except InternalInvariantError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
-    except (ProblemValidationError, InfeasibleError, ValueError) as exc:
+    except (ProblemValidationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -20,7 +20,7 @@ stored unnormalized on the problem.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -47,17 +47,15 @@ class NoiseSpec:
     kind: "gaussian" (scale sigma), "student_t" (scale sigma, dof alpha > 2
     so the second moment exists), "weibull_symmetric" (random sign times a
     Weibull(shape alpha) magnitude, scale sigma, alpha in (0, 2]; the
-    sub-Weibull norm of the draw is sigma by construction), or "custom"
-    with a ``sampler(rng, n)`` callable.
+    sub-Weibull norm of the draw is sigma by construction).
     """
 
     kind: str = "gaussian"
     sigma: float = 1.0
     alpha: Optional[float] = None
-    sampler: Optional[Callable] = None
 
     def __post_init__(self):
-        if self.kind not in ("gaussian", "student_t", "weibull_symmetric", "custom"):
+        if self.kind not in ("gaussian", "student_t", "weibull_symmetric"):
             raise ProblemValidationError(f"unknown noise kind {self.kind!r}")
         if not (np.isfinite(self.sigma) and self.sigma > 0):
             raise ProblemValidationError(f"sigma must be positive, got {self.sigma}")
@@ -67,20 +65,16 @@ class NoiseSpec:
             self.alpha is not None and 0 < self.alpha <= 2
         ):
             raise ProblemValidationError("weibull_symmetric needs alpha in (0, 2]")
-        if self.kind == "custom" and self.sampler is None:
-            raise ProblemValidationError("custom noise needs a sampler callable")
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         if self.kind == "gaussian":
             return self.sigma * rng.standard_normal(n)
         if self.kind == "student_t":
             return self.sigma * rng.standard_t(self.alpha, size=n)
-        if self.kind == "weibull_symmetric":
-            # draw order fixed: magnitudes first, then signs
-            mags = self.sigma * rng.weibull(self.alpha, size=n)
-            signs = rng.integers(0, 2, size=n) * 2 - 1
-            return signs * mags
-        return np.asarray(self.sampler(rng, n), dtype=float)
+        # weibull_symmetric; draw order fixed: magnitudes first, then signs
+        mags = self.sigma * rng.weibull(self.alpha, size=n)
+        signs = rng.integers(0, 2, size=n) * 2 - 1
+        return signs * mags
 
 
 @dataclass(frozen=True)

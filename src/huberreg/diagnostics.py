@@ -307,6 +307,8 @@ def empirical_re(Sigma: np.ndarray, s: int, c0: float, grid: int = 64) -> float:
         )
     if c0 <= 0:
         raise ProblemValidationError(f"c0 must be positive, got {c0}")
+    if grid < 1:
+        raise ProblemValidationError(f"grid must be >= 1, got {grid}")
     _psd_sqrt(Sigma, "Sigma")  # validates symmetry and PSD-ness
 
     best = np.inf

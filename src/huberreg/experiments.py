@@ -68,7 +68,8 @@ SCREEN_MARGIN = 0.2
 class ExperimentRecord:
     """One solved trial. ``support_exact`` doubles as rank_exact for
     matrix problems; ``wall_time`` is volatile and excluded from the
-    deterministic CSV by default."""
+    deterministic CSV by default. ``run_trial`` gives ``error_metrics`` no
+    Sigma, so ``weighted_error`` equals ``error`` in every record."""
 
     problem_kind: str
     cell_index: int

@@ -24,7 +24,6 @@ import numpy as np
 
 from .problems import (
     DimensionMismatchError,
-    InfeasibleError,
     ProblemValidationError,
     RegressionProblem,
     TraceProblem,
@@ -32,9 +31,6 @@ from .problems import (
     design_adjoint,
     design_apply,
 )
-
-# Feasibility slack for the entrywise box constraint.
-INF_BALL_TOL = 1e-12
 
 
 def _checked(t, name="t"):
@@ -152,24 +148,9 @@ def objective_lasso(problem: RegressionProblem, beta: np.ndarray, tp: TuningPara
     return _data_term(problem, beta, tp)[0] + tp.lambda_star * float(np.abs(beta).sum())
 
 
-def objective_trace(
-    problem: TraceProblem, B: np.ndarray, tp: TuningParams, constrained: bool = False
-) -> float:
-    """Huber data term plus lambda_star times the nuclear norm of B.
-
-    With ``constrained=True`` the entrywise box ``|B|_inf <= inf_ball_radius``
-    is enforced first and violations raise InfeasibleError (distinct from
-    dimension errors).
-    """
+def objective_trace(problem: TraceProblem, B: np.ndarray, tp: TuningParams) -> float:
+    """Huber data term plus lambda_star times the nuclear norm of B."""
     B = _param(problem, B)
-    if constrained:
-        if tp.inf_ball_radius is None:
-            raise ProblemValidationError("constrained objective needs inf_ball_radius")
-        sup = float(np.abs(B).max()) if B.size else 0.0
-        if sup > tp.inf_ball_radius + INF_BALL_TOL:
-            raise InfeasibleError(
-                f"|B|_inf = {sup} exceeds radius {tp.inf_ball_radius}"
-            )
     return _data_term(problem, B, tp)[0] + tp.lambda_star * nuclear_norm(B)
 
 

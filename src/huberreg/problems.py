@@ -52,10 +52,6 @@ class DimensionMismatchError(ProblemValidationError):
     """Shapes disagree; the message names both offending shapes."""
 
 
-class InfeasibleError(ValueError):
-    """A point violates an explicit feasibility constraint."""
-
-
 class InternalInvariantError(RuntimeError):
     """Postcondition the library promises was observed to fail.
 
@@ -152,7 +148,6 @@ class SolverResult:
     objective_trace: np.ndarray
     iterations: int
     converged: bool
-    final_step_size: float
 
 
 @dataclass(frozen=True)
@@ -205,38 +200,25 @@ class _Design:
             lambda x: design_apply(self, x), lambda r: design_adjoint(self, r), self.param_shape
         )
 
+    @property
+    def outlier_index_set(self) -> frozenset:
+        """The support of theta_true (the paper's I_O); empty without it."""
+        if self.theta_true is None:
+            return frozenset()
+        return frozenset(np.flatnonzero(self.theta_true).tolist())
+
     def _lock_truth_and_contamination(self, truth_name: str) -> None:
-        """Check and lock the truth (parameter-shaped) and the pair
-        (theta_true, outlier_index_set); y and the design are already set."""
-        truth = getattr(self, truth_name)
-        if truth is not None:
-            truth = _as_locked_float(truth, truth_name)
-            if truth.shape != self.param_shape:
-                raise DimensionMismatchError(
-                    f"{truth_name} has shape {truth.shape}, expected {self.param_shape}"
-                )
-            object.__setattr__(self, truth_name, truth)
-        n, theta, outliers = self.n, self.theta_true, self.outlier_index_set
-        if outliers is not None:
-            outliers = frozenset(int(i) for i in outliers)
-        if theta is not None:
-            theta = _as_locked_float(theta, "theta_true")
-            if theta.shape != (n,):
-                raise DimensionMismatchError(
-                    f"theta_true has shape {theta.shape}, expected ({n},)"
-                )
-            support = frozenset(np.flatnonzero(theta).tolist())
-            if outliers is None:
-                outliers = support
-            elif outliers != support:
-                raise ProblemValidationError(
-                    f"outlier_index_set {sorted(outliers)} does not match "
-                    f"support of theta_true {sorted(support)}"
-                )
-        elif outliers and (min(outliers) < 0 or max(outliers) >= n):
-            raise ProblemValidationError("outlier_index_set contains out-of-range indices")
-        object.__setattr__(self, "theta_true", theta)
-        object.__setattr__(self, "outlier_index_set", outliers)
+        """Check and lock the truth (parameter-shaped) and theta_true (n,);
+        y and the design are already set."""
+        for name, shape in ((truth_name, self.param_shape), ("theta_true", (self.n,))):
+            arr = getattr(self, name)
+            if arr is not None:
+                arr = _as_locked_float(arr, name)
+                if arr.shape != shape:
+                    raise DimensionMismatchError(
+                        f"{name} has shape {arr.shape}, expected {shape}"
+                    )
+                object.__setattr__(self, name, arr)
 
 
 @dataclass(frozen=True)
@@ -247,7 +229,6 @@ class RegressionProblem(_Design):
     X: np.ndarray
     beta_true: Optional[np.ndarray] = None
     theta_true: Optional[np.ndarray] = None
-    outlier_index_set: Optional[frozenset] = None
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -288,7 +269,6 @@ class TraceProblem(_Design):
     dims: tuple
     B_true: Optional[np.ndarray] = None
     theta_true: Optional[np.ndarray] = None
-    outlier_index_set: Optional[frozenset] = None
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):

@@ -117,7 +117,6 @@ class _Run(NamedTuple):
     trace: np.ndarray
     iterations: int
     converged: bool
-    step: float
     restarts: int
 
 
@@ -212,7 +211,7 @@ def _minimize(
             converged = True
             break
 
-    return _Run(x, np.asarray(trace), iterations, converged, t, restarts)
+    return _Run(x, np.asarray(trace), iterations, converged, restarts)
 
 
 def _initial_step(problem) -> float:
@@ -257,7 +256,7 @@ def _solve_huber(problem, tp, cfg, start, penalty_value, prox) -> SolverResult:
         start, apply_fn, adjoint_fn, _huber_loss(problem.y, problem.n, tp),
         penalty_value, prox, cfg, _initial_step(problem),
     )
-    return SolverResult(run.x, run.trace, run.iterations, run.converged, run.step)
+    return SolverResult(run.x, run.trace, run.iterations, run.converged)
 
 
 def solve_adversarial_lasso(

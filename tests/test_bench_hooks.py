@@ -9,6 +9,7 @@ and these tests fail first. ``bench/run.py`` is imported the same way, so a
 """
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from huberreg.experiments import SweepSpec
 
 _TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 _RUN = _TRACING.with_name("run.py")
+_REFERENCE = _TRACING.with_name("reference.json")
 
 
 @pytest.fixture(scope="module")
@@ -97,6 +99,56 @@ def test_cli_fit_records_command_and_bundle_spans(tracing, tmp_path, capsys):
     names = {span.name for span in rec.spans}
     for name in ("cli.generate", "cli.solve", "bundles.write", "bundles.read", "solvers.solve"):
         assert name in names
+
+
+def _oracle_miniature(kind):
+    from huberreg import experiments
+
+    dims = {"lasso": 15, "matrix_cs": (5, 3), "completion": (6, 6)}[kind]
+    n = 200 if kind == "completion" else 60
+    spec = SweepSpec(problem_kind=kind, d_grid=(dims,), spikiness_cap=3.0,
+                     **{**_ORACLE, "n_grid": (n,)})
+    experiments.run_trial(spec, 0, 0)
+
+
+def _cli_miniature(tmp_path):
+    from huberreg import cli
+
+    for kind, size in (("lasso", ["--d", "10", "--s", "2"]),
+                       ("completion", ["--d1", "6", "--d2", "6", "--rank", "1"])):
+        bundle, fit = str(tmp_path / kind), str(tmp_path / f"{kind}_fit")
+        assert cli.main(["generate", "--kind", kind, "--n", "200", *size, "--sigma", "0.1",
+                         "--o", "4", "--adversary", "random_large", "--magnitude", "10",
+                         "--out", bundle]) == 0
+        assert cli.main(["solve", "--bundle", bundle, "--out", fit]) == 0
+    config, results = tmp_path / "sweep.json", str(tmp_path / "results.csv")
+    config.write_text(json.dumps({
+        "problem_kind": "lasso", "n_grid": [40, 60, 80], "d_grid": [10], "s_grid": [2],
+        "o_grid": [0], "noise_grid": [{"kind": "gaussian", "sigma": 0.1}],
+        "adversary_grid": [{"strategy": "none", "magnitude": 0.0}],
+        "trials_per_cell": 1, "tuning_mode": "grid_oracle"}), encoding="utf-8")
+    assert cli.main(["sweep", "--config", str(config), "--out", results]) == 0
+    assert cli.main(["slope", "--results", results, "--x", "n"]) == 0
+
+
+@pytest.mark.parametrize("workload", ["lasso_oracle", "matrix_cs_oracle", "completion_oracle",
+                                      "cli_session"])
+def test_every_called_name_is_seen_in_a_workload_miniature(tracing, tmp_path, capsys,
+                                                           workload):
+    """A miniature of each benchmark workload calls every span and count name
+    that ``bench/reference.json`` lists as called for it. A name still hooked
+    but no longer called makes ``bench/run.py --trace 1`` report its metrics
+    as absent, so the traced run's last line is no longer a full result."""
+    called = json.loads(_REFERENCE.read_text(encoding="utf-8"))["called"][workload]
+    rec = tracing.Recorder()
+    with rec.hooked(tracing.SOLVE_HOOKS + tracing.LAYER_HOOKS, tracing.COUNT_HOOKS):
+        if workload == "cli_session":
+            _cli_miniature(tmp_path)
+        else:
+            _oracle_miniature(workload.split("_oracle")[0])
+    capsys.readouterr()
+    seen = {span.name for span in rec.spans} | set(rec.counts)
+    assert sorted(set(called) - seen) == []
 
 
 def test_every_bench_workload_spec_builds(tracing, monkeypatch):

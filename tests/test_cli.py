@@ -493,15 +493,24 @@ def test_slope_on_malformed_results_exits_two_naming_line(tmp_path, capsys, edit
     assert f"{path}, {message}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("kind, key", [("matrix_cs", "d1"), ("completion", "d2")])
-def test_solve_on_bundle_without_dims_exits_two_naming_key(tmp_path, capsys, kind, key):
+@pytest.mark.parametrize("kind, key, value, message", [
+    ("matrix_cs", "d1", None, "needs a d1 line"),
+    ("completion", "d2", None, "needs a d2 line"),
+    ("matrix_cs", "d1", "5.5", "d1 must be an integer, got 5.5"),
+    ("completion", "d2", "x", "d2 must be an integer, got 'x'"),
+], ids=["matrix_cs-d1", "completion-d2", "matrix_cs-d1-fractional", "completion-d2-text"])
+def test_solve_on_bundle_without_dims_exits_two_naming_key(tmp_path, capsys, kind, key, value,
+                                                            message):
+    """A missing d1/d2 line, or one that is not an integer, exits 2 naming
+    meta.txt and the key; 5.5 is not read as 5."""
     bundle = tmp_path / "b"
     assert main(["generate", "--kind", kind, "--n", "30", "--d1", "3", "--d2", "3",
                  "--rank", "1", "--out", str(bundle)]) == 0
     meta = bundle / "meta.txt"
     lines = meta.read_text(encoding="utf-8").splitlines(keepends=True)
-    meta.write_text("".join(ln for ln in lines if not ln.startswith(f"{key} =")), encoding="utf-8")
+    kept = "".join(ln for ln in lines if not ln.startswith(f"{key} ="))
+    meta.write_text(kept if value is None else kept + f"{key} = {value}\n", encoding="utf-8")
     capsys.readouterr()
     assert main(["solve", "--bundle", str(bundle), "--out", str(tmp_path / "f")]) == 2
     err = capsys.readouterr().err
-    assert str(meta) in err and f"needs a {key} line" in err
+    assert str(meta) in err and message in err

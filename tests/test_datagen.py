@@ -131,11 +131,6 @@ def test_noise_mean_absolute_values():
     assert abs(float(np.mean(np.sign(w)))) < 5e-3  # symmetric signs
 
 
-def test_noise_custom_sampler():
-    ns = NoiseSpec(kind="custom", sampler=lambda rng, n: np.full(n, 2.0))
-    np.testing.assert_array_equal(ns.sample(np.random.default_rng(0), 3), [2.0, 2.0, 2.0])
-
-
 def test_noise_validation():
     with pytest.raises(ProblemValidationError):
         NoiseSpec(kind="cauchy")

@@ -267,6 +267,8 @@ def test_empirical_re_desk_scale_guard():
         empirical_re(np.eye(13), s=2, c0=3.0)
     with pytest.raises(ProblemValidationError):
         empirical_re(np.eye(6), s=4, c0=3.0)
+    with pytest.raises(ProblemValidationError, match="grid must be >= 1, got 0"):
+        empirical_re(np.eye(3), s=2, c0=3.0, grid=0)
 
 
 def test_empirical_mre_identity_hits_one():

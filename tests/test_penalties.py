@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from huberreg import (
-    InfeasibleError,
     MaskCovariates,
     ProblemValidationError,
     RegressionProblem,
@@ -313,29 +312,3 @@ def test_grad_smooth_trace_matches_fd_dense_and_mask():
         smooth = lambda M: objective_trace(problem, M, tp) - tp.lambda_star * nuclear_norm(M)
         fd = _central_diff(smooth, B)
         np.testing.assert_allclose(grad_smooth_trace(problem, B, tp), fd, atol=2e-6)
-
-
-def test_objective_trace_constrained_feasibility():
-    rng = np.random.default_rng(12)
-    problem = TraceProblem(
-        y=rng.standard_normal(5),
-        covariates=rng.standard_normal((5, 2, 2)),
-        dims=(2, 2),
-    )
-    tp = TuningParams(1.0, 1.0, inf_ball_radius=0.1)
-    B_ok = np.full((2, 2), 0.05)
-    objective_trace(problem, B_ok, tp, constrained=True)
-    with pytest.raises(InfeasibleError):
-        objective_trace(problem, np.full((2, 2), 0.2), tp, constrained=True)
-
-
-def test_objective_trace_constrained_needs_radius():
-    rng = np.random.default_rng(13)
-    problem = TraceProblem(
-        y=rng.standard_normal(5),
-        covariates=rng.standard_normal((5, 2, 2)),
-        dims=(2, 2),
-    )
-    tp = TuningParams(1.0, 1.0)
-    with pytest.raises(ProblemValidationError):
-        objective_trace(problem, np.zeros((2, 2)), tp, constrained=True)

@@ -197,16 +197,6 @@ def test_outlier_set_derived_from_theta():
     assert p.outlier_index_set == frozenset({2, 7})
 
 
-def test_outlier_set_mismatch_rejected():
-    theta = np.zeros(10)
-    theta[3] = 1.0
-    with pytest.raises(ProblemValidationError):
-        RegressionProblem(
-            y=np.zeros(10), X=np.ones((10, 1)),
-            theta_true=theta, outlier_index_set={4},
-        )
-
-
 def test_mask_signs_validated():
     with pytest.raises(ProblemValidationError):
         MaskCovariates(rows=[0], cols=[0], signs=[2])
