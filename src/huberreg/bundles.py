@@ -1,18 +1,25 @@
-"""Problem bundles: a directory of plain CSV/text files for one dataset.
+"""Problem bundles, and every text format the package reads or writes.
 
-Layout (fixed names, LF newlines, 17-significant-digit floats, so the
-same problem always serializes to the same bytes):
+A bundle is a directory of plain CSV/text files for one dataset. Layout
+(fixed names, LF newlines, 17-significant-digit floats, so the same problem
+always serializes to the same bytes):
 
     y.csv          one response per line
     X.csv          vector problems: n rows x d columns
                    dense trace problems: n rows, each X_i flattened row-major
     masks.csv      mask problems instead of X.csv; header i,k,l,sign
-    meta.txt       "key = value" lines (kind, n, d or d1/d2, o, seed, ...)
+    meta.txt       "key = value" lines (kind, n, d or d1/d2, o, seed, ...);
+                   a key in _META_TYPES is read as its type, any other as text
     beta_true.csv / B_true.csv / theta_true.csv   optional ground truth
+
+Every other text format of the package lives here too: ``_fmt`` (one
+value), ``_kv_lines`` (``key<sep>value`` lines), ``_write_lines`` (every
+file written) and ``_scan_csv`` (every CSV read).
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 
 import numpy as np
@@ -27,11 +34,19 @@ from .problems import (
 
 _F = ".17g"
 
+# the type of each meta.txt key that something reads as a number; the CLI's
+# theorem options take their types from here too
+_META_TYPES = {
+    **dict.fromkeys(("n", "d", "d1", "d2", "s", "rank", "o", "seed"), int),
+    **dict.fromkeys(("sigma", "sigma_xi", "delta", "kappa", "L", "rho", "alpha",
+                     "alpha_star", "beta_magnitude"), float),
+}
+
 
 def _fmt(v) -> str:
     """One value as text: bools and integers as integers, floats with 17
-    significant digits (``_F``, as the array writers use), anything else by
-    ``str``. Used for meta files, result CSVs and CLI status lines."""
+    significant digits (``_F``, as the matrix writer uses), anything else by
+    ``str``."""
     if isinstance(v, (bool, np.bool_, int, np.integer)):
         return str(int(v))
     if isinstance(v, (float, np.floating)):
@@ -39,18 +54,23 @@ def _fmt(v) -> str:
     return str(v)
 
 
+def _kv_lines(kv: dict, sep: str = " = ") -> list:
+    """``key<sep>value`` lines, each value by ``_fmt``: ``" = "`` in files and
+    the tuning report, ``"="`` in CLI status lines."""
+    return [f"{key}{sep}{_fmt(val)}" for key, val in kv.items()]
+
+
+def _write_lines(path: str, lines) -> None:
+    """Write each string of ``lines`` as one line, UTF-8 with LF endings."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(ln + "\n" for ln in lines)
+
+
 def _write_matrix(path: str, M: np.ndarray) -> None:
     """Comma-separated rows of M; a vector is written as a column, one entry per line."""
     M = np.asarray(M, dtype=float)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for row in (M[:, None] if M.ndim == 1 else M).tolist():
-            fh.write(",".join([format(x, _F) for x in row]) + "\n")
-
-
-def _write_kv(path: str, kv: dict) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for key, val in kv.items():
-            fh.write(f"{key} = {_fmt(val)}\n")
+    rows = (M[:, None] if M.ndim == 1 else M).tolist()
+    _write_lines(path, (",".join([format(x, _F) for x in row]) for row in rows))
 
 
 def _integral(token: str) -> float:
@@ -60,50 +80,43 @@ def _integral(token: str) -> float:
     return value
 
 
-def _read_matrix(path: str, header=None, parse=float, linenos=None) -> np.ndarray:
-    """Parse a comma-separated matrix, skipping blank lines.
+def _scan_csv(path: str, parse, header=None) -> tuple:
+    """``(lines, rows)``: the line number and ``parse(tokens)`` of each
+    nonblank line of a comma-separated file.
 
-    Each token goes through ``parse`` (``float``, or ``_integral`` for
-    integer columns); a ``header`` must be line 1; ``linenos``, a list, gets
-    each row's line. Raises ProblemValidationError naming the file and the
-    1-based line for a wrong header, a token that ``parse`` rejects and a
-    row whose length differs from the first row's.
+    With ``header``, the first such line is instead checked by
+    ``header(tokens)``, which returns the parser of the rest. Every row must
+    have as many tokens as the header, else as the first row. A row of
+    another length and a ValueError from ``header`` or the parser (its
+    message quotes the bad text) raise ProblemValidationError naming the
+    file and the 1-based line; a missing header, naming the file.
     """
-    rows = []
+    lines, rows, width = [], [], None
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, ln in enumerate(fh, start=1):
-            ln = ln.strip()
-            if header is not None and lineno == 1:
-                if ln != header:
-                    raise ProblemValidationError(
-                        f"{path}, line 1: expected the header {header!r}, got {ln!r}")
-                continue
-            if not ln:
+            tokens = ln.strip().split(",")
+            if tokens == [""]:
                 continue
             try:
-                row = list(map(parse, ln.split(",")))
-            except ValueError as exc:  # the message quotes the bad token
+                if width is None:
+                    width = (len(tokens), "the header" if header else "the first row")
+                    if header:
+                        parse, header = header(tokens), None
+                        continue
+                if len(tokens) != width[0]:
+                    raise ValueError(f"{len(tokens)} values, but {width[1]} has {width[0]}")
+                rows.append(parse(tokens))
+                lines.append(lineno)
+            except ValueError as exc:
                 raise ProblemValidationError(f"{path}, line {lineno}: {exc}") from None
-            if rows and len(row) != len(rows[0]):
-                raise ProblemValidationError(
-                    f"{path}, line {lineno}: {len(row)} values, but the first row "
-                    f"has {len(rows[0])}"
-                )
-            rows.append(row)
-            if linenos is not None:
-                linenos.append(lineno)
-    return np.array(rows, dtype=float)
+    if header:
+        raise ProblemValidationError(f"{path}: no header line")
+    return lines, rows
 
 
-def _parse_meta_value(raw: str):
-    try:
-        return int(raw)
-    except ValueError:
-        pass
-    try:
-        return float(raw)
-    except ValueError:
-        return raw
+def _read_matrix(path: str) -> np.ndarray:
+    """A comma-separated matrix of floats, read by ``_scan_csv``."""
+    return np.array(_scan_csv(path, lambda t: list(map(float, t)))[1])
 
 
 def write_problem_bundle(problem, out_dir: str) -> None:
@@ -121,10 +134,9 @@ def write_problem_bundle(problem, out_dir: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
     if problem.is_mask:
         cov = problem.covariates
-        with open(os.path.join(out_dir, "masks.csv"), "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("i,k,l,sign\n")
-            for i in range(len(cov)):
-                fh.write(f"{i},{cov.rows[i]},{cov.cols[i]},{cov.signs[i]}\n")
+        cells = zip(cov.rows.tolist(), cov.cols.tolist(), cov.signs.tolist())
+        rows = (f"{i},{k},{l},{sign}" for i, (k, l, sign) in enumerate(cells))
+        _write_lines(os.path.join(out_dir, "masks.csv"), itertools.chain(["i,k,l,sign"], rows))
     else:
         _write_matrix(os.path.join(out_dir, "X.csv"), problem._dense)
     if truth is not None:
@@ -138,19 +150,25 @@ def write_problem_bundle(problem, out_dir: str) -> None:
     for key in sorted(problem.meta):
         if key not in meta:
             meta[key] = problem.meta[key]
-    _write_kv(os.path.join(out_dir, "meta.txt"), meta)
+    _write_lines(os.path.join(out_dir, "meta.txt"), _kv_lines(meta))
 
 
 def read_meta(bundle_dir: str) -> dict:
+    """A bundle's meta.txt, each value of its key's type in ``_META_TYPES``
+    (else text); a value not of that type raises, naming the file and key."""
     path = os.path.join(bundle_dir, "meta.txt")
     meta = {}
     with open(path, "r", encoding="utf-8") as fh:
         for ln in fh:
-            ln = ln.strip()
-            if not ln or "=" not in ln:
-                continue
-            key, _, raw = ln.partition("=")
-            meta[key.strip()] = _parse_meta_value(raw.strip())
+            key, sep, raw = (part.strip() for part in ln.partition("="))
+            if sep:
+                cast = _META_TYPES.get(key, str)
+                try:
+                    meta[key] = cast(raw)
+                except ValueError:
+                    kind = "an integer" if cast is int else "a number"
+                    raise ProblemValidationError(
+                        f"{path}: {key} must be {kind}, got {raw!r}") from None
     return meta
 
 
@@ -183,19 +201,20 @@ def read_problem_bundle(bundle_dir: str):
             raise ProblemValidationError(
                 f"{os.path.join(bundle_dir, 'meta.txt')}: a {kind} bundle needs a {key} line"
             )
-        if not isinstance(meta[key], int):
-            raise ProblemValidationError(
-                f"{os.path.join(bundle_dir, 'meta.txt')}: {key} must be an integer, "
-                f"got {meta[key]!r}"
-            )
     d1, d2 = meta["d1"], meta["d2"]
     B_true = parse("B_true.csv", optional=True)
     if kind == "completion":
         path = os.path.join(bundle_dir, "masks.csv")
-        linenos = []
-        raw = _read_matrix(path, "i,k,l,sign", _integral, linenos)
-        if raw.ndim != 2 or raw.shape[1] != 4:
+
+        def header(tokens):
+            if tokens != ["i", "k", "l", "sign"]:
+                raise ValueError(f"expected the header 'i,k,l,sign', got {','.join(tokens)!r}")
+            return lambda row: list(map(_integral, row))
+
+        lines, rows = _scan_csv(path, None, header)
+        if not rows:
             raise ProblemValidationError(f"{path}: expected rows of i,k,l,sign")
+        raw = np.array(rows)
         # the first row whose i is out of range or repeats an earlier one
         i = raw[:, 0]
         repeat = np.ones(len(i), dtype=bool)
@@ -203,7 +222,7 @@ def read_problem_bundle(bundle_dir: str):
         bad = np.flatnonzero(repeat | (i < 0) | (i >= len(i)))
         if bad.size:
             raise ProblemValidationError(
-                f"{path}, line {linenos[bad[0]]}: i = {i[bad[0]]:g}, but the i values "
+                f"{path}, line {lines[bad[0]]}: i = {i[bad[0]]:g}, but the i values "
                 f"must be a permutation of 0..{len(i) - 1}")
         # rows, cols and signs in the order of i, each a contiguous int64 row
         cells = raw[np.argsort(i), 1:].T.astype(np.int64, order="C")

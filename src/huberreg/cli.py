@@ -17,9 +17,10 @@ import sys
 import numpy as np
 
 from .bundles import (
-    _fmt,
+    _META_TYPES,
+    _kv_lines,
     _read_matrix,
-    _write_kv,
+    _write_lines,
     _write_matrix,
     read_problem_bundle,
     write_problem_bundle,
@@ -45,8 +46,8 @@ _BUNDLE_KINDS = {"lasso": "lasso", "trace_dense": "matrix_cs", "completion": "co
 
 
 def _emit(**kv) -> None:
-    for key, val in kv.items():
-        print(f"{key}={_fmt(val)}")
+    for line in _kv_lines(kv, "="):
+        print(line)
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -64,11 +65,10 @@ def _size(args, kind: str, option: str):
     return (args.d1, args.d2), args.rank
 
 
-# The theorem options besides --c0 and --variant, with their types. One not
-# given is taken from the bundle's meta.txt (solve), else left to its default
-# in TheoremInputs or, for completion's variant and alpha, _theorem_tuning.
-_THEOREM = {"o": int, **dict.fromkeys(
-    ("sigma", "sigma_xi", "delta", "kappa", "L", "rho", "alpha", "alpha_star"), float)}
+# The theorem options besides --c0 and --variant, each typed as the meta.txt key
+# of its name. One not given is taken from the bundle's meta.txt (solve), else
+# from TheoremInputs or, for completion's variant and alpha, _theorem_tuning.
+_THEOREM = ("o", "sigma", "sigma_xi", "delta", "kappa", "L", "rho", "alpha", "alpha_star")
 
 
 def _given(args, meta, name):
@@ -82,12 +82,11 @@ def _tuning(args, kind, n, dims, meta):
     size = "s" if kind == "lasso" else "rank"
     s = _given(args, meta, size)
     _require(s is not None, f"theorem tuning needs --{size}")
-    given = {name: cast(val) for name, cast in _THEOREM.items()
-             if (val := _given(args, meta, name)) is not None}
+    given = {name: val for name in _THEOREM if (val := _given(args, meta, name)) is not None}
     _require(kind != "completion" or "alpha_star" in given, "completion tuning needs --alpha-star")
     if args.variant is not None:  # else _theorem_tuning's
         given["variant"] = args.variant
-    return _theorem_tuning(kind, n, dims, int(s), c0=args.c0, **given)
+    return _theorem_tuning(kind, n, dims, s, c0=args.c0, **given)
 
 
 def cmd_generate(args) -> int:
@@ -133,7 +132,7 @@ def cmd_solve(args) -> int:
     if estimator == "completion" and radius is None:
         a_star = _given(args, problem.meta, "alpha_star")
         _require(a_star is not None, "completion needs --inf-radius or --alpha-star")
-        radius = _box_radius(estimator, float(a_star), problem.dims)
+        radius = _box_radius(estimator, a_star, problem.dims)
 
     tp = TuningParams(lam_o, lam_star, inf_ball_radius=radius)
     cfg = SolverConfig(max_iters=args.max_iters, rel_tol=args.rel_tol)
@@ -154,7 +153,7 @@ def cmd_solve(args) -> int:
         info["inf_ball_radius"] = radius
     info.update(objective=float(trace[-1]), iterations=result.iterations,
                 converged=int(result.converged))
-    _write_kv(os.path.join(args.out, "solve_meta.txt"), info)
+    _write_lines(os.path.join(args.out, "solve_meta.txt"), _kv_lines(info))
     _emit(estimator=estimator, lambda_o=lam_o, lambda_star=lam_star,
           objective=info["objective"], iterations=result.iterations,
           converged=info["converged"], out=args.out)
@@ -166,8 +165,7 @@ def cmd_tune(args) -> int:
     report = _tuning(args, args.model, args.n, dims, {})
     text = report.to_kv_text()
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        _write_lines(args.out, text.splitlines())
     sys.stdout.write(text)
     return 0
 
@@ -178,6 +176,7 @@ def cmd_diagnose(args) -> int:
             Sigma = _read_matrix(args.sigma_csv)
         else:
             _require(args.d is not None, "diagnose re needs --d or --sigma-csv")
+            _require(args.d >= 1, f"--d must be >= 1, got {args.d}")
             Sigma = np.eye(args.d)
         _require(args.s is not None, "diagnose re needs --s")
         value = empirical_re(Sigma, args.s, args.c0, grid=args.grid)
@@ -239,8 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
     cone = argparse.ArgumentParser(add_help=False)
     cone.add_argument("--c0", type=float, default=3.0)
     theorem = argparse.ArgumentParser(add_help=False, parents=[cone])
-    for name, cast in _THEOREM.items():
-        theorem.add_argument("--" + name.replace("_", "-"), type=cast)
+    for name in _THEOREM:
+        theorem.add_argument("--" + name.replace("_", "-"), type=_META_TYPES[name])
     theorem.add_argument("--variant", choices=["heavy_tailed", "subweibull"])
 
     p = sub.add_parser("generate", parents=[dims, sizes],

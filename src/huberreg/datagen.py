@@ -222,7 +222,7 @@ def _check_low_rank(d1: int, d2: int, r: int, spikiness_cap: float) -> None:
     """gen_low_rank's size and cap rule, checked before any draw."""
     if not 1 <= r <= min(d1, d2):
         raise ProblemValidationError(f"need 1 <= r <= min(d1, d2), got r={r}")
-    if spikiness_cap < 1.0:  # spikiness is always >= 1
+    if not spikiness_cap >= 1.0:  # spikiness is always >= 1; NaN fails too, inf passes
         raise ProblemValidationError(f"a spikiness bound must be >= 1, got {spikiness_cap}")
 
 

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bundles import _fmt
+from .bundles import _kv_lines
 from .datagen import _check_low_rank, _psd_sqrt, spikiness  # spikiness: a diagnostic too
 from .problems import ProblemValidationError
 
@@ -98,12 +98,11 @@ class DiagnosticsReport:
 
     def to_kv_text(self) -> str:
         """``key = value`` lines: the headline values, then feasible.* and term.*, sorted."""
-        out = [(k, _fmt(getattr(self, k)))
-               for k in ("model", "lambda_o", "lambda_star", "predicted_radius")]
-        out += [(f"feasible.{k}", "true" if self.feasibility[k] else "false")
-                for k in sorted(self.feasibility)]
-        out += [(f"term.{k}", _fmt(self.terms[k])) for k in sorted(self.terms)]
-        return "".join(f"{k} = {v}\n" for k, v in out)
+        kv = {k: getattr(self, k) for k in ("model", "lambda_o", "lambda_star", "predicted_radius")}
+        kv.update((f"feasible.{k}", "true" if self.feasibility[k] else "false")
+                  for k in sorted(self.feasibility))
+        kv.update((f"term.{k}", self.terms[k]) for k in sorted(self.terms))
+        return "".join(ln + "\n" for ln in _kv_lines(kv))
 
 
 def _outlier_rate_term(o: int, n: int) -> float:
@@ -305,7 +304,7 @@ def empirical_re(Sigma: np.ndarray, s: int, c0: float, grid: int = 64) -> float:
         raise ProblemValidationError(
             f"desk-scale search needs d <= 12 and 1 <= s <= 3, got d={d}, s={s}"
         )
-    if c0 <= 0:
+    if not (np.isfinite(c0) and c0 > 0):
         raise ProblemValidationError(f"c0 must be positive, got {c0}")
     if grid < 1:
         raise ProblemValidationError(f"grid must be >= 1, got {grid}")
@@ -373,7 +372,7 @@ def empirical_mre(
         raise ProblemValidationError(f"desk-scale search needs d1, d2 <= 4, got {dims}")
     if not 1 <= r <= min(d1, d2) or r > 2:
         raise ProblemValidationError(f"need 1 <= r <= min(2, d1, d2), got r={r}")
-    if c0 <= 0:
+    if not (np.isfinite(c0) and c0 > 0):
         raise ProblemValidationError(f"c0 must be positive, got {c0}")
     if n_probes < 1:
         raise ProblemValidationError("n_probes must be >= 1")
@@ -418,14 +417,13 @@ def empirical_mre(
     return float(np.min(num[ok] / den[ok]))
 
 
-def error_metrics(estimate: np.ndarray, truth: np.ndarray, Sigma=None) -> dict:
+def error_metrics(estimate: np.ndarray, truth: np.ndarray) -> dict:
     """Estimation-error summary for a vector or matrix estimate.
 
-    Always reports ``error`` (l2 or Frobenius), ``rel_error``, and
-    ``weighted_error`` (equal to ``error`` when Sigma is None, else
-    |Sigma^(1/2) vec(diff)|_2). Vector inputs add support-recovery counts
-    at tolerance 1e-8; matrix inputs add rank statistics at the same
-    relative tolerance.
+    Reports ``error`` (l2 or Frobenius) and ``rel_error``, plus
+    ``support_exact`` for vectors (the supports at tolerance 1e-8 agree) or
+    ``rank_exact`` for matrices (the ranks at the same relative tolerance
+    agree).
     """
     estimate = np.asarray(estimate, dtype=float)
     truth = np.asarray(truth, dtype=float)
@@ -440,29 +438,13 @@ def error_metrics(estimate: np.ndarray, truth: np.ndarray, Sigma=None) -> dict:
         "error": err,
         "rel_error": err / tnorm if tnorm > 0 else np.inf if err > 0 else 0.0,
     }
-    if Sigma is None:
-        out["weighted_error"] = err
-    else:
-        Wm = _psd_sqrt(Sigma, "Sigma")
-        if Wm.shape[0] != diff.size:
-            raise ProblemValidationError(
-                f"Sigma is {Wm.shape[0]}-dimensional, expected {diff.size}"
-            )
-        out["weighted_error"] = float(np.linalg.norm(Wm @ diff.reshape(-1)))
     if truth.ndim == 1:
         sup_t = np.abs(truth) > SUPPORT_TOL
         sup_e = np.abs(estimate) > SUPPORT_TOL
-        out["support_size_true"] = int(sup_t.sum())
-        out["support_size_est"] = int(sup_e.sum())
-        out["true_positives"] = int((sup_t & sup_e).sum())
-        out["false_positives"] = int((~sup_t & sup_e).sum())
-        out["false_negatives"] = int((sup_t & ~sup_e).sum())
         out["support_exact"] = bool((sup_t == sup_e).all())
     else:
         sv_t = np.linalg.svd(truth, compute_uv=False)
         sv_e = np.linalg.svd(estimate, compute_uv=False)
         rank = lambda sv: int((sv > SUPPORT_TOL * max(1.0, sv[0] if sv.size else 0.0)).sum())
-        out["rank_true"] = rank(sv_t)
-        out["rank_est"] = rank(sv_e)
-        out["rank_exact"] = bool(out["rank_true"] == out["rank_est"])
+        out["rank_exact"] = rank(sv_t) == rank(sv_e)
     return out

@@ -32,7 +32,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .bundles import _fmt
+from .bundles import _fmt, _scan_csv, _write_lines
 from .datagen import (
     ContaminationSpec,
     CovariateSpec,
@@ -68,8 +68,8 @@ SCREEN_MARGIN = 0.2
 class ExperimentRecord:
     """One solved trial. ``support_exact`` doubles as rank_exact for
     matrix problems; ``wall_time`` is volatile and excluded from the
-    deterministic CSV by default. ``run_trial`` gives ``error_metrics`` no
-    Sigma, so ``weighted_error`` equals ``error`` in every record."""
+    deterministic CSV by default. A sweep sets no design covariance to
+    weight by, so ``weighted_error`` equals ``error`` in every record."""
 
     problem_kind: str
     cell_index: int
@@ -445,7 +445,7 @@ def run_trial(spec: SweepSpec, cell_index: int, trial_index: int) -> ExperimentR
         lambda_o=float(lam_o), lambda_star=float(lam_star),
         iterations=result.iterations, converged=int(result.converged),
         error=metrics["error"], rel_error=metrics["rel_error"],
-        weighted_error=metrics["weighted_error"], support_exact=int(exact),
+        weighted_error=metrics["error"], support_exact=int(exact),
         wall_time=wall,
     )
 
@@ -519,10 +519,8 @@ def write_results(records, path, include_timing: bool = False) -> None:
     wall_time column is only written when include_timing is True.
     """
     cols = RESULT_COLUMNS + (["wall_time"] if include_timing else [])
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(cols) + "\n")
-        for rec in records:
-            fh.write(",".join(_fmt(getattr(rec, c)) for c in cols) + "\n")
+    rows = (",".join(_fmt(getattr(rec, c)) for c in cols) for rec in records)
+    _write_lines(path, itertools.chain([",".join(cols)], rows))
 
 
 def read_results(path) -> list:
@@ -530,30 +528,14 @@ def read_results(path) -> list:
 
     Raises ProblemValidationError naming the file and the 1-based line for
     an unknown or missing header column, a row whose length differs from
-    the header's, and a token that does not parse as its column's type.
+    the header's, and a token that does not parse as its column's type, and
+    naming the file when it has no header line.
     """
-    header, records = None, []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, ln in enumerate(fh, start=1):
-            if not ln.strip():
-                continue
-            parts = ln.rstrip("\r\n").split(",")
-            if header is None:
-                header = parts
-                bad = [f"unknown column {c!r}" for c in header if c not in _PARSE] + [
-                    f"missing column {c!r}" for c in RESULT_COLUMNS if c not in header]
-                if bad:
-                    raise ProblemValidationError(f"{path}, line {lineno}: {', '.join(bad)}")
-                continue
-            if len(parts) != len(header):
-                raise ProblemValidationError(
-                    f"{path}, line {lineno}: {len(parts)} values, but the header has {len(header)}"
-                )
-            try:
-                kv = {col: _PARSE[col](raw) for col, raw in zip(header, parts)}
-            except ValueError as exc:  # the message quotes the bad token
-                raise ProblemValidationError(f"{path}, line {lineno}: {exc}") from None
-            records.append(ExperimentRecord(**kv))
-    if header is None:
-        raise ProblemValidationError(f"results file {path} is empty")
-    return records
+    def columns(header):
+        bad = [f"unknown column {c!r}" for c in header if c not in _PARSE] + [
+            f"missing column {c!r}" for c in RESULT_COLUMNS if c not in header]
+        if bad:
+            raise ValueError(", ".join(bad))
+        return lambda row: ExperimentRecord(**{c: _PARSE[c](raw) for c, raw in zip(header, row)})
+
+    return _scan_csv(path, None, columns)[1]

@@ -209,6 +209,8 @@ _COMPLETION = {"problem_kind": "completion", "n_grid": [400], "d_grid": [[8, 8]]
      "cell 1 (o=0, n=10, rank=2, dims=(20, 20)): sub-Weibull lambda_o undefined"),
     ({**_COMPLETION, "spikiness_cap": 0.5},
      "cell 0 (o=0, n=400, rank=2, dims=(8, 8)): a spikiness bound must be >= 1, got 0.5"),
+    ({**_COMPLETION, "spikiness_cap": float("nan")},
+     "cell 0 (o=0, n=400, rank=2, dims=(8, 8)): a spikiness bound must be >= 1, got nan"),
     # a penalty level its trial's TuningParams would reject: the theorem lambda_o
     # and the quadratic regime's QUADRATIC_SCALE sigma / sqrt(n) overflow
     ({"noise_grid": [{"kind": "gaussian", "sigma": 1e307}]},
@@ -228,8 +230,9 @@ _COMPLETION = {"problem_kind": "completion", "n_grid": [400], "d_grid": [[8, 8]]
         "bool_entry_value", "string_alpha", "string_entry_value", "missing_magnitude",
         "o_without_adversary", "student_t_without_alpha", "weibull_alpha_3", "negative_sigma",
         "infinite_magnitude", "lasso_s0_theorem", "completion_1x1", "completion_subweibull_n10",
-        "completion_cap_below_1", "theorem_lambda_overflow", "quadratic_lambda_overflow",
-        "zero_multiplier", "negative_fixed_lambda", "rel_tol_1", "max_iters_0"])
+        "completion_cap_below_1", "completion_cap_nan", "theorem_lambda_overflow",
+        "quadratic_lambda_overflow", "zero_multiplier", "negative_fixed_lambda", "rel_tol_1",
+        "max_iters_0"])
 def test_malformed_sweep_config_exits_two_naming_key(tmp_path, capsys, cfg, message):
     base = {"problem_kind": "lasso", "n_grid": [50], "d_grid": [10], "s_grid": [2]}
     cfg_path = tmp_path / "bad.json"
@@ -435,6 +438,18 @@ def test_tune_completion_reads_L_and_rho_but_checks_them(capsys):
     assert "L must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["re", "--d", "3", "--s", "1", "--c0", "nan"], "c0 must be positive, got nan"),
+    (["mre", "--d1", "3", "--d2", "3", "--rank", "1", "--c0", "nan"],
+     "c0 must be positive, got nan"),
+    (["re", "--d", "-1", "--s", "1"], "--d must be >= 1, got -1"),
+], ids=["re-c0-nan", "mre-c0-nan", "re-negative-d"])
+def test_diagnose_rejects_bad_c0_and_d(capsys, argv, message):
+    assert main(["diagnose", *argv]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
+
+
 @pytest.mark.parametrize("text", ["", "1,2\n3,nan\n"])
 def test_diagnose_spikiness_rejects_empty_and_nonfinite(tmp_path, capsys, text):
     path = tmp_path / "M.csv"
@@ -496,16 +511,23 @@ def test_slope_on_malformed_results_exits_two_naming_line(tmp_path, capsys, edit
 @pytest.mark.parametrize("kind, key, value, message", [
     ("matrix_cs", "d1", None, "needs a d1 line"),
     ("completion", "d2", None, "needs a d2 line"),
-    ("matrix_cs", "d1", "5.5", "d1 must be an integer, got 5.5"),
+    ("matrix_cs", "d1", "5.5", "d1 must be an integer, got '5.5'"),
     ("completion", "d2", "x", "d2 must be an integer, got 'x'"),
-], ids=["matrix_cs-d1", "completion-d2", "matrix_cs-d1-fractional", "completion-d2-text"])
+    ("lasso", "s", "2.7", "s must be an integer, got '2.7'"),
+    ("completion", "rank", "1.5", "rank must be an integer, got '1.5'"),
+    ("lasso", "o", "4.9", "o must be an integer, got '4.9'"),
+    ("matrix_cs", "sigma", "abc", "sigma must be a number, got 'abc'"),
+], ids=["matrix_cs-d1", "completion-d2", "matrix_cs-d1-fractional", "completion-d2-text",
+        "lasso-s-fractional", "completion-rank-fractional", "lasso-o-fractional",
+        "matrix_cs-sigma-text"])
 def test_solve_on_bundle_without_dims_exits_two_naming_key(tmp_path, capsys, kind, key, value,
                                                             message):
-    """A missing d1/d2 line, or one that is not an integer, exits 2 naming
-    meta.txt and the key; 5.5 is not read as 5."""
+    """A missing d1/d2 line, or a meta.txt value not of its key's type, exits 2
+    naming meta.txt and the key; 5.5 is not read as 5, nor 2.7 as 2."""
     bundle = tmp_path / "b"
-    assert main(["generate", "--kind", kind, "--n", "30", "--d1", "3", "--d2", "3",
-                 "--rank", "1", "--out", str(bundle)]) == 0
+    size = ["--d", "10", "--s", "2"] if kind == "lasso" else ["--d1", "3", "--d2", "3",
+                                                               "--rank", "1"]
+    assert main(["generate", "--kind", kind, "--n", "30", *size, "--out", str(bundle)]) == 0
     meta = bundle / "meta.txt"
     lines = meta.read_text(encoding="utf-8").splitlines(keepends=True)
     kept = "".join(ln for ln in lines if not ln.startswith(f"{key} ="))
