@@ -19,22 +19,14 @@ from .problems import (
     design_apply,
 )
 from .penalties import (
-    grad_smooth_lasso,
-    grad_smooth_trace,
-    huber_deriv,
-    huber_value,
     nuclear_norm,
-    objective_lasso,
-    objective_trace,
     project_inf_ball,
     singular_value_threshold,
     soft_threshold,
 )
 from .solvers import (
-    JointResult,
     SolverConfig,
     solve_adversarial_lasso,
-    solve_joint_oracle,
     solve_matrix_completion,
     solve_matrix_cs,
 )
@@ -63,7 +55,6 @@ from .experiments import (
     ExperimentRecord,
     SlopeFit,
     SweepSpec,
-    aggregate_medians,
     fit_rate_slope,
     read_results,
     run_sweep,
@@ -81,7 +72,6 @@ __all__ = [
     "DimensionMismatchError",
     "ExperimentRecord",
     "InternalInvariantError",
-    "JointResult",
     "MaskCovariates",
     "NoiseSpec",
     "ProblemValidationError",
@@ -94,7 +84,6 @@ __all__ = [
     "TheoremInputs",
     "TraceProblem",
     "TuningParams",
-    "aggregate_medians",
     "child_rng",
     "design_adjoint",
     "design_apply",
@@ -105,13 +94,7 @@ __all__ = [
     "gen_low_rank",
     "gen_problem",
     "gen_sparse_beta",
-    "grad_smooth_lasso",
-    "grad_smooth_trace",
-    "huber_deriv",
-    "huber_value",
     "nuclear_norm",
-    "objective_lasso",
-    "objective_trace",
     "project_inf_ball",
     "read_meta",
     "read_problem_bundle",
@@ -121,7 +104,6 @@ __all__ = [
     "singular_value_threshold",
     "soft_threshold",
     "solve_adversarial_lasso",
-    "solve_joint_oracle",
     "solve_matrix_completion",
     "solve_matrix_cs",
     "spikiness",

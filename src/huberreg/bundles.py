@@ -228,7 +228,10 @@ def read_problem_bundle(bundle_dir: str):
         cells = raw[np.argsort(i), 1:].T.astype(np.int64, order="C")
         cov = MaskCovariates(*map(_Adopt, cells))
     else:
-        flat = _read_matrix(os.path.join(bundle_dir, "X.csv"))
+        path = os.path.join(bundle_dir, "X.csv")
+        flat = _read_matrix(path)
+        if not len(flat):  # an empty file reads as shape (0,), with no column count
+            raise ProblemValidationError(f"{path}: expected rows of d1*d2 = {d1 * d2} values")
         if flat.shape[1] != d1 * d2:
             raise ProblemValidationError(
                 f"X.csv has {flat.shape[1]} columns, expected d1*d2 = {d1 * d2}"

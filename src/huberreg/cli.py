@@ -185,6 +185,8 @@ def cmd_diagnose(args) -> int:
         Sigma = _read_matrix(args.sigma_csv) if args.sigma_csv else None
         _require(args.d1 is not None and args.d2 is not None and args.rank is not None,
                  "diagnose mre needs --d1, --d2 and --rank")
+        for flag, value in (("--d1", args.d1), ("--d2", args.d2)):
+            _require(value >= 1, f"{flag} must be >= 1, got {value}")
         value = empirical_mre(
             Sigma, (args.d1, args.d2), args.rank, args.c0,
             n_probes=args.probes, seed=args.seed,

@@ -17,20 +17,8 @@ from typing import Optional
 import numpy as np
 
 from .bundles import _kv_lines
-from .datagen import _check_low_rank, _psd_sqrt, spikiness  # spikiness: a diagnostic too
+from .datagen import _check_low_rank, _psd_sqrt
 from .problems import ProblemValidationError
-
-__all__ = [
-    "TheoremInputs",
-    "DiagnosticsReport",
-    "tuning_lasso",
-    "tuning_matrix_cs",
-    "tuning_completion",
-    "spikiness",
-    "empirical_re",
-    "empirical_mre",
-    "error_metrics",
-]
 
 SUPPORT_TOL = 1e-8
 # projected-gradient steps empirical_re takes where the cone constraint binds

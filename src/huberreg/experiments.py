@@ -472,14 +472,6 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> list:
     return records
 
 
-def aggregate_medians(records, key: str = "error", by: str = "cell_index") -> dict:
-    """Median of ``key`` grouped by a record field."""
-    groups = {}
-    for rec in records:
-        groups.setdefault(getattr(rec, by), []).append(getattr(rec, key))
-    return {k: float(np.median(v)) for k, v in sorted(groups.items())}
-
-
 def fit_rate_slope(records, x_axis: str = "n", y: str = "error") -> SlopeFit:
     """OLS slope of log median error against log x over grouped records.
 

@@ -1,57 +1,27 @@
-"""Huber loss, penalized objectives, and proximal operators.
+"""The Huber data term and the proximal operators of the penalties.
 
-The Huber function used throughout is
-
-    H(t) = t^2 / 2        for |t| <= 1,
-           |t| - 1/2      for |t| > 1,
-
-with derivative h(t) = t on [-1, 1] and sign(t) outside. Every data-fit
-term has the form ``lambda_o^2 * sum_i H(r_i / (lambda_o * sqrt(n)))`` so
-the loss transitions from quadratic to linear at residual magnitude
-``lambda_o * sqrt(n)``.
-
-That data term is computed in one place, ``_huber_loss``, on the fitted
-values ``A x``: the solvers' engine calls it every iteration, and
-``objective_lasso``/``objective_trace`` and the one smooth gradient
-(``grad_smooth_trace``, also named ``grad_smooth_lasso``) are thin wrappers
-that check the parameter's shape, apply the design and call it. Both
-containers share the design protocol, so none of them asks which one it has.
+The Huber function is H(t) = t^2 / 2 for |t| <= 1 and |t| - 1/2 beyond,
+with derivative h(t) = clip(t, -1, 1). Every estimator's data term is
+``lambda_o^2 * sum_i H(r_i / (lambda_o * sqrt(n)))``, so the loss turns from
+quadratic to linear at residual magnitude ``lambda_o * sqrt(n)``. It is
+computed in one place, ``_huber_loss``, on the fitted values ``A x``, which
+the solvers' engine calls every iteration. The proxes are soft-thresholding
+(l1), singular value thresholding (nuclear norm) and the entrywise clamp
+onto the completion estimator's box.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .problems import (
-    DimensionMismatchError,
-    ProblemValidationError,
-    RegressionProblem,
-    TraceProblem,
-    TuningParams,
-    design_adjoint,
-    design_apply,
-)
+from .problems import DimensionMismatchError, ProblemValidationError, TuningParams
 
 
-def _checked(t, name="t"):
+def _checked(t, name):
     arr = np.asarray(t, dtype=float)
     if not np.isfinite(arr).all():
         raise ProblemValidationError(f"{name} must be finite")
     return arr
-
-
-def huber_value(t):
-    """H(t); accepts scalars or arrays, branch-exact at |t| = 1."""
-    arr = _checked(t)
-    a = np.abs(arr)
-    out = np.where(a <= 1.0, 0.5 * arr * arr, a - 0.5)
-    return float(out) if np.isscalar(t) or arr.ndim == 0 else out
-
-def huber_deriv(t):
-    """h(t) = H'(t): identity on [-1, 1], sign(t) outside."""
-    arr = _checked(t)
-    out = np.clip(arr, -1.0, 1.0)
-    return float(out) if np.isscalar(t) or arr.ndim == 0 else out
 
 
 def soft_threshold(v, tau: float):
@@ -125,39 +95,3 @@ def _huber_loss(y: np.ndarray, n: int, tp: TuningParams):
         return val, c
 
     return loss
-
-
-def _param(problem, x) -> np.ndarray:
-    """x as a float array, checked to have the shape of the problem's parameter."""
-    x = np.asarray(x, dtype=float)
-    shape = problem.param_shape
-    if x.shape != shape:
-        name = ("beta", "B")[len(shape) - 1]
-        raise DimensionMismatchError(f"{name} has shape {x.shape}, expected {shape}")
-    return x
-
-
-def _data_term(problem, x: np.ndarray, tp: TuningParams):
-    """(value, h) of the Huber data term at the parameter x."""
-    return _huber_loss(problem.y, problem.n, tp)(design_apply(problem, x))
-
-
-def objective_lasso(problem: RegressionProblem, beta: np.ndarray, tp: TuningParams) -> float:
-    """lambda_o^2 sum_i H((y_i - <x_i, beta>) / (lambda_o sqrt n)) + lambda_star |beta|_1."""
-    beta = _param(problem, beta)
-    return _data_term(problem, beta, tp)[0] + tp.lambda_star * float(np.abs(beta).sum())
-
-
-def objective_trace(problem: TraceProblem, B: np.ndarray, tp: TuningParams) -> float:
-    """Huber data term plus lambda_star times the nuclear norm of B."""
-    B = _param(problem, B)
-    return _data_term(problem, B, tp)[0] + tp.lambda_star * nuclear_norm(B)
-
-
-def grad_smooth_trace(problem, B: np.ndarray, tp: TuningParams) -> np.ndarray:
-    """Gradient of the Huber data term, -(lambda_o/sqrt n) sum_i h(u_i) X_i,
-    in the shape of the parameter; a vector problem's X_i are its rows."""
-    return design_adjoint(problem, _data_term(problem, _param(problem, B), tp)[1])
-
-
-grad_smooth_lasso = grad_smooth_trace

@@ -1,6 +1,6 @@
 """Proximal-gradient solvers for the Huber-loss penalized estimators.
 
-One accelerated engine drives all four entry points. The engine is
+One accelerated engine drives all three entry points. The engine is
 FISTA-style momentum with a function-value safeguard: whenever a momentum
 candidate would increase the objective, the momentum is restarted and the
 step is retaken from the current iterate as a plain proximal-gradient
@@ -28,26 +28,6 @@ loss on fitted values is ``penalties._huber_loss``, the one implementation
 of the data term: with u the scaled residual and c = clip(u, -1, 1), it sums
 c (u - c/2), which equals H(u) bit for bit on both branches, and returns
 h = -(lambda_o / sqrt n) c from the same buffer.
-
-Joint formulation
------------------
-``solve_joint_oracle`` minimizes the quadratic objective with explicit
-outlier variables,
-
-    J(beta, theta) = (1/(2n)) |y - X beta - sqrt(n) theta|_2^2
-                     + lambda_star |beta|_1 + lambda_o |theta|_1,
-
-by exact alternating minimization. Minimizing J over theta at fixed beta
-gives, entrywise in the residual r_i = y_i - <x_i, beta>,
-
-    min_u (r - u)^2 / (2n) + (lambda_o / sqrt(n)) |u|
-        = (1/(2n)) r^2                          for |r| <= lambda_o sqrt(n)
-        = (lambda_o/sqrt(n)) |r| - lambda_o^2/2  otherwise,
-
-with minimizer u = soft(r, lambda_o sqrt(n)) and theta = u / sqrt(n).
-Both branches equal lambda_o^2 H(r / (lambda_o sqrt n)) exactly, so the
-theta-profiled joint objective coincides with the Huber objective: no
-additive or multiplicative calibration constant remains in this scaling.
 """
 
 from __future__ import annotations
@@ -80,10 +60,6 @@ from .problems import (
 # per-step tolerance promised by SolverResult.objective_trace.
 _MONOTONE_TOL = 1e-12
 
-# solve_joint_oracle's alternation cap and its relative objective-change stop
-JOINT_OUTER_ITERS = 500
-JOINT_OUTER_TOL = 1e-13
-
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -102,14 +78,6 @@ class SolverConfig:
             raise ProblemValidationError(f"max_iters must be >= 1, got {self.max_iters}")
         if not (0 < self.rel_tol < 1):
             raise ProblemValidationError(f"rel_tol must be in (0, 1), got {self.rel_tol}")
-
-
-class JointResult(NamedTuple):
-    beta: np.ndarray
-    theta: np.ndarray
-    objective: float
-    iterations: int
-    converged: bool
 
 
 class _Run(NamedTuple):
@@ -243,13 +211,6 @@ def _start(problem, x0, ndim: int, estimator: str) -> np.ndarray:
     return np.zeros(shape) if x0 is None else np.array(x0, dtype=float)
 
 
-def _l1_terms(lambda_star: float):
-    """(penalty value, prox) of lambda_star |.|_1."""
-    pen = lambda b: lambda_star * float(np.abs(b).sum())
-    prox = lambda v, t: soft_threshold(v, t * lambda_star)
-    return pen, prox
-
-
 def _solve_huber(problem, tp, cfg, start, penalty_value, prox) -> SolverResult:
     apply_fn, adjoint_fn = _design_ops(problem)
     run = _minimize(
@@ -267,7 +228,9 @@ def solve_adversarial_lasso(
 ) -> SolverResult:
     """l1-penalized Huber-loss regression; starts at zero unless x0 is given."""
     start = _start(problem, x0, 1, "solve_adversarial_lasso")
-    return _solve_huber(problem, tp, cfg, start, *_l1_terms(tp.lambda_star))
+    pen = lambda b: tp.lambda_star * float(np.abs(b).sum())
+    prox = lambda v, t: soft_threshold(v, t * tp.lambda_star)
+    return _solve_huber(problem, tp, cfg, start, pen, prox)
 
 
 def solve_matrix_cs(
@@ -305,53 +268,3 @@ def solve_matrix_completion(
     if B0 is not None:
         x0 = project_inf_ball(x0, radius)
     return _solve_huber(problem, tp, cfg, x0, pen, prox)
-
-
-def solve_joint_oracle(
-    problem: RegressionProblem,
-    tp: TuningParams,
-    cfg: SolverConfig = SolverConfig(),
-) -> JointResult:
-    """Alternating minimization of the joint quadratic objective J.
-
-    The beta step is an l1-penalized least-squares solve on the adjusted
-    responses ``y - sqrt(n) theta`` (warm-started accelerated proximal
-    gradient); the theta step is the closed form
-    ``theta = soft(y - X beta, lambda_o sqrt(n)) / sqrt(n)``. Both steps
-    are exact block minimizers, so J decreases monotonically; the
-    profiled value equals the Huber objective at the same beta.
-    """
-    beta = _start(problem, None, 1, "solve_joint_oracle")
-    y, n = problem.y, problem.n
-    sqn = np.sqrt(n)
-    scale = tp.lambda_o * sqn
-    apply_fn, adjoint_fn = _design_ops(problem)
-    t0 = _initial_step(problem)
-    pen, prox = _l1_terms(tp.lambda_star)
-
-    theta = np.zeros(n)
-    obj = np.inf
-    converged = False
-    it = 0
-    for it in range(1, JOINT_OUTER_ITERS + 1):
-        y_adj = y - sqn * theta
-
-        def loss(z, y_adj=y_adj):
-            r = y_adj - z
-            return float(np.vdot(r, r)) / (2.0 * n), -r / n
-
-        beta = _minimize(beta, apply_fn, adjoint_fn, loss, pen, prox, cfg, t0).x
-        r = y - apply_fn(beta)
-        theta = soft_threshold(r, scale) / sqn
-        resid = r - sqn * theta
-        new_obj = (
-            float(np.vdot(resid, resid)) / (2.0 * n)
-            + pen(beta)
-            + tp.lambda_o * float(np.abs(theta).sum())
-        )
-        if np.isfinite(obj) and abs(obj - new_obj) <= JOINT_OUTER_TOL * max(1.0, abs(obj)):
-            obj = new_obj
-            converged = True
-            break
-        obj = new_obj
-    return JointResult(beta, theta, obj, it, converged)

@@ -46,22 +46,18 @@ from huberreg import (
     TheoremInputs,
     TraceProblem,
     TuningParams,
-    aggregate_medians,
+    design_adjoint,
+    design_apply,
     empirical_re,
     fit_rate_slope,
     gen_low_rank,
     gen_problem,
     gen_sparse_beta,
-    grad_smooth_lasso,
-    grad_smooth_trace,
     nuclear_norm,
-    objective_lasso,
-    objective_trace,
     run_sweep,
     singular_value_threshold,
     soft_threshold,
     solve_adversarial_lasso,
-    solve_joint_oracle,
     solve_matrix_completion,
     solve_matrix_cs,
     spikiness,
@@ -70,6 +66,9 @@ from huberreg import (
     tuning_matrix_cs,
     write_results,
 )
+from huberreg.penalties import _huber_loss
+
+from _reference import aggregate_medians, data_term, grad_smooth, objective, solve_joint_oracle
 
 
 def _report(num, ok, detail):
@@ -101,10 +100,7 @@ def test_criterion_1_prox_and_gradient_correctness():
             n, d = int(rng.integers(5, 51)), int(rng.integers(2, 21))
             p = RegressionProblem(y=3 * rng.standard_normal(n),
                                   X=rng.standard_normal((n, d)))
-            beta = rng.standard_normal(d)
-            smooth = lambda b: objective_lasso(p, b, tp) - tp.lambda_star * np.abs(b).sum()
-            ga = grad_smooth_lasso(p, beta, tp)
-            fd = _central_diff(smooth, beta)
+            x = rng.standard_normal(d)
         else:
             d1, d2 = int(rng.integers(2, 9)), int(rng.integers(2, 9))
             n = int(rng.integers(5, 31))
@@ -115,12 +111,12 @@ def test_criterion_1_prox_and_gradient_correctness():
                                      cols=rng.integers(0, d2, n),
                                      signs=rng.choice([-1, 1], n))
             p = TraceProblem(y=3 * rng.standard_normal(n), covariates=cov, dims=(d1, d2))
-            B = rng.standard_normal((d1, d2))
-            smooth = lambda M: objective_trace(p, M, tp) - tp.lambda_star * nuclear_norm(M)
-            ga = grad_smooth_trace(p, B, tp)
-            fd = _central_diff(smooth, B)
-        rel = np.linalg.norm(ga - fd) / max(np.linalg.norm(fd), 1e-10)
-        worst = max(worst, rel)
+            x = rng.standard_normal((d1, d2))
+        fd = _central_diff(lambda v: data_term(p, v, tp), x)
+        # the reference gradient, and the engine's own A^T h from _huber_loss
+        engine = design_adjoint(p, _huber_loss(p.y, p.n, tp)(design_apply(p, x))[1])
+        for g in (grad_smooth(p, x, tp), engine):
+            worst = max(worst, np.linalg.norm(g - fd) / max(np.linalg.norm(fd), 1e-10))
     grad_ok = worst < 1e-5
 
     # scalar prox against a brute-force grid
@@ -169,8 +165,8 @@ def test_criterion_2_profiled_joint_equivalence():
         )
         tp = TuningParams(7.2 * 0.2 / np.sqrt(n), float(rng.uniform(0.02, 0.2)))
         huber = solve_adversarial_lasso(problem, tp, cfg)
-        joint = solve_joint_oracle(problem, tp, cfg)
-        worst_obj = max(worst_obj, abs(objective_lasso(problem, huber.estimate, tp)
+        joint = solve_joint_oracle(problem, tp)
+        worst_obj = max(worst_obj, abs(objective(problem, huber.estimate, tp)
                                        - joint.objective))
         worst_beta = max(worst_beta, float(np.linalg.norm(huber.estimate - joint.beta)))
     elapsed = time.perf_counter() - t0

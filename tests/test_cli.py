@@ -443,7 +443,9 @@ def test_tune_completion_reads_L_and_rho_but_checks_them(capsys):
     (["mre", "--d1", "3", "--d2", "3", "--rank", "1", "--c0", "nan"],
      "c0 must be positive, got nan"),
     (["re", "--d", "-1", "--s", "1"], "--d must be >= 1, got -1"),
-], ids=["re-c0-nan", "mre-c0-nan", "re-negative-d"])
+    (["mre", "--d1", "-1", "--d2", "3", "--rank", "1"], "--d1 must be >= 1, got -1"),
+    (["mre", "--d1", "3", "--d2", "0", "--rank", "1"], "--d2 must be >= 1, got 0"),
+], ids=["re-c0-nan", "mre-c0-nan", "re-negative-d", "mre-negative-d1", "mre-zero-d2"])
 def test_diagnose_rejects_bad_c0_and_d(capsys, argv, message):
     assert main(["diagnose", *argv]) == 2
     captured = capsys.readouterr()
@@ -458,6 +460,19 @@ def test_diagnose_spikiness_rejects_empty_and_nonfinite(tmp_path, capsys, text):
     assert rc == 2
     err = capsys.readouterr().err
     assert ("nonempty" if not text else "finite") in err
+
+
+@pytest.mark.parametrize("text", ["", "\n\n"], ids=["empty", "blank-lines"])
+def test_solve_on_trace_bundle_with_empty_design_exits_two(tmp_path, capsys, text):
+    """A dense trace bundle whose X.csv holds no row exits 2 naming the file,
+    not with an IndexError on the missing column count."""
+    bundle = tmp_path / "b"
+    assert main(["generate", "--kind", "matrix_cs", "--n", "30", "--d1", "3", "--d2", "3",
+                 "--rank", "1", "--out", str(bundle)]) == 0
+    (bundle / "X.csv").write_text(text, encoding="utf-8")
+    capsys.readouterr()
+    assert main(["solve", "--bundle", str(bundle), "--out", str(tmp_path / "f")]) == 2
+    assert f"{bundle / 'X.csv'}: expected rows of d1*d2 = 9 values" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("bundle_kind, estimator, code", [

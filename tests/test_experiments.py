@@ -12,7 +12,6 @@ from huberreg import (
     SolverConfig,
     SweepSpec,
     TuningParams,
-    aggregate_medians,
     error_metrics,
     fit_rate_slope,
     gen_problem,
@@ -22,6 +21,8 @@ from huberreg import (
     spikiness,
     write_results,
 )
+
+from _reference import aggregate_medians
 
 FAST = dict(max_iters=400, rel_tol=1e-8, oracle_multipliers=(0.3, 1.0, 3.0))
 

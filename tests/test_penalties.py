@@ -10,17 +10,16 @@ from huberreg import (
     RegressionProblem,
     TraceProblem,
     TuningParams,
-    grad_smooth_lasso,
-    grad_smooth_trace,
-    huber_deriv,
-    huber_value,
+    design_adjoint,
+    design_apply,
     nuclear_norm,
-    objective_lasso,
-    objective_trace,
     project_inf_ball,
     singular_value_threshold,
     soft_threshold,
 )
+from huberreg.penalties import _huber_loss
+
+from _reference import data_term, grad_smooth, huber_deriv, huber_value, objective
 
 
 # ------------------------------------------------------------- huber branch
@@ -237,7 +236,7 @@ def test_prox_input_validation():
         singular_value_threshold(np.array([1.0, 2.0]), 0.5)
 
 
-# --------------------------------------------------------------- objectives
+# ------------------------------------------- reference objective and gradient
 
 
 def test_objective_lasso_hand_computed():
@@ -245,7 +244,7 @@ def test_objective_lasso_hand_computed():
     # data term = lambda_o^2 H(1) = 0.5, penalty = 0.5 * |1| = 0.5
     p = RegressionProblem(y=np.array([2.0]), X=np.array([[1.0]]))
     tp = TuningParams(1.0, 0.5)
-    assert objective_lasso(p, np.array([1.0]), tp) == pytest.approx(1.0, rel=1e-14)
+    assert objective(p, np.array([1.0]), tp) == pytest.approx(1.0, rel=1e-14)
 
 
 def test_objective_lasso_quadratic_regime_matches_least_squares():
@@ -258,7 +257,7 @@ def test_objective_lasso_quadratic_regime_matches_least_squares():
     tp = TuningParams(1e8, 1.0)
     r = y - X @ beta
     expected = float(r @ r) / 24.0 + float(np.abs(beta).sum())
-    assert objective_lasso(p := RegressionProblem(y=y, X=X), beta, tp) == pytest.approx(
+    assert objective(RegressionProblem(y=y, X=X), beta, tp) == pytest.approx(
         expected, rel=1e-12
     )
 
@@ -276,6 +275,12 @@ def _central_diff(f, x, h=1e-6):
     return g
 
 
+def _engine_grad(problem, x, tp):
+    """The solvers' smooth gradient, A^T h with h from ``_huber_loss``."""
+    loss = _huber_loss(problem.y, problem.n, tp)
+    return design_adjoint(problem, loss(design_apply(problem, x))[1])
+
+
 def test_grad_smooth_lasso_matches_fd():
     rng = np.random.default_rng(10)
     for trial in range(6):
@@ -285,9 +290,9 @@ def test_grad_smooth_lasso_matches_fd():
         p = RegressionProblem(y=y, X=X)
         tp = TuningParams(float(rng.uniform(0.3, 2.0)), 1.0)
         beta = rng.standard_normal(d)
-        smooth = lambda b: objective_lasso(p, b, tp) - tp.lambda_star * np.abs(b).sum()
-        fd = _central_diff(smooth, beta)
-        np.testing.assert_allclose(grad_smooth_lasso(p, beta, tp), fd, atol=2e-6)
+        fd = _central_diff(lambda b: data_term(p, b, tp), beta)
+        np.testing.assert_allclose(grad_smooth(p, beta, tp), fd, atol=2e-6)
+        np.testing.assert_allclose(_engine_grad(p, beta, tp), fd, atol=2e-6)
 
 
 def test_grad_smooth_trace_matches_fd_dense_and_mask():
@@ -309,6 +314,6 @@ def test_grad_smooth_trace_matches_fd_dense_and_mask():
     for problem in [dense, mask]:
         tp = TuningParams(0.8, 1.0)
         B = rng.standard_normal((3, 3))
-        smooth = lambda M: objective_trace(problem, M, tp) - tp.lambda_star * nuclear_norm(M)
-        fd = _central_diff(smooth, B)
-        np.testing.assert_allclose(grad_smooth_trace(problem, B, tp), fd, atol=2e-6)
+        fd = _central_diff(lambda M: data_term(problem, M, tp), B)
+        np.testing.assert_allclose(grad_smooth(problem, B, tp), fd, atol=2e-6)
+        np.testing.assert_allclose(_engine_grad(problem, B, tp), fd, atol=2e-6)

@@ -20,16 +20,14 @@ from huberreg import (
     gen_low_rank,
     gen_problem,
     gen_sparse_beta,
-    grad_smooth_lasso,
-    huber_value,
-    objective_lasso,
     soft_threshold,
     solve_adversarial_lasso,
-    solve_joint_oracle,
     solve_matrix_completion,
     solve_matrix_cs,
 )
 from huberreg.experiments import SweepSpec, run_trial
+
+from _reference import grad_smooth, huber_value, objective, solve_joint_oracle
 
 TIGHT = SolverConfig(max_iters=8000, rel_tol=1e-12)
 
@@ -52,7 +50,7 @@ def lasso_instance(n=60, d=12, seed=0, outlier=None):
 def test_lasso_all_zero_above_dual_threshold():
     p = lasso_instance(seed=1)
     tp_probe = TuningParams(0.5, 1.0)
-    g0 = grad_smooth_lasso(p, np.zeros(p.d), tp_probe)
+    g0 = grad_smooth(p, np.zeros(p.d), tp_probe)
     lam = 1.01 * float(np.abs(g0).max())
     res = solve_adversarial_lasso(p, TuningParams(0.5, lam), TIGHT)
     assert np.all(res.estimate == 0.0)
@@ -206,11 +204,10 @@ def _dense_trace(n=12, d1=3, d2=2, seed=7):
 
 @pytest.mark.parametrize("solver, problem", [
     (solve_adversarial_lasso, _dense_trace()),
-    (solve_joint_oracle, _dense_trace()),
     (solve_adversarial_lasso, _dense_trace(d2=1)),
     (solve_matrix_cs, lasso_instance()),
     (solve_matrix_completion, lasso_instance()),
-], ids=["lasso_on_trace", "joint_on_trace", "lasso_on_d2_1_trace", "matrix_cs_on_vector",
+], ids=["lasso_on_trace", "lasso_on_d2_1_trace", "matrix_cs_on_vector",
         "completion_on_vector"])
 def test_solvers_reject_the_other_container_by_name(solver, problem):
     """A vector estimator on a trace problem, or a matrix estimator on a
@@ -261,7 +258,7 @@ def test_profiled_joint_objective_identity():
             + tp.lambda_star * float(np.abs(beta).sum())
             + tp.lambda_o * float(np.abs(theta).sum())
         )
-        assert joint == pytest.approx(objective_lasso(p, beta, tp), rel=1e-13, abs=1e-13)
+        assert joint == pytest.approx(objective(p, beta, tp), rel=1e-13, abs=1e-13)
 
 
 def test_joint_oracle_agrees_with_huber_solver():
@@ -271,7 +268,7 @@ def test_joint_oracle_agrees_with_huber_solver():
         tp = TuningParams(0.5, 0.08)
         jr = solve_joint_oracle(p, tp)
         hr = solve_adversarial_lasso(p, tp, SolverConfig(max_iters=30000, rel_tol=1e-14))
-        h_obj = objective_lasso(p, hr.estimate, tp)
+        h_obj = objective(p, hr.estimate, tp)
         assert jr.objective == pytest.approx(h_obj, abs=1e-9)
         assert float(np.linalg.norm(jr.beta - hr.estimate)) < 1e-4
 
@@ -287,9 +284,8 @@ def test_joint_oracle_clean_quadratic_limit():
     # both formulations reduce to the quadratic-loss l1 program
     p = lasso_instance(n=60, d=10, seed=201)
     tp = TuningParams(1e6, 0.05)
-    tight = SolverConfig(max_iters=30000, rel_tol=1e-14)
-    jr = solve_joint_oracle(p, tp, tight)
-    hr = solve_adversarial_lasso(p, tp, tight)
+    jr = solve_joint_oracle(p, tp)
+    hr = solve_adversarial_lasso(p, tp, SolverConfig(max_iters=30000, rel_tol=1e-14))
     assert np.all(jr.theta == 0.0)
     np.testing.assert_allclose(jr.beta, hr.estimate, atol=1e-6)
 
@@ -372,13 +368,13 @@ def test_degenerate_problems_keep_trace_monotone_and_estimate_finite(
 
 
 def test_accelerated_solve_matches_joint_oracle():
-    """the accelerated Huber solve and the alternating joint solve reach the
-    same estimate"""
+    """the accelerated Huber solve and the coordinate-descent joint solve reach
+    the same estimate"""
     p = lasso_instance(n=70, d=15, seed=42)
     tp = TuningParams(0.5, 0.06)
     cfg = SolverConfig(max_iters=40000, rel_tol=1e-14)
     a = solve_adversarial_lasso(p, tp, cfg)
-    b = solve_joint_oracle(p, tp, cfg)
+    b = solve_joint_oracle(p, tp)
     np.testing.assert_allclose(a.estimate, b.beta, atol=1e-6)
 
 
@@ -451,14 +447,16 @@ def test_grid_oracle_estimates_operator_norm_once(monkeypatch, kind, dims, s):
     assert len(calls) == 1
 
 
-def test_joint_oracle_reuses_cached_operator_norm(monkeypatch):
+def test_second_solve_reuses_cached_operator_norm(monkeypatch):
+    """A second solve on the same problem, as on a lambda path, takes the
+    cached operator-norm estimate instead of running the power method again."""
     p = lasso_instance(n=50, d=8, seed=202, outlier=(5, 40.0))
-    tp = TuningParams(0.5, 0.08)
-    solve_adversarial_lasso(p, tp)
+    first = solve_adversarial_lasso(p, TuningParams(0.5, 0.08))
     calls = []
     monkeypatch.setattr(problems_mod, "_power_opnorm_sq", lambda *a, **k: calls.append(1))
-    solve_joint_oracle(p, tp)
+    second = solve_adversarial_lasso(p, TuningParams(0.5, 0.04), x0=first.estimate)
     assert calls == []
+    assert second.converged
 
 
 @pytest.mark.parametrize("n, lambda_o", [(16, 0.25), (37, 0.7), (200, 0.37)])
@@ -485,7 +483,7 @@ def test_kkt_stationarity_at_solution():
     p = lasso_instance(n=100, d=25, seed=44, outlier=(9, 30.0))
     tp = TuningParams(0.4, 0.07)
     res = solve_adversarial_lasso(p, tp, SolverConfig(max_iters=60000, rel_tol=3e-16))
-    g = grad_smooth_lasso(p, res.estimate, tp)
+    g = grad_smooth(p, res.estimate, tp)
     on = res.estimate != 0.0
     assert float(np.abs(g[on] + tp.lambda_star * np.sign(res.estimate[on])).max()) < 1e-6
     assert float(np.abs(g[~on]).max()) <= tp.lambda_star + 1e-6
