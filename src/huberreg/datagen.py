@@ -220,6 +220,8 @@ def spikiness(M: np.ndarray) -> float:
 
 def _check_low_rank(d1: int, d2: int, r: int, spikiness_cap: float) -> None:
     """gen_low_rank's size and cap rule, checked before any draw."""
+    if min(d1, d2) < 1:
+        raise ProblemValidationError(f"d1 and d2 must be >= 1, got d1={d1}, d2={d2}")
     if not 1 <= r <= min(d1, d2):
         raise ProblemValidationError(f"need 1 <= r <= min(d1, d2), got r={r}")
     if not spikiness_cap >= 1.0:  # spikiness is always >= 1; NaN fails too, inf passes

@@ -254,6 +254,9 @@ class SweepSpec:
 
     @staticmethod
     def from_dict(cfg: dict) -> "SweepSpec":
+        if not isinstance(cfg, dict):
+            raise ProblemValidationError(
+                f"sweep config must be a JSON object, got {type(cfg).__name__}")
         known = SweepSpec.__dataclass_fields__
         unknown = set(cfg) - set(known)
         if unknown:
@@ -457,8 +460,8 @@ def _trial_args(spec, idx):
 def run_sweep(spec: SweepSpec, jobs: int = 1) -> list:
     """All trials of all cells, ordered by (cell_index, trial_index).
 
-    ``jobs`` > 1 fans trials out to processes; seeding is per-trial, so
-    the result list is identical for any jobs value.
+    ``jobs`` > 1 fans trials out to at most one process per trial; seeding
+    is per-trial, so the result list is identical for any jobs value.
     """
     indices = [
         (ci, ti)
@@ -467,7 +470,7 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> list:
     ]
     if jobs <= 1:
         return [run_trial(spec, ci, ti) for ci, ti in indices]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=min(jobs, len(indices))) as pool:
         records = list(pool.map(_trial_args, itertools.repeat(spec), indices))
     return records
 

@@ -94,17 +94,17 @@ def _as_locked_float(a, name: str) -> np.ndarray:
     return arr
 
 
-def _power_opnorm_sq(apply_fn, adjoint_fn, shape, iters: int = POWER_ITERS) -> float:
-    """Estimate |A|_op^2 where A maps parameter -> (n,) via power iteration.
+def _power_opnorm_sq(problem) -> float:
+    """Estimate |A|_op^2 of the problem's design by POWER_ITERS power iterations.
 
     Starts from the normalized all-ones vector; the result never exceeds
     the true value.
     """
-    v = np.ones(shape, dtype=float)
+    v = np.ones(problem.param_shape, dtype=float)
     v /= np.linalg.norm(v)
     lam = 1.0
-    for _ in range(iters):
-        w = adjoint_fn(apply_fn(v))
+    for _ in range(POWER_ITERS):
+        w = design_adjoint(problem, design_apply(problem, v))
         nw = float(np.linalg.norm(w))
         if nw <= 1e-300:
             return 1e-300
@@ -196,9 +196,7 @@ class _Design:
     @cached_property
     def opnorm_sq_estimate(self) -> float:
         """|A|_op^2 from POWER_ITERS power iterations (a lower bound); cached."""
-        return _power_opnorm_sq(
-            lambda x: design_apply(self, x), lambda r: design_adjoint(self, r), self.param_shape
-        )
+        return _power_opnorm_sq(self)
 
     @property
     def outlier_index_set(self) -> frozenset:

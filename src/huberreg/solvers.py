@@ -1,12 +1,15 @@
 """Proximal-gradient solvers for the Huber-loss penalized estimators.
 
-One accelerated engine drives all three entry points. The engine is
-FISTA-style momentum with a function-value safeguard: whenever a momentum
-candidate would increase the objective, the momentum is restarted and the
-step is retaken from the current iterate as a plain proximal-gradient
-step, whose backtracked step size guarantees descent. The recorded
-objective trace is therefore non-increasing up to 1e-12 per accepted
-step.
+One accelerated engine drives all three entry points: FISTA momentum with
+one rule, theta <- (1 + sqrt(1 + 4 theta^2)) / 2, and a function-value
+safeguard. Each iteration takes one backtracked proximal-gradient step, from
+the momentum point, or from the current iterate x when theta == 1 (the first
+iteration, and the one after a restart). A momentum candidate that would
+increase the objective restarts the momentum (theta = 1) and the step is
+retaken from x, whose backtracked step size guarantees descent; if no step
+down to the floor t0 * 1e-20 descends, the solve stops where it is. The
+recorded objective trace is therefore non-increasing up to 1e-12 per
+accepted step.
 
 Step sizes come from a backtracking line search against the quadratic
 upper bound of the smooth part,
@@ -105,87 +108,59 @@ def _minimize(
     ``A x`` is kept with every iterate (always an exact apply of an
     accepted candidate), the momentum point's fitted values follow by
     linearity, and the gradient at x is formed only when a step is taken
-    from x (first iteration or restart).
+    from x. Every step goes through one line search; the iteration count
+    is ``len(trace) - 1``.
     """
     x = np.array(x0, dtype=float)
     Ax = apply_fn(x)
     f_x, h_x = loss(Ax)
     g_x = None
-    x_prev, Ax_prev = x, Ax
     F_x = f_x + penalty_value(x)
     trace = [F_x]
     t = float(t0)
-    theta_mom = 1.0
-    converged = False
-    iterations = 0
-    restarts = 0
     t_floor = t0 * 1e-20
+    theta = 1.0
+    converged = False
+    restarts = 0
 
-    for _ in range(cfg.max_iters):
-        if theta_mom > 1.0:
-            theta_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * theta_mom**2))
-            m = (theta_mom - 1.0) / theta_next
+    while not converged and len(trace) <= cfg.max_iters:
+        theta_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * theta**2))
+        if theta > 1.0:
+            m = (theta - 1.0) / theta_next
             y = x + m * (x - x_prev)
             f_y, h_y = loss(Ax + m * (Ax - Ax_prev))
             g_y = adjoint_fn(h_y)
-            from_x = False
-        else:
-            theta_next = 0.5 * (1.0 + math.sqrt(5.0))
-            if g_x is None:
-                g_x = adjoint_fn(h_x)
-            y, f_y, g_y = x, f_x, g_x
-            from_x = True
-
-        accepted = None
         while True:
+            if theta == 1.0:  # a step from x
+                if g_x is None:
+                    g_x = adjoint_fn(h_x)
+                y, f_y, g_y = x, f_x, g_x
             cand = prox(y - t * g_y, t)
             A_c = apply_fn(cand)
             f_c, h_c = loss(A_c)
             d = cand - y
             bound = f_y + float(np.vdot(g_y, d)) + float(np.vdot(d, d)) / (2.0 * t)
-            if f_c > bound + _MONOTONE_TOL * max(1.0, abs(bound)) and t > t_floor:
-                t *= 0.5
-                continue
-            F_c = f_c + penalty_value(cand)
-            if F_c <= F_x + _MONOTONE_TOL:
-                accepted = (cand, A_c, f_c, h_c, F_c)
-                break
-            if not from_x:
-                # momentum overshoot: restart and retake the step from x
-                if g_x is None:
-                    g_x = adjoint_fn(h_x)
-                y, f_y, g_y = x, f_x, g_x
-                from_x = True
-                theta_next = 1.0
-                restarts += 1
-                continue
-            if t > t_floor:
-                t *= 0.5
-                continue
-            break
+            if f_c <= bound + _MONOTONE_TOL * max(1.0, abs(bound)) or t <= t_floor:
+                F_c = f_c + penalty_value(cand)
+                if F_c <= F_x + _MONOTONE_TOL:
+                    break
+                if theta > 1.0:
+                    # momentum overshoot: restart and retake the step from x
+                    theta = theta_next = 1.0
+                    restarts += 1
+                    continue
+            if t <= t_floor:
+                # no descent possible at the step floor; stop where we are
+                return _Run(x, np.asarray(trace), len(trace) - 1, False, restarts)
+            t *= 0.5
 
-        if accepted is None:
-            # no descent possible at the step floor; stop where we are
-            break
-
+        converged = abs(F_x - F_c) <= cfg.rel_tol * max(1.0, abs(F_x))
         x_prev, Ax_prev = x, Ax
-        x, Ax, f_x, h_x, F_c = accepted
-        g_x = None
-        F_prev, F_x = F_x, F_c
+        x, Ax, f_x, h_x, g_x, F_x = cand, A_c, f_c, h_c, None, F_c
         trace.append(F_x)
-        theta_mom = theta_next
-        iterations += 1
-        if abs(F_prev - F_x) <= cfg.rel_tol * max(1.0, abs(F_prev)):
-            converged = True
-            break
+        theta = theta_next
 
-    return _Run(x, np.asarray(trace), iterations, converged, restarts)
-
-
-def _initial_step(problem) -> float:
-    # the smooth-part curvature is at most opnorm^2 / n for every lambda_o:
-    # the loss prefactor lambda_o^2 cancels against the residual rescaling
-    return problem.n / problem.opnorm_sq_estimate
+    return _Run(x, np.asarray(trace), len(trace) - 1, converged, restarts)
 
 
 def _design_ops(problem):
@@ -213,10 +188,11 @@ def _start(problem, x0, ndim: int, estimator: str) -> np.ndarray:
 
 def _solve_huber(problem, tp, cfg, start, penalty_value, prox) -> SolverResult:
     apply_fn, adjoint_fn = _design_ops(problem)
-    run = _minimize(
-        start, apply_fn, adjoint_fn, _huber_loss(problem.y, problem.n, tp),
-        penalty_value, prox, cfg, _initial_step(problem),
-    )
+    loss = _huber_loss(problem.y, problem.n, tp)
+    # the smooth-part curvature is at most opnorm^2 / n for every lambda_o:
+    # the loss prefactor lambda_o^2 cancels against the residual rescaling
+    t0 = problem.n / problem.opnorm_sq_estimate
+    run = _minimize(start, apply_fn, adjoint_fn, loss, penalty_value, prox, cfg, t0)
     return SolverResult(run.x, run.trace, run.iterations, run.converged)
 
 

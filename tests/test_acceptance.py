@@ -35,7 +35,6 @@ import numpy as np
 import pytest
 
 from huberreg import (
-    DEFAULT_ORACLE_MULTIPLIERS,
     ContaminationSpec,
     CovariateSpec,
     MaskCovariates,
@@ -50,7 +49,6 @@ from huberreg import (
     design_apply,
     empirical_re,
     fit_rate_slope,
-    gen_low_rank,
     gen_problem,
     gen_sparse_beta,
     nuclear_norm,
@@ -271,49 +269,37 @@ def test_criterion_6_robustness_dominance():
             "cells at 10% magnitude-10 contamination (needs >= 80%)")
 
 
-def _completion_oracle_trial(n, o, seed):
-    master = int(np.random.SeedSequence([seed]).generate_state(1)[0])
-    truth = gen_low_rank(20, 20, 2, 3.0, np.random.SeedSequence([master, 3]))
-    a_star = spikiness(truth)
-    problem = gen_problem(
-        CovariateSpec(kind="mask_uniform"), NoiseSpec(kind="gaussian", sigma=0.1),
-        truth, n,
-        ContaminationSpec(o=o, strategy="random_large" if o else "none",
-                          magnitude=10.0, seed=master),
+def test_criterion_7_completion_sanity(monkeypatch):
+    """Completion through the sweep that ships: grid-oracle trials at base seed 0,
+    every solve on every lambda path checked against the entrywise box."""
+    import huberreg.experiments as experiments
+
+    solve, inside = experiments.solve_matrix_completion, []
+
+    def boxed(problem, tp, cfg, B0=None):
+        res = solve(problem, tp, cfg, B0)
+        inside.append(float(np.max(np.abs(res.estimate))) <= tp.inf_ball_radius + 1e-9)
+        return res
+
+    monkeypatch.setattr(experiments, "solve_matrix_completion", boxed)
+    clean = SweepSpec(
+        problem_kind="completion", n_grid=(1000, 2000, 4000), d_grid=((20, 20),),
+        s_grid=(2,), noise_grid=({"kind": "gaussian", "sigma": 0.1},),
+        trials_per_cell=20, base_seed=0, tuning_mode="grid_oracle",
     )
-    rep = tuning_completion(TheoremInputs(
-        n=n, o=o, dims=(20, 20), r=2, delta=0.1, sigma=0.1,
-        alpha=2.0, alpha_star=a_star,
-    ))
-    radius = a_star / 20.0
-    cfg = SolverConfig(max_iters=2000, rel_tol=1e-9)
-    best, B0, feasible = None, None, True
-    for m in sorted(DEFAULT_ORACLE_MULTIPLIERS, reverse=True):
-        tp = TuningParams(rep.lambda_o, m * rep.lambda_star, inf_ball_radius=radius)
-        res = solve_matrix_completion(problem, tp, cfg, B0=B0)
-        B0 = res.estimate
-        feasible &= float(np.max(np.abs(res.estimate))) <= radius + 1e-9
-        err = float(np.linalg.norm(res.estimate - truth))
-        best = err if best is None else min(best, err)
-    return best, feasible
-
-
-def test_criterion_7_completion_sanity():
-    medians, all_feasible = {}, True
-    for n, o in [(1000, 0), (2000, 0), (4000, 0), (2000, 100)]:
-        errs = []
-        for t in range(20):
-            err, feas = _completion_oracle_trial(n, o, seed=1000 * n + 7 * o + t)
-            errs.append(err)
-            all_feasible &= feas
-        medians[(n, o)] = float(np.median(errs))
-    decreasing = medians[(1000, 0)] > medians[(2000, 0)] > medians[(4000, 0)]
-    contaminated_ok = medians[(2000, 100)] <= 2.0 * medians[(2000, 0)]
+    dirty = dataclasses.replace(
+        clean, n_grid=(2000,), o_grid=(100,),
+        adversary_grid=({"strategy": "random_large", "magnitude": 10.0},),
+    )
+    m1000, m2000, m4000 = aggregate_medians(run_sweep(clean), key="error", by="n").values()
+    [m_dirty] = aggregate_medians(run_sweep(dirty), key="error", by="n").values()
+    decreasing = m1000 > m2000 > m4000
+    contaminated_ok = m_dirty <= 2.0 * m2000
+    all_feasible = len(inside) >= 80 and all(inside)  # 80 trials, each solving at least once
     _report(7, decreasing and contaminated_ok and all_feasible,
-            f"clean medians {medians[(1000, 0)]:.4f} > {medians[(2000, 0)]:.4f} > "
-            f"{medians[(4000, 0)]:.4f} (decreasing: {decreasing}); contaminated "
-            f"{medians[(2000, 100)]:.4f} <= 2x clean ({contaminated_ok}); "
-            f"entry bound always met: {all_feasible}")
+            f"clean medians {m1000:.4f} > {m2000:.4f} > {m4000:.4f} (decreasing: "
+            f"{decreasing}); contaminated {m_dirty:.4f} <= 2x clean ({contaminated_ok}); "
+            f"entry bound met in all {len(inside)} solves: {all_feasible}")
 
 
 def test_criterion_8_diagnostics_exactness():

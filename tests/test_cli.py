@@ -225,6 +225,10 @@ _COMPLETION = {"problem_kind": "completion", "n_grid": [400], "d_grid": [[8, 8]]
      "fixed_lambda_o must be positive, got -1.0"),
     ({"rel_tol": 1}, "rel_tol must be in (0, 1), got 1.0"),
     ({"max_iters": 0}, "max_iters must be >= 1, got 0"),
+    # a config that is not a JSON object is named by its type
+    (5, "sweep config must be a JSON object, got int"),
+    (None, "sweep config must be a JSON object, got NoneType"),
+    ([["a", 1]], "sweep config must be a JSON object, got list"),
 ], ids=["no_keys", "scalar_grid", "noise_entry_key", "adversary_entry_key", "theorem_key",
         "fractional_grid_entry", "string_int", "fractional_int", "bool_int", "bool_float",
         "bool_entry_value", "string_alpha", "string_entry_value", "missing_magnitude",
@@ -232,11 +236,11 @@ _COMPLETION = {"problem_kind": "completion", "n_grid": [400], "d_grid": [[8, 8]]
         "infinite_magnitude", "lasso_s0_theorem", "completion_1x1", "completion_subweibull_n10",
         "completion_cap_below_1", "completion_cap_nan", "theorem_lambda_overflow",
         "quadratic_lambda_overflow", "zero_multiplier", "negative_fixed_lambda", "rel_tol_1",
-        "max_iters_0"])
+        "max_iters_0", "number_config", "null_config", "array_config"])
 def test_malformed_sweep_config_exits_two_naming_key(tmp_path, capsys, cfg, message):
     base = {"problem_kind": "lasso", "n_grid": [50], "d_grid": [10], "s_grid": [2]}
     cfg_path = tmp_path / "bad.json"
-    cfg_path.write_text(json.dumps({**base, **cfg} if cfg else {}))
+    cfg_path.write_text(json.dumps({**base, **cfg} if isinstance(cfg, dict) and cfg else cfg))
     assert main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "r.csv")]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "r.csv").exists()
@@ -450,6 +454,20 @@ def test_diagnose_rejects_bad_c0_and_d(capsys, argv, message):
     assert main(["diagnose", *argv]) == 2
     captured = capsys.readouterr()
     assert message in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["tune", "--model", "matrix_cs", "--n", "100", "--d1", "0", "--d2", "3", "--rank", "1"],
+     "d1 and d2 must be >= 1, got d1=0, d2=3"),
+    (["generate", "--kind", "completion", "--n", "100", "--d1", "3", "--d2", "-1", "--rank", "1"],
+     "d1 and d2 must be >= 1, got d1=3, d2=-1"),
+], ids=["tune-zero-d1", "generate-negative-d2"])
+def test_nonpositive_matrix_dims_exit_two_naming_the_dims(tmp_path, capsys, argv, message):
+    """A d1 or d2 below 1 is named, not reported as a bad rank."""
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("text", ["", "1,2\n3,nan\n"])

@@ -64,6 +64,33 @@ def test_sweep_identical_across_job_counts(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_sweep_starts_at_most_one_worker_per_trial(tmp_path, monkeypatch):
+    """A jobs count above the number of trials starts one worker per trial;
+    the records are those of a serial sweep. The pool here maps in-process."""
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(E, "ProcessPoolExecutor", InProcessPool)
+    spec = small_lasso_spec(n_grid=(60,), trials_per_cell=3)
+    p1, p500 = tmp_path / "serial.csv", tmp_path / "jobs500.csv"
+    write_results(run_sweep(spec, jobs=1), p1)
+    write_results(run_sweep(spec, jobs=500), p500)
+    assert sizes == [3]
+    assert p1.read_bytes() == p500.read_bytes()
+
+
 def test_sweep_rerun_byte_identical(tmp_path):
     spec = small_lasso_spec(n_grid=(60,), trials_per_cell=3)
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -225,6 +252,8 @@ def test_spec_numbers_take_their_field_types():
     ("matrix_cs", dict(d_grid=((8, 8), (6, 2)), s_grid=(3,)), r"rank=3, dims=\(6, 2\)"),
     ("completion", dict(s_grid=(0,)), "rank=0"),
     ("completion", dict(d_grid=((0, 4),)), r"\(0, 4\)"),
+    ("matrix_cs", dict(d_grid=((8, 8), (3, 0)), s_grid=(1,)),
+     r"dims=\(3, 0\)\): d1 and d2 must be >= 1, got d1=3, d2=0"),
 ])
 def test_spec_rejects_cells_generators_cannot_draw(kind, over, match):
     dims = (10,) if kind == "lasso" else ((8, 8),)

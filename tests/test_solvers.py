@@ -503,3 +503,23 @@ def test_iterations_capped_and_reported():
     )
     assert res.iterations == 3
     assert not res.converged
+
+
+def test_engine_stops_at_the_step_floor_when_no_candidate_descends():
+    """A prox whose every candidate raises the objective drives the step from x
+    down to the floor t0 * 1e-20; the engine then stops where it started."""
+    x0 = np.array([0.5, -2.0])
+    steps = []
+
+    def prox(v, t):
+        steps.append(t)
+        return np.full_like(v, 10.0)
+
+    run = solvers_mod._minimize(
+        x0, lambda x: x.copy(), lambda r: r.copy(), lambda z: (0.5 * float(z @ z), z),
+        lambda x: float(np.abs(x).sum()), prox, SolverConfig(), 1.0,
+    )
+    assert np.array_equal(run.x, x0)
+    assert not run.converged and run.iterations == 0 and run.restarts == 0
+    assert run.trace.tolist() == [0.5 * float(x0 @ x0) + 2.5]
+    assert steps[-1] <= 1e-20 < steps[-2]
