@@ -32,7 +32,6 @@ from .solvers import (
 )
 from .datagen import (
     ContaminationSpec,
-    CovariateSpec,
     NoiseSpec,
     child_rng,
     gen_low_rank,
@@ -67,7 +66,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ContaminationSpec",
-    "CovariateSpec",
     "DiagnosticsReport",
     "DimensionMismatchError",
     "ExperimentRecord",

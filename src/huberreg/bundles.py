@@ -69,8 +69,9 @@ def _write_lines(path: str, lines) -> None:
 def _write_matrix(path: str, M: np.ndarray) -> None:
     """Comma-separated rows of M; a vector is written as a column, one entry per line."""
     M = np.asarray(M, dtype=float)
-    rows = (M[:, None] if M.ndim == 1 else M).tolist()
-    _write_lines(path, (",".join([format(x, _F) for x in row]) for row in rows))
+    M = M[:, None] if M.ndim == 1 else M
+    row = ",".join(["%" + _F] * M.shape[1])
+    _write_lines(path, (row % tuple(r) for r in M.tolist()))
 
 
 def _integral(token: str) -> float:

@@ -95,9 +95,9 @@ def cmd_generate(args) -> int:
         o=args.o, strategy=args.adversary, magnitude=args.magnitude, seed=args.seed
     )
     dims, s = _size(args, args.kind, "--kind")
-    truth, cov = _draw_truth(args.kind, dims, s, args.seed, args.beta_magnitude,
-                             args.spikiness_cap)
-    problem = gen_problem(cov, noise, truth, args.n, contamination)
+    truth, design = _draw_truth(args.kind, dims, s, args.seed, args.beta_magnitude,
+                                args.spikiness_cap)
+    problem = gen_problem(design, noise, truth, args.n, contamination)
     if args.kind == "lasso":
         problem.meta.update({"s": s, "beta_magnitude": args.beta_magnitude})
         size = {"d": dims}

@@ -19,7 +19,7 @@ stored unnormalized on the problem.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -33,6 +33,7 @@ from .problems import (
 )
 
 _STREAM_COV, _STREAM_NOISE, _STREAM_ADV = 0, 1, 2
+LOW_RANK_DRAWS = 1000  # gen_low_rank's draws before it gives up on the cap
 
 
 def child_rng(master_seed: int, *keys: int) -> np.random.Generator:
@@ -131,56 +132,6 @@ class ContaminationSpec:
         return theta
 
 
-def _psd_sqrt(M: np.ndarray, name: str) -> np.ndarray:
-    """Symmetric square root of a PSD matrix; errors name the matrix ``name``."""
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ProblemValidationError(f"{name} must be square, got shape {M.shape}")
-    if not np.allclose(M, M.T, atol=1e-10):
-        raise ProblemValidationError(f"{name} must be symmetric")
-    w, V = np.linalg.eigh(M)
-    if w.min() < -1e-10 * max(1.0, float(w.max())):
-        raise ProblemValidationError(f"{name} must be positive semidefinite")
-    return (V * np.sqrt(np.clip(w, 0.0, None))) @ V.T
-
-
-@dataclass(frozen=True)
-class CovariateSpec:
-    """Covariate design.
-
-    kind "gaussian": rows x_i = Sigma^(1/2) z_i with z_i standard normal
-    (identity when covariance is None); "rademacher": independent +/- 1
-    entries; "mask_uniform": completion masks, one cell uniform over the
-    d1 x d2 grid per sample with an independent +/- sign.
-    Metadata: L is recorded as 1.0 for both gaussian and rademacher
-    designs (unit-variance sub-Gaussian rows), rho as the square root of
-    the largest diagonal entry of the covariance.
-    """
-
-    kind: str = "gaussian"
-    covariance: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        if self.kind not in ("gaussian", "rademacher", "mask_uniform"):
-            raise ProblemValidationError(f"unknown covariate kind {self.kind!r}")
-        if self.covariance is not None:
-            cov = np.array(self.covariance, dtype=float)
-            _psd_sqrt(cov, "covariance")  # validates
-            cov.flags.writeable = False
-            object.__setattr__(self, "covariance", cov)
-
-    @property
-    def rho(self) -> float:
-        if self.covariance is None:
-            return 1.0
-        return float(np.sqrt(np.max(np.diag(self.covariance))))
-
-    def sqrt_factor(self) -> Optional[np.ndarray]:
-        if self.covariance is None:
-            return None
-        return _psd_sqrt(self.covariance, "covariance")
-
-
 def _check_sparse(d: int, s: int) -> None:
     """gen_sparse_beta's size rule."""
     if d < 1:
@@ -234,16 +185,16 @@ def gen_low_rank(
     r: int,
     spikiness_cap: float = np.inf,
     seed: int = 0,
-    max_attempts: int = 1000,
 ) -> np.ndarray:
     """Rank-r matrix with unit Frobenius norm and bounded spikiness.
 
     Draws B = A1 A2^T with standard normal factors, rescales to
-    |B|_F = 1, and resamples until the spikiness cap is met.
+    |B|_F = 1, and resamples until the spikiness cap is met, at most
+    LOW_RANK_DRAWS times.
     """
     _check_low_rank(d1, d2, r, spikiness_cap)
     rng = np.random.default_rng(seed)
-    for _ in range(max_attempts):
+    for _ in range(LOW_RANK_DRAWS):
         B = rng.standard_normal((d1, r)) @ rng.standard_normal((r, d2))
         fro = np.linalg.norm(B)
         if fro == 0.0:
@@ -252,12 +203,12 @@ def gen_low_rank(
         if spikiness(B) <= spikiness_cap:
             return B
     raise ProblemValidationError(
-        f"no draw met spikiness cap {spikiness_cap} in {max_attempts} attempts"
+        f"no draw met spikiness cap {spikiness_cap} in {LOW_RANK_DRAWS} attempts"
     )
 
 
 def gen_problem(
-    cov: CovariateSpec,
+    design: str,
     noise: NoiseSpec,
     truth: np.ndarray,
     n: int,
@@ -265,11 +216,16 @@ def gen_problem(
 ):
     """Assemble a problem: y = signal + noise + sqrt(n) * theta*.
 
-    ``truth`` is a coefficient vector (vector regression) or matrix (trace
-    regression / completion, depending on the covariate kind). The master
-    seed lives on the contamination spec; see the module docstring for the
-    stream splitting rule.
+    ``design`` is "gaussian" (independent standard normal entries) or
+    "mask_uniform" (completion masks: per sample, one cell uniform over the
+    d1 x d2 grid and an independent +/- sign); both have identity
+    covariance, so meta records L and rho as 1.0. ``truth`` is a vector
+    (vector regression) or a matrix (trace regression or completion). The
+    master seed lives on the contamination spec; see the module docstring
+    for the stream splitting rule.
     """
+    if design not in ("gaussian", "mask_uniform"):
+        raise ProblemValidationError(f"unknown design {design!r}, not gaussian or mask_uniform")
     if n < 1:
         raise ProblemValidationError(f"n must be >= 1, got {n}")
     truth = np.asarray(truth, dtype=float)
@@ -279,7 +235,7 @@ def gen_problem(
 
     if truth.ndim not in (1, 2):
         raise ProblemValidationError(f"truth must be 1-d or 2-d, got shape {truth.shape}")
-    if cov.kind == "mask_uniform":
+    if design == "mask_uniform":
         if truth.ndim != 2:
             raise ProblemValidationError("mask covariates need a matrix truth")
         d1, d2 = truth.shape
@@ -291,18 +247,7 @@ def gen_problem(
     else:
         # one dense draw for both containers: row i is vec(X_i), and a vector
         # truth is the d x 1 matrix case
-        p = truth.size
-        if cov.kind == "rademacher":
-            X = (rng_cov.integers(0, 2, size=(n, p)) * 2 - 1).astype(float)
-        else:
-            X = rng_cov.standard_normal((n, p))
-            W = cov.sqrt_factor()
-            if W is not None:
-                if W.shape[0] != p:
-                    raise ProblemValidationError(
-                        f"covariance is {W.shape[0]}-dimensional but truth has {p} entries"
-                    )
-                X = X @ W
+        X = rng_cov.standard_normal((n, truth.size))
         signal = X @ truth.reshape(-1)
         covariates = _Adopt(X.reshape(n, *truth.shape))
     xi = noise.sample(rng_noise, n)
@@ -310,7 +255,7 @@ def gen_problem(
     y = signal + xi + np.sqrt(n) * theta
     meta = {
         "seed": contamination.seed, "noise_kind": noise.kind, "sigma": noise.sigma,
-        "L": 1.0, "rho": cov.rho, "o": int(np.count_nonzero(theta)),
+        "L": 1.0, "rho": 1.0, "o": int(np.count_nonzero(theta)),
         "adversary": contamination.strategy,
     }
     if truth.ndim == 1:

@@ -17,12 +17,25 @@ from typing import Optional
 import numpy as np
 
 from .bundles import _kv_lines
-from .datagen import _check_low_rank, _psd_sqrt
+from .datagen import _check_low_rank
 from .problems import ProblemValidationError
 
 SUPPORT_TOL = 1e-8
 # projected-gradient steps empirical_re takes where the cone constraint binds
 RE_PG_ITERS = 500
+
+
+def _psd_sqrt(M: np.ndarray, name: str) -> np.ndarray:
+    """Symmetric square root of a PSD matrix; errors name the matrix ``name``."""
+    M = np.asarray(M, dtype=float)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise ProblemValidationError(f"{name} must be square, got shape {M.shape}")
+    if not np.allclose(M, M.T, atol=1e-10):
+        raise ProblemValidationError(f"{name} must be symmetric")
+    w, V = np.linalg.eigh(M)
+    if w.min() < -1e-10 * max(1.0, float(w.max())):
+        raise ProblemValidationError(f"{name} must be positive semidefinite")
+    return (V * np.sqrt(np.clip(w, 0.0, None))) @ V.T
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,6 @@ import numpy as np
 from .bundles import _fmt, _scan_csv, _write_lines
 from .datagen import (
     ContaminationSpec,
-    CovariateSpec,
     NoiseSpec,
     _check_low_rank,
     _check_sparse,
@@ -68,8 +67,9 @@ SCREEN_MARGIN = 0.2
 class ExperimentRecord:
     """One solved trial. ``support_exact`` doubles as rank_exact for
     matrix problems; ``wall_time`` is volatile and excluded from the
-    deterministic CSV by default. A sweep sets no design covariance to
-    weight by, so ``weighted_error`` equals ``error`` in every record."""
+    deterministic CSV by default. Every design gen_problem draws has
+    identity covariance, so ``weighted_error`` equals ``error`` in every
+    record."""
 
     problem_kind: str
     cell_index: int
@@ -290,7 +290,7 @@ def _trial_master_seed(base_seed: int, cell_index: int, trial_index: int) -> int
 
 
 class _Kind(NamedTuple):
-    covariates: str  # CovariateSpec kind of the design
+    design: str  # gen_problem's design name
     tuning: Callable  # theorem tuning calculator
     solver: Callable  # called as solver(problem, tp, cfg, start)
 
@@ -305,7 +305,7 @@ def _kind(name: str) -> _Kind:
 
 
 def _draw_truth(kind, dims, s, seed, beta_magnitude=1.0, spikiness_cap=3.0):
-    """(truth, CovariateSpec) of a problem kind, the truth from ``SeedSequence([seed, 3])``.
+    """(truth, design name) of a problem kind, the truth from ``SeedSequence([seed, 3])``.
 
     ``dims`` is d for lasso and (d1, d2) otherwise; ``s`` the sparsity or
     rank. Only completion truths are held to the spikiness cap.
@@ -316,7 +316,7 @@ def _draw_truth(kind, dims, s, seed, beta_magnitude=1.0, spikiness_cap=3.0):
     else:
         cap = spikiness_cap if kind == "completion" else np.inf
         truth = gen_low_rank(dims[0], dims[1], s, cap, truth_seed)
-    return truth, CovariateSpec(kind=_kind(kind).covariates)
+    return truth, _kind(kind).design
 
 
 def _theorem_tuning(kind, n, dims, s, variant="subweibull", alpha=2.0, **inputs):
@@ -404,10 +404,10 @@ def run_trial(spec: SweepSpec, cell_index: int, trial_index: int) -> ExperimentR
 
     t_start = time.perf_counter()
     kind = spec.problem_kind
-    truth, cov = _draw_truth(kind, dims, s, master, spikiness_cap=spec.spikiness_cap)
+    truth, design = _draw_truth(kind, dims, s, master, spikiness_cap=spec.spikiness_cap)
     dim1, dim2 = (dims, 0) if kind == "lasso" else dims
     alpha_star = None if kind == "lasso" else spikiness(truth)
-    problem = gen_problem(cov, noise, truth, n, contamination)
+    problem = gen_problem(design, noise, truth, n, contamination)
 
     # sigma, L and rho as gen_problem recorded them, as solve reads a bundle's
     rep = None if spec.tuning_mode == "fixed" else _theorem_tuning(

@@ -140,8 +140,9 @@ class SolverResult:
 
     ``objective_trace`` holds the objective at the initial point and after
     every accepted step; solvers guarantee it is non-increasing up to 1e-12
-    per step. ``converged`` is True iff the relative objective change fell
-    below the configured tolerance before the iteration cap.
+    per step. ``converged`` is True iff ``SolverConfig``'s stop test on the
+    objective change fired before the iteration cap; it is absolute below
+    an objective of 1 and certifies no optimality.
     """
 
     estimate: np.ndarray

@@ -69,8 +69,9 @@ class SolverConfig:
     """Stopping rule shared by all solvers.
 
     A solve stops after ``max_iters`` iterations, or once an accepted step
-    changes the objective by at most ``rel_tol`` relative to its previous
-    value (``converged``).
+    moves the objective F by |F_prev - F| <= rel_tol * max(1, |F_prev|)
+    (``converged``). The test is relative above F_prev = 1 and absolute
+    below it; it says the objective stalled, not that the point is optimal.
     """
 
     max_iters: int = 5000

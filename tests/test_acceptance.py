@@ -36,7 +36,6 @@ import pytest
 
 from huberreg import (
     ContaminationSpec,
-    CovariateSpec,
     MaskCovariates,
     NoiseSpec,
     RegressionProblem,
@@ -155,7 +154,7 @@ def test_criterion_2_profiled_joint_equivalence():
         o = int(rng.integers(0, 7))
         beta_true = gen_sparse_beta(d, min(3, d), 1.0, int(rng.integers(1 << 30)))
         problem = gen_problem(
-            CovariateSpec(kind="gaussian"),
+            "gaussian",
             NoiseSpec(kind="gaussian", sigma=0.2),
             beta_true, n,
             ContaminationSpec(o=o, strategy="random_large" if o else "none",
@@ -207,6 +206,21 @@ def test_criterion_4_clean_rate_scaling():
     _report(4, -0.65 <= fit.slope <= -0.35 and elapsed < 300.0,
             f"clean error slope vs n = {fit.slope:.3f} (window [-0.65, -0.35], "
             f"stderr {fit.stderr:.3f}), {elapsed:.1f}s (<300s)")
+
+
+def test_criterion_4_matrix_cs_clean_rate_scaling():
+    """The trace-regression error falls like sqrt(r (d1 + d2) / n): the same
+    slope window as the lasso's, centred on -0.5. Base seeds 0-7 gave
+    slopes from -0.585 to -0.508."""
+    spec = SweepSpec(
+        problem_kind="matrix_cs", n_grid=(400, 800, 1600, 3200), d_grid=((10, 10),),
+        s_grid=(2,), noise_grid=({"kind": "gaussian", "sigma": 0.1},),
+        trials_per_cell=10, base_seed=0, tuning_mode="grid_oracle",
+    )
+    fit = fit_rate_slope(run_sweep(spec), x_axis="n", y="error")
+    _report("4 matrix_cs", -0.65 <= fit.slope <= -0.35,
+            f"clean 10x10 rank-2 error slope vs n = {fit.slope:.3f} "
+            f"(window [-0.65, -0.35], stderr {fit.stderr:.3f})")
 
 
 def _criterion_5_spec(adversary):

@@ -262,6 +262,13 @@ def test_empirical_re_detects_degenerate_direction():
     assert empirical_re(Sigma, s=2, c0=3.0) < 1e-8
 
 
+def test_sigma_must_be_symmetric_psd():
+    with pytest.raises(ProblemValidationError, match="Sigma must be positive semidefinite"):
+        empirical_re(np.array([[1.0, 2.0], [2.0, 1.0]]), s=1, c0=3.0)
+    with pytest.raises(ProblemValidationError, match="Sigma must be symmetric"):
+        empirical_mre(np.array([[1.0, 0.5], [0.0, 1.0]]), (2, 1), 1, c0=3.0)
+
+
 def test_empirical_re_desk_scale_guard():
     with pytest.raises(ProblemValidationError):
         empirical_re(np.eye(13), s=2, c0=3.0)

@@ -8,7 +8,6 @@ from hypothesis.extra.numpy import arrays
 
 from huberreg import (
     ContaminationSpec,
-    CovariateSpec,
     DimensionMismatchError,
     MaskCovariates,
     NoiseSpec,
@@ -243,9 +242,9 @@ def test_arrays_are_immutable(tmp_path):
     cont = ContaminationSpec(o=3, strategy="random_large", magnitude=5.0, seed=21)
     B = np.outer([1.0, -0.5, 0.25], [0.5, 1.0, 0.0, -1.0])
     generated = [
-        gen_problem(CovariateSpec(), noise, np.array([1.0, 0.0, -2.0]), 30, cont),
-        gen_problem(CovariateSpec(), noise, B, 30, cont),
-        gen_problem(CovariateSpec(kind="mask_uniform"), noise, B, 30, cont),
+        gen_problem("gaussian", noise, np.array([1.0, 0.0, -2.0]), 30, cont),
+        gen_problem("gaussian", noise, B, 30, cont),
+        gen_problem("mask_uniform", noise, B, 30, cont),
     ]
     parsed = []
     for i, prob in enumerate(generated):

@@ -8,7 +8,6 @@ import huberreg.problems as problems_mod
 import huberreg.solvers as solvers_mod
 from huberreg import (
     ContaminationSpec,
-    CovariateSpec,
     MaskCovariates,
     NoiseSpec,
     ProblemValidationError,
@@ -80,7 +79,7 @@ def test_matrix_cs_zero_above_operator_threshold():
 def test_lasso_contaminated_frozen_baseline():
     beta = gen_sparse_beta(50, 5, 1.0, seed=7)
     cont = ContaminationSpec(o=10, strategy="random_large", magnitude=10.0, seed=7)
-    p = gen_problem(CovariateSpec(), NoiseSpec(sigma=0.1), beta, 400, cont)
+    p = gen_problem("gaussian", NoiseSpec(sigma=0.1), beta, 400, cont)
     tp = TuningParams(7.2 / np.sqrt(400), 0.1)
     res = solve_adversarial_lasso(p, tp, TIGHT)
     err = float(np.linalg.norm(res.estimate - beta))
@@ -92,7 +91,7 @@ def test_lasso_contaminated_frozen_baseline():
 
 def test_lasso_clean_frozen_baseline():
     beta = gen_sparse_beta(50, 5, 1.0, seed=7)
-    p = gen_problem(CovariateSpec(), NoiseSpec(sigma=0.1), beta, 400, ContaminationSpec(seed=7))
+    p = gen_problem("gaussian", NoiseSpec(sigma=0.1), beta, 400, ContaminationSpec(seed=7))
     res = solve_adversarial_lasso(p, TuningParams(7.2 / np.sqrt(400), 0.1), TIGHT)
     err = float(np.linalg.norm(res.estimate - beta))
     assert err < 0.3
@@ -103,7 +102,7 @@ def test_lasso_clean_frozen_baseline():
 def test_matrix_cs_frozen_baseline():
     B = gen_low_rank(8, 8, 2, seed=11)
     cont = ContaminationSpec(o=8, strategy="random_large", magnitude=5.0, seed=11)
-    p = gen_problem(CovariateSpec(), NoiseSpec(sigma=0.05), B, 400, cont)
+    p = gen_problem("gaussian", NoiseSpec(sigma=0.05), B, 400, cont)
     res = solve_matrix_cs(p, TuningParams(3.6 / np.sqrt(400), 0.03), TIGHT)
     err = float(np.linalg.norm(res.estimate - B))
     assert res.converged
@@ -114,7 +113,7 @@ def test_matrix_cs_frozen_baseline():
 def test_completion_frozen_baseline():
     B = gen_low_rank(10, 10, 1, spikiness_cap=3.0, seed=5)
     p = gen_problem(
-        CovariateSpec(kind="mask_uniform"), NoiseSpec(sigma=0.05), B, 600,
+        "mask_uniform", NoiseSpec(sigma=0.05), B, 600,
         ContaminationSpec(seed=5),
     )
     tp = TuningParams(0.4 / np.sqrt(600), 0.02, inf_ball_radius=float(np.abs(B).max()))
@@ -132,7 +131,7 @@ def test_matrix_cs_error_improves_with_n():
     errs = {}
     for n in [200, 800]:
         p = gen_problem(
-            CovariateSpec(), NoiseSpec(sigma=0.05), B, n,
+            "gaussian", NoiseSpec(sigma=0.05), B, n,
             ContaminationSpec(seed=21),
         )
         res = solve_matrix_cs(p, TuningParams(3.6 / np.sqrt(n), 0.02), TIGHT)
