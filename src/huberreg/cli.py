@@ -202,6 +202,7 @@ def cmd_diagnose(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    _require(args.jobs >= 1, f"--jobs must be >= 1, got {args.jobs}")
     with open(args.config, "r", encoding="utf-8") as fh:
         cfg = json.load(fh)
     spec = SweepSpec.from_dict(cfg)

@@ -142,7 +142,9 @@ class SolverResult:
     every accepted step; solvers guarantee it is non-increasing up to 1e-12
     per step. ``converged`` is True iff ``SolverConfig``'s stop test on the
     objective change fired before the iteration cap; it is absolute below
-    an objective of 1 and certifies no optimality.
+    an objective of 1 and certifies no optimality. A solve abandoned at its
+    ``give_up`` checkpoint (the grid oracle's hopeless lambdas) reports
+    False.
     """
 
     estimate: np.ndarray

@@ -101,6 +101,7 @@ def _minimize(
     prox: Callable[[np.ndarray, float], np.ndarray],
     cfg: SolverConfig,
     t0: float,
+    give_up: Optional[tuple] = None,
 ) -> _Run:
     """Safeguarded accelerated proximal gradient. Fully deterministic.
 
@@ -111,6 +112,13 @@ def _minimize(
     linearity, and the gradient at x is formed only when a step is taken
     from x. Every step goes through one line search; the iteration count
     is ``len(trace) - 1``.
+
+    ``give_up = (tol, hopeless)`` adds a checkpoint: at the first accepted
+    step whose objective change passes the stop test at ``tol``, the engine
+    calls ``hopeless(x)`` once, and True ends the solve there, unconverged.
+    An abandoned solve is bit for bit the ``rel_tol=tol`` solve from the
+    same start, save ``converged``; any other is bit for bit the solve
+    without ``give_up``.
     """
     x = np.array(x0, dtype=float)
     Ax = apply_fn(x)
@@ -155,11 +163,16 @@ def _minimize(
                 return _Run(x, np.asarray(trace), len(trace) - 1, False, restarts)
             t *= 0.5
 
-        converged = abs(F_x - F_c) <= cfg.rel_tol * max(1.0, abs(F_x))
+        change, scale = abs(F_x - F_c), max(1.0, abs(F_x))
+        converged = change <= cfg.rel_tol * scale
         x_prev, Ax_prev = x, Ax
         x, Ax, f_x, h_x, g_x, F_x = cand, A_c, f_c, h_c, None, F_c
         trace.append(F_x)
         theta = theta_next
+        if give_up is not None and change <= give_up[0] * scale:
+            hopeless, give_up = give_up[1], None
+            if hopeless(x):
+                return _Run(x, np.asarray(trace), len(trace) - 1, False, restarts)
 
     return _Run(x, np.asarray(trace), len(trace) - 1, converged, restarts)
 
@@ -187,13 +200,13 @@ def _start(problem, x0, ndim: int, estimator: str) -> np.ndarray:
     return np.zeros(shape) if x0 is None else np.array(x0, dtype=float)
 
 
-def _solve_huber(problem, tp, cfg, start, penalty_value, prox) -> SolverResult:
+def _solve_huber(problem, tp, cfg, start, penalty_value, prox, give_up) -> SolverResult:
     apply_fn, adjoint_fn = _design_ops(problem)
     loss = _huber_loss(problem.y, problem.n, tp)
     # the smooth-part curvature is at most opnorm^2 / n for every lambda_o:
     # the loss prefactor lambda_o^2 cancels against the residual rescaling
     t0 = problem.n / problem.opnorm_sq_estimate
-    run = _minimize(start, apply_fn, adjoint_fn, loss, penalty_value, prox, cfg, t0)
+    run = _minimize(start, apply_fn, adjoint_fn, loss, penalty_value, prox, cfg, t0, give_up)
     return SolverResult(run.x, run.trace, run.iterations, run.converged)
 
 
@@ -202,12 +215,18 @@ def solve_adversarial_lasso(
     tp: TuningParams,
     cfg: SolverConfig = SolverConfig(),
     x0: Optional[np.ndarray] = None,
+    *,
+    give_up: Optional[tuple] = None,
 ) -> SolverResult:
-    """l1-penalized Huber-loss regression; starts at zero unless x0 is given."""
+    """l1-penalized Huber-loss regression; starts at zero unless x0 is given.
+
+    ``give_up=(tol, hopeless)`` ends the solve, unconverged, at the first
+    step that passes the stop test at ``tol`` if ``hopeless(estimate)``
+    (see ``_minimize``); the other two solvers take it too."""
     start = _start(problem, x0, 1, "solve_adversarial_lasso")
     pen = lambda b: tp.lambda_star * float(np.abs(b).sum())
     prox = lambda v, t: soft_threshold(v, t * tp.lambda_star)
-    return _solve_huber(problem, tp, cfg, start, pen, prox)
+    return _solve_huber(problem, tp, cfg, start, pen, prox, give_up)
 
 
 def solve_matrix_cs(
@@ -215,12 +234,14 @@ def solve_matrix_cs(
     tp: TuningParams,
     cfg: SolverConfig = SolverConfig(),
     x0: Optional[np.ndarray] = None,
+    *,
+    give_up: Optional[tuple] = None,
 ) -> SolverResult:
     """Nuclear-norm penalized Huber-loss trace regression; zero start default."""
     start = _start(problem, x0, 2, "solve_matrix_cs")
     pen = lambda B: tp.lambda_star * nuclear_norm(B)
     prox = lambda V, t: singular_value_threshold(V, t * tp.lambda_star)
-    return _solve_huber(problem, tp, cfg, start, pen, prox)
+    return _solve_huber(problem, tp, cfg, start, pen, prox, give_up)
 
 
 def solve_matrix_completion(
@@ -228,6 +249,8 @@ def solve_matrix_completion(
     tp: TuningParams,
     cfg: SolverConfig = SolverConfig(),
     B0: Optional[np.ndarray] = None,
+    *,
+    give_up: Optional[tuple] = None,
 ) -> SolverResult:
     """Completion solver: gradient step, then SVT, then box projection.
 
@@ -244,4 +267,4 @@ def solve_matrix_completion(
     )
     if B0 is not None:
         x0 = project_inf_ball(x0, radius)
-    return _solve_huber(problem, tp, cfg, x0, pen, prox)
+    return _solve_huber(problem, tp, cfg, x0, pen, prox, give_up)

@@ -249,6 +249,33 @@ def test_criterion_5_contamination_rate_scaling():
             "(<= 5%)")
 
 
+def test_criterion_5_matrix_cs_contamination_rate_scaling():
+    """Criterion 5's main check for trace regression: random spikes give the
+    sqrt(o) slope window and medians that do not depend on the spikes'
+    magnitude. Base seeds 0-7 gave slopes from 0.434 to 0.529 and medians
+    that moved 0.019% to 0.058% from magnitude 10 to 100. The quadratic
+    regime fails both halves at base seed 0 (slope 0.757, medians 22x
+    larger at magnitude 100)."""
+    spec = SweepSpec(
+        problem_kind="matrix_cs", n_grid=(2000,), d_grid=((10, 10),), s_grid=(2,),
+        o_grid=(20, 40, 80, 160),
+        adversary_grid=({"strategy": "random_large", "magnitude": 10.0},),
+        noise_grid=({"kind": "gaussian", "sigma": 0.1},),
+        trials_per_cell=10, base_seed=0, tuning_mode="grid_oracle",
+    )
+    records = run_sweep(spec)
+    fit = fit_rate_slope(records, x_axis="o_frac", y="error")
+    louder = dataclasses.replace(
+        spec, adversary_grid=({"strategy": "random_large", "magnitude": 100.0},))
+    med_10 = aggregate_medians(records, key="error", by="cell_index")
+    med_100 = aggregate_medians(run_sweep(louder), key="error", by="cell_index")
+    drift = max(abs(med_100[c] / med_10[c] - 1.0) for c in med_10)
+    _report("5 matrix_cs", 0.35 <= fit.slope <= 0.65 and drift <= 0.05,
+            f"10x10 rank-2 random-spike error slope vs o/n = {fit.slope:.3f} (sqrt(o) "
+            f"window [0.35, 0.65], stderr {fit.stderr:.3f}); cell medians move "
+            f"{drift:.2%} from magnitude 10 to 100 (<= 5%)")
+
+
 def test_criterion_5_supplement_sign_flip_rate():
     spec = _criterion_5_spec({"strategy": "sign_flip", "magnitude": 0.0})
     fit = fit_rate_slope(run_sweep(spec), x_axis="o_frac", y="error")
@@ -290,8 +317,8 @@ def test_criterion_7_completion_sanity(monkeypatch):
 
     solve, inside = experiments.solve_matrix_completion, []
 
-    def boxed(problem, tp, cfg, B0=None):
-        res = solve(problem, tp, cfg, B0)
+    def boxed(problem, tp, cfg, B0=None, **kw):
+        res = solve(problem, tp, cfg, B0, **kw)
         inside.append(float(np.max(np.abs(res.estimate))) <= tp.inf_ball_radius + 1e-9)
         return res
 

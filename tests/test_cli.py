@@ -264,6 +264,22 @@ def test_bad_last_cell_exits_two_before_any_trial_or_worker(tmp_path, capsys, mo
     assert not (tmp_path / "r.csv").exists()
 
 
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_sweep_rejects_jobs_below_one(tmp_path, capsys, monkeypatch, jobs):
+    import huberreg.experiments as experiments
+
+    calls = []
+    monkeypatch.setattr(experiments, "run_trial", lambda *a, **k: calls.append(a))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"problem_kind": "lasso", "n_grid": [50], "d_grid": [10],
+                                    "s_grid": [2], "trials_per_cell": 1}))
+    argv = ["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "r.csv"), "--jobs", jobs]
+    assert main(argv) == 2
+    assert f"--jobs must be >= 1, got {jobs}" in capsys.readouterr().err
+    assert calls == []
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_missing_bundle_exits_three(tmp_path):
     proc = run_cli("solve", "--bundle", str(tmp_path / "nope"),
                    "--out", str(tmp_path / "fit"))

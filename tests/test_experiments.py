@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -357,6 +358,8 @@ def test_matrix_cs_trial_smoke():
 
 # ------------------------------------------------ grid oracle's early stop
 
+_DEFAULT_MARGIN = E.SCREEN_MARGIN
+
 _SCREENED = {  # one cell per kind, and the lasso cell in the quadratic regime
     "lasso": dict(problem_kind="lasso", n_grid=(150,), d_grid=(30,), s_grid=(3,)),
     "matrix_cs": dict(problem_kind="matrix_cs", n_grid=(200,), d_grid=((5, 5),), s_grid=(1,)),
@@ -367,9 +370,10 @@ _SCREENED = {  # one cell per kind, and the lasso cell in the quadratic regime
 
 
 def _full_path(spec, trial_index):
-    """(lambda_star, SolverResult, truth) of the trial's cell 0 with every lambda
-    on the oracle grid solved at the spec's rel_tol, each warm-started at the
-    last, keeping the first strict error minimum."""
+    """(lambda_star, SolverResult, truth, path) of the trial's cell 0 with every
+    lambda on the oracle grid solved at the spec's rel_tol, each warm-started at
+    the last, keeping the first strict error minimum; ``path`` lists the
+    lambdas, largest first."""
     n, dims, s, o, noise_d, adv_d = spec.cells()[0]
     kind = spec.problem_kind
     master = E._trial_master_seed(spec.base_seed, 0, trial_index)
@@ -383,41 +387,85 @@ def _full_path(spec, trial_index):
     if spec.loss_regime == "quadratic":
         lam_o = E.QUADRATIC_SCALE * noise.sigma / np.sqrt(n)
     cfg = SolverConfig(spec.max_iters, spec.rel_tol)
-    best, x0 = None, None
+    best, x0, path = None, None, []
     for m in sorted(spec.oracle_multipliers, reverse=True):
         tp = TuningParams(lam_o, m * rep.lambda_star,
                           inf_ball_radius=E._box_radius(kind, alpha_star, dims))
         res = E._kind(kind).solver(problem, tp, cfg, x0)
         x0 = res.estimate
+        path.append(tp.lambda_star)
         err = float(np.linalg.norm(res.estimate - truth))
         if best is None or err < best[0]:
             best = (err, tp.lambda_star, res)
-    return best[1], best[2], truth
+    return best[1], best[2], truth, path
 
 
-@pytest.mark.parametrize("margin, stops", [(0.0, True), (math.inf, False)])
-@pytest.mark.parametrize("case", sorted(_SCREENED))
-def test_grid_oracle_early_stop_keeps_the_full_path_pick(monkeypatch, case, margin, stops):
-    """The record equals the full path's for either screen outcome: a margin
-    of 0 stops at the screen, an infinite one never does."""
+def _screened_trial(monkeypatch, case):
+    """Run the case's trial 0 and check that its record equals the full path's.
+    Returns the full path's lambdas, largest first, one letter per solve of
+    the trial, in order, and the lambda each solved. The letters: F a full-tolerance solve, C one that carried a give_up
+    checkpoint and converged, A one abandoned there, S a screening solve."""
     spec = SweepSpec(**_SCREENED[case], o_grid=(10,), trials_per_cell=1, base_seed=4,
                      adversary_grid=({"strategy": "random_large", "magnitude": 10.0},))
-    monkeypatch.setattr(E, "SCREEN_MARGIN", margin)
-    tols = []
+    calls, lams = [], []
     solve = E._solve
-    monkeypatch.setattr(E, "_solve", lambda kind, p, tp, cfg, x0=None: (
-        tols.append(cfg.rel_tol), solve(kind, p, tp, cfg, x0))[1])
+
+    def logged(kind, p, tp, cfg, x0=None, give_up=None):
+        res = solve(kind, p, tp, cfg, x0, give_up)
+        if cfg.rel_tol == spec.rel_tol:
+            calls.append("F" if give_up is None else "CA"[not res.converged])
+        else:
+            assert cfg.rel_tol == E.SCREEN_REL_TOL and give_up is None and res.converged
+            calls.append("S")
+        lams.append(tp.lambda_star)
+        return res
+
+    monkeypatch.setattr(E, "_solve", logged)
     rec = run_trial(spec, 0, 0)
-    grid, fine = len(spec.oracle_multipliers), tols.count(spec.rel_tol)
-    coarse = tols.count(E.SCREEN_REL_TOL)
-    assert fine + coarse == len(tols)
-    lam_star, res, truth = _full_path(spec, 0)
+    lam_star, res, truth, path = _full_path(spec, 0)
     metrics = error_metrics(res.estimate, truth)
     assert (rec.lambda_star, rec.iterations, rec.converged) == (lam_star, res.iterations,
                                                                int(res.converged))
     assert (rec.error, rec.rel_error, rec.weighted_error) == (
         metrics["error"], metrics["rel_error"], metrics["error"])
-    if stops:  # every lambda past the stop was solved once, coarsely
-        assert fine < grid and fine + coarse == grid
-    else:  # one coarse solve, then the whole path as before
-        assert (fine, coarse) == (grid, 1)
+    return path, "".join(calls), lams
+
+
+@pytest.mark.parametrize("margin, abandons", [(0.0, True), (math.inf, False),
+                                              (_DEFAULT_MARGIN, True)])
+@pytest.mark.parametrize("case", sorted(_SCREENED))
+def test_grid_oracle_early_stop_keeps_the_full_path_pick(monkeypatch, case, margin, abandons):
+    """The record equals the full path's for every outcome of the checkpoint.
+    After the first lambda each solve carries a give_up checkpoint; an
+    infinite margin abandons none. An abandoned lambda starts the screening
+    chain: the path stops if the chain rejects, as it does for every case at
+    the default margin, else that lambda is solved again in full and the path
+    goes on without checkpoints (margin 0, where the largest lambdas' tie in
+    error is hopeless, does this for lasso and matrix_cs)."""
+    monkeypatch.setattr(E, "SCREEN_MARGIN", margin)
+    path, calls, lams = _screened_trial(monkeypatch, case)
+    if not abandons:
+        assert calls == "F" + "C" * (len(path) - 1) and lams == path
+        return
+    ran = re.fullmatch("(FC*A)(S*)(F*)", calls)
+    assert ran
+    k, screened = len(ran[1]) - 1, len(ran[2])  # the abandoned lambda, the chain's length
+    if ran[3]:  # the screen kept a lambda: the abandoned one is solved again, then the rest
+        assert screened >= 1 and margin != _DEFAULT_MARGIN
+        assert lams == path[:k + 1] + path[k + 1:k + 1 + screened] + path[k:]
+    else:  # the screen rejected the rest of the path: every lambda solved once
+        assert lams == path
+
+
+@pytest.mark.parametrize("case", sorted(_SCREENED))
+def test_grid_oracle_solves_an_abandoned_lambda_again_when_the_screen_keeps_one(
+        monkeypatch, case):
+    """A screen that does not reject sends the path back to the abandoned
+    lambda, solved in full from the same warm start, and on without
+    checkpoints; the record still equals the full path's."""
+    monkeypatch.setattr(E, "_screen_rejects", lambda *args: False)
+    path, calls, lams = _screened_trial(monkeypatch, case)
+    ran = re.fullmatch("(FC*A)(F+)", calls)
+    assert ran
+    k = len(ran[1]) - 1
+    assert lams == path[:k + 1] + path[k:]

@@ -126,6 +126,53 @@ def test_completion_frozen_baseline():
     assert float(np.abs(res.estimate).max()) <= tp.inf_ball_radius + 1e-12
 
 
+def _frozen_problems():
+    """(solver, problem, TuningParams) of the four frozen baselines above."""
+    beta = gen_sparse_beta(50, 5, 1.0, seed=7)
+    cont = ContaminationSpec(o=10, strategy="random_large", magnitude=10.0, seed=7)
+    lasso_tp = TuningParams(7.2 / np.sqrt(400), 0.1)
+    B = gen_low_rank(8, 8, 2, seed=11)
+    cs_cont = ContaminationSpec(o=8, strategy="random_large", magnitude=5.0, seed=11)
+    M = gen_low_rank(10, 10, 1, spikiness_cap=3.0, seed=5)
+    return {
+        "lasso_contaminated": (solve_adversarial_lasso, gen_problem(
+            "gaussian", NoiseSpec(sigma=0.1), beta, 400, cont), lasso_tp),
+        "lasso_clean": (solve_adversarial_lasso, gen_problem(
+            "gaussian", NoiseSpec(sigma=0.1), beta, 400, ContaminationSpec(seed=7)), lasso_tp),
+        "matrix_cs": (solve_matrix_cs, gen_problem(
+            "gaussian", NoiseSpec(sigma=0.05), B, 400, cs_cont),
+            TuningParams(3.6 / np.sqrt(400), 0.03)),
+        "completion": (solve_matrix_completion, gen_problem(
+            "mask_uniform", NoiseSpec(sigma=0.05), M, 600, ContaminationSpec(seed=5)),
+            TuningParams(0.4 / np.sqrt(600), 0.02, inf_ball_radius=float(np.abs(M).max()))),
+    }
+
+
+def _same_run(a, b):
+    return (a.estimate.tobytes(), a.objective_trace.tobytes(), a.iterations) == (
+        b.estimate.tobytes(), b.objective_trace.tobytes(), b.iterations)
+
+
+@pytest.mark.parametrize("verdict", [False, True])
+@pytest.mark.parametrize("name", ["lasso_contaminated", "lasso_clean", "matrix_cs", "completion"])
+def test_give_up_checkpoint(name, verdict):
+    """A declined checkpoint leaves the solve bit for bit as it was; an
+    accepted one ends it, unconverged, exactly where the rel_tol=tol solve
+    from the same start stops. The predicate runs once either way."""
+    solver, problem, tp = _frozen_problems()[name]
+    tol, seen = 1e-4, []
+    res = solver(problem, tp, TIGHT, give_up=(tol, lambda x: seen.append(x.copy()) or verdict))
+    coarse = solver(problem, tp, SolverConfig(TIGHT.max_iters, tol))
+    full = solver(problem, tp, TIGHT)
+    # the predicate ran once, on the iterate where the rel_tol=tol solve stops
+    assert [x.tobytes() for x in seen] == [coarse.estimate.tobytes()]
+    assert coarse.converged and coarse.iterations < full.iterations
+    if verdict:
+        assert _same_run(res, coarse) and not res.converged
+    else:
+        assert _same_run(res, full) and res.converged == full.converged
+
+
 def test_matrix_cs_error_improves_with_n():
     B = gen_low_rank(8, 8, 2, seed=21)
     errs = {}
@@ -389,11 +436,11 @@ def _counting_engine(monkeypatch):
             return fn(*args)
         return wrapper
 
-    def wrapped(x0, apply_fn, adjoint_fn, loss, pen, prox, cfg, t0):
+    def wrapped(x0, apply_fn, adjoint_fn, loss, pen, prox, cfg, t0, give_up=None):
         counts = dict.fromkeys(("apply", "adjoint", "prox"), 0)
         run = engine(
             x0, counted(counts, "apply", apply_fn), counted(counts, "adjoint", adjoint_fn),
-            loss, pen, counted(counts, "prox", prox), cfg, t0,
+            loss, pen, counted(counts, "prox", prox), cfg, t0, give_up,
         )
         runs.append((counts, run))
         return run
@@ -438,9 +485,10 @@ def test_grid_oracle_estimates_operator_norm_once(monkeypatch, kind, dims, s):
     spec = SweepSpec(problem_kind=kind, n_grid=(120,), d_grid=(dims,), s_grid=(s,),
                      tuning_mode="grid_oracle")
     run_trial(spec, 0, 0)
-    # every grid lambda is solved at least once, at full or at screening
-    # tolerance; a screen that does not stop the path adds fewer coarse solves
-    # than the grid has lambdas
+    # every grid lambda is solved at least once: in full, abandoned at its
+    # checkpoint, or screened; a screen that keeps a lambda adds fewer solves
+    # (the screened ones and the abandoned lambda's second solve) than the
+    # grid has lambdas
     grid = len(spec.oracle_multipliers)
     assert 1 < grid <= len(runs) < 2 * grid
     assert len(calls) == 1
