@@ -104,6 +104,8 @@ class ContaminationSpec:
             raise ProblemValidationError(f"unknown adversary strategy {self.strategy!r}")
         if self.o < 0:
             raise ProblemValidationError(f"o must be nonnegative, got {self.o}")
+        if self.seed < 0:
+            raise ProblemValidationError(f"seed must be nonnegative, got {self.seed}")
         if self.strategy == "none" and self.o != 0:
             raise ProblemValidationError("strategy 'none' requires o == 0")
         if self.strategy != "none" and not np.isfinite(self.magnitude):

@@ -26,10 +26,8 @@ RE_PG_ITERS = 500
 
 
 def _psd_sqrt(M: np.ndarray, name: str) -> np.ndarray:
-    """Symmetric square root of a PSD matrix; errors name the matrix ``name``."""
+    """Symmetric square root of a square PSD matrix; errors name the matrix ``name``."""
     M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ProblemValidationError(f"{name} must be square, got shape {M.shape}")
     if not np.allclose(M, M.T, atol=1e-10):
         raise ProblemValidationError(f"{name} must be symmetric")
     w, V = np.linalg.eigh(M)
@@ -377,6 +375,8 @@ def empirical_mre(
         raise ProblemValidationError(f"c0 must be positive, got {c0}")
     if n_probes < 1:
         raise ProblemValidationError("n_probes must be >= 1")
+    if seed < 0:
+        raise ProblemValidationError(f"seed must be nonnegative, got {seed}")
     p = d1 * d2
     W = None
     if Sigma is not None:

@@ -224,6 +224,8 @@ class SweepSpec:
             object.__setattr__(self, name, value)
         if self.trials_per_cell < 1:
             raise ProblemValidationError("trials_per_cell must be >= 1")
+        if self.base_seed < 0:
+            raise ProblemValidationError(f"base_seed must be nonnegative, got {self.base_seed}")
         # every cell meets its trials' own checks before any trial runs, drawing
         # nothing; only a completion truth no draw brings under the cap fails later
         SolverConfig(max_iters=self.max_iters, rel_tol=self.rel_tol)
@@ -377,22 +379,19 @@ def _penalty_levels(spec, n, sigma, rep):
     return lam_o, sorted((m * lam_star for m in spec.oracle_multipliers), reverse=True)
 
 
-def _hopeless(truth, bar, verdict):
+def _hopeless(truth, bar):
     """The grid oracle's ``give_up`` predicate: an estimate whose error is at
-    least ``bar`` is hopeless. Its answer is appended to ``verdict``."""
-    def hopeless(x):
-        verdict.append(float(np.linalg.norm(x - truth)) >= bar)
-        return verdict[-1]
-    return hopeless
+    least ``bar`` is hopeless."""
+    return lambda x: float(np.linalg.norm(x - truth)) >= bar
 
 
-def _screen_rejects(kind, problem, levels, cfg, x0, truth, bar) -> bool:
+def _screen_rejects(kind, problem, levels, cfg, x0, hopeless) -> bool:
     """Whether coarse solves down ``levels`` (TuningParams), each warm-started
-    at the last from ``x0``, all end at an error of at least ``bar``; stops
-    at the first that does not."""
+    at the last from ``x0``, all end ``hopeless``; stops at the first that
+    does not."""
     for tp in levels:
         x0 = _solve(kind, problem, tp, cfg, x0).estimate
-        if not float(np.linalg.norm(x0 - truth)) >= bar:
+        if not hopeless(x0):
             return False
     return True
 
@@ -405,8 +404,8 @@ def run_trial(spec: SweepSpec, cell_index: int, trial_index: int) -> ExperimentR
     strict error minimum is kept. From the second lambda on, each solve
     carries a checkpoint at the first step that passes the stop test at
     ``max(rel_tol, SCREEN_REL_TOL)``: if its error there is at least the bar,
-    (1 + SCREEN_MARGIN) times the best so far, the solve is abandoned,
-    reporting ``converged=False``. Its estimate starts one screening chain
+    (1 + SCREEN_MARGIN) times the best so far, the solve is abandoned
+    (``stop == "abandoned"``). Its estimate starts one screening chain
     that solves the rest of the path to the checkpoint tolerance. If every
     screened error is at or above the bar, the path stops; otherwise the
     abandoned lambda is solved again in full from the same warm start and
@@ -439,13 +438,13 @@ def run_trial(spec: SweepSpec, cell_index: int, trial_index: int) -> ExperimentR
 
     best, x0, screen = None, None, True
     for i, tp in enumerate(levels):
-        verdict, give_up = [], None
+        give_up = None
         if best is not None and screen:
-            bar = (1.0 + SCREEN_MARGIN) * best[0]
-            give_up = (coarse.rel_tol, _hopeless(truth, bar, verdict))
+            hopeless = _hopeless(truth, (1.0 + SCREEN_MARGIN) * best[0])
+            give_up = (coarse.rel_tol, hopeless)
         res = _solve(kind, problem, tp, cfg, x0, give_up)
-        if verdict == [True]:  # abandoned at the checkpoint
-            if _screen_rejects(kind, problem, levels[i + 1:], coarse, res.estimate, truth, bar):
+        if res.stop == "abandoned":
+            if _screen_rejects(kind, problem, levels[i + 1:], coarse, res.estimate, hopeless):
                 break
             screen = False
             res = _solve(kind, problem, tp, cfg, x0)
@@ -523,8 +522,7 @@ def fit_rate_slope(records, x_axis: str = "n", y: str = "error") -> SlopeFit:
     slope = float(np.dot(lxc, ly) / sxx)
     intercept = float(ly.mean() - slope * lx.mean())
     resid = ly - (intercept + slope * lx)
-    dof = len(xs) - 2
-    stderr = float(np.sqrt(np.dot(resid, resid) / dof / sxx)) if dof > 0 else float("nan")
+    stderr = float(np.sqrt(np.dot(resid, resid) / (len(xs) - 2) / sxx))
     return SlopeFit(slope, intercept, stderr, len(xs))
 
 

@@ -140,17 +140,24 @@ class SolverResult:
 
     ``objective_trace`` holds the objective at the initial point and after
     every accepted step; solvers guarantee it is non-increasing up to 1e-12
-    per step. ``converged`` is True iff ``SolverConfig``'s stop test on the
-    objective change fired before the iteration cap; it is absolute below
-    an objective of 1 and certifies no optimality. A solve abandoned at its
-    ``give_up`` checkpoint (the grid oracle's hopeless lambdas) reports
-    False.
+    per step. ``stop`` is why it ended: ``"converged"`` (``SolverConfig``'s
+    stop test fired; it certifies no optimality), ``"max_iters"``,
+    ``"step_floor"`` (no step down to the floor descends) or ``"abandoned"``
+    (at a ``give_up`` checkpoint). ``restarts`` counts momentum restarts.
     """
 
     estimate: np.ndarray
     objective_trace: np.ndarray
-    iterations: int
-    converged: bool
+    stop: str
+    restarts: int
+
+    @property
+    def iterations(self) -> int:
+        return len(self.objective_trace) - 1
+
+    @property
+    def converged(self) -> bool:
+        return self.stop == "converged"
 
 
 @dataclass(frozen=True)

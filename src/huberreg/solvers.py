@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -84,14 +84,6 @@ class SolverConfig:
             raise ProblemValidationError(f"rel_tol must be in (0, 1), got {self.rel_tol}")
 
 
-class _Run(NamedTuple):
-    x: np.ndarray
-    trace: np.ndarray
-    iterations: int
-    converged: bool
-    restarts: int
-
-
 def _minimize(
     x0: np.ndarray,
     apply_fn: Callable[[np.ndarray], np.ndarray],
@@ -102,7 +94,7 @@ def _minimize(
     cfg: SolverConfig,
     t0: float,
     give_up: Optional[tuple] = None,
-) -> _Run:
+) -> SolverResult:
     """Safeguarded accelerated proximal gradient. Fully deterministic.
 
     ``loss(z)`` takes the fitted values ``z = A x`` and returns
@@ -115,10 +107,10 @@ def _minimize(
 
     ``give_up = (tol, hopeless)`` adds a checkpoint: at the first accepted
     step whose objective change passes the stop test at ``tol``, the engine
-    calls ``hopeless(x)`` once, and True ends the solve there, unconverged.
+    calls ``hopeless(x)`` once, and True ends the solve there, ``"abandoned"``.
     An abandoned solve is bit for bit the ``rel_tol=tol`` solve from the
-    same start, save ``converged``; any other is bit for bit the solve
-    without ``give_up``.
+    same start, save ``stop``; any other is bit for bit the solve without
+    ``give_up``.
     """
     x = np.array(x0, dtype=float)
     Ax = apply_fn(x)
@@ -160,7 +152,7 @@ def _minimize(
                     continue
             if t <= t_floor:
                 # no descent possible at the step floor; stop where we are
-                return _Run(x, np.asarray(trace), len(trace) - 1, False, restarts)
+                return SolverResult(x, np.asarray(trace), "step_floor", restarts)
             t *= 0.5
 
         change, scale = abs(F_x - F_c), max(1.0, abs(F_x))
@@ -172,9 +164,9 @@ def _minimize(
         if give_up is not None and change <= give_up[0] * scale:
             hopeless, give_up = give_up[1], None
             if hopeless(x):
-                return _Run(x, np.asarray(trace), len(trace) - 1, False, restarts)
+                return SolverResult(x, np.asarray(trace), "abandoned", restarts)
 
-    return _Run(x, np.asarray(trace), len(trace) - 1, converged, restarts)
+    return SolverResult(x, np.asarray(trace), "converged" if converged else "max_iters", restarts)
 
 
 def _design_ops(problem):
@@ -206,8 +198,7 @@ def _solve_huber(problem, tp, cfg, start, penalty_value, prox, give_up) -> Solve
     # the smooth-part curvature is at most opnorm^2 / n for every lambda_o:
     # the loss prefactor lambda_o^2 cancels against the residual rescaling
     t0 = problem.n / problem.opnorm_sq_estimate
-    run = _minimize(start, apply_fn, adjoint_fn, loss, penalty_value, prox, cfg, t0, give_up)
-    return SolverResult(run.x, run.trace, run.iterations, run.converged)
+    return _minimize(start, apply_fn, adjoint_fn, loss, penalty_value, prox, cfg, t0, give_up)
 
 
 def solve_adversarial_lasso(
@@ -220,7 +211,7 @@ def solve_adversarial_lasso(
 ) -> SolverResult:
     """l1-penalized Huber-loss regression; starts at zero unless x0 is given.
 
-    ``give_up=(tol, hopeless)`` ends the solve, unconverged, at the first
+    ``give_up=(tol, hopeless)`` ends the solve, ``"abandoned"``, at the first
     step that passes the stop test at ``tol`` if ``hopeless(estimate)``
     (see ``_minimize``); the other two solvers take it too."""
     start = _start(problem, x0, 1, "solve_adversarial_lasso")

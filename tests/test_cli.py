@@ -280,6 +280,35 @@ def test_sweep_rejects_jobs_below_one(tmp_path, capsys, monkeypatch, jobs):
     assert not (tmp_path / "r.csv").exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["generate", "--kind", "lasso", "--n", "50", "--d", "10", "--s", "2", "--seed", "-3"],
+     "seed must be nonnegative, got -3"),
+    (["diagnose", "mre", "--d1", "3", "--d2", "3", "--rank", "1", "--seed", "-1"],
+     "seed must be nonnegative, got -1"),
+    (["sweep", "--jobs", "2"], "base_seed must be nonnegative, got -1"),
+])
+def test_negative_seed_exits_two_naming_the_field(tmp_path, capsys, monkeypatch, argv, message):
+    """A negative seed is rejected by name at each entry, before any draw,
+    trial or worker, not deep in numpy's SeedSequence."""
+    import huberreg.experiments as experiments
+
+    calls = []
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(experiments, "run_trial", lambda *a, **k: calls.append(a))
+    out = tmp_path / "out"
+    if argv[0] == "sweep":
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"problem_kind": "lasso", "n_grid": [50], "d_grid": [10],
+                                        "s_grid": [2], "base_seed": -1}))
+        argv = argv + ["--config", str(cfg_path)]
+    if argv[0] != "diagnose":
+        argv = argv + ["--out", str(out)]
+    assert main(argv) == 2
+    assert f"error: {message}\n" == capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()
+
+
 def test_missing_bundle_exits_three(tmp_path):
     proc = run_cli("solve", "--bundle", str(tmp_path / "nope"),
                    "--out", str(tmp_path / "fit"))

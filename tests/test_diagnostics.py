@@ -1,6 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
+import huberreg.diagnostics as diagnostics
 from huberreg import (
     DiagnosticsReport,
     ProblemValidationError,
@@ -260,6 +263,81 @@ def test_empirical_re_detects_degenerate_direction():
     # a sparse vector in the kernel drives the constant to zero
     Sigma = np.diag([1.0, 1.0, 0.0])
     assert empirical_re(Sigma, s=2, c0=3.0) < 1e-8
+
+
+def _cone_brute_force(Sigma, s, c0, directions):
+    """min |Sigma^(1/2) v|_2 / |v_J|_2 over |J| <= s, v_J / |v_J|_2 a row of
+    ``directions(|J|)``, and |v_Jc|_1 <= c0 |v_J|_1, with the off-support block
+    found exactly by enumerating the faces of the l1 ball. On each face (a sign
+    on some coordinates, zero on the rest, the l1 norm at the radius; or the
+    interior) the quadratic's minimizer over the face's affine hull is solved
+    in closed form and kept if it lies in the face. The minimizer over the
+    ball lies in the relative interior of some face, where it is that face's
+    solution, so the smallest kept value is the exact minimum."""
+    d = Sigma.shape[0]
+    best = np.inf
+    for k in range(1, s + 1):
+        U = directions(k)
+        R = c0 * np.abs(U).sum(axis=1)
+        for J in itertools.combinations(range(d), k):
+            C = [i for i in range(d) if i not in J]
+            S_cc = Sigma[np.ix_(C, C)]
+            b = U @ Sigma[np.ix_(J, C)]  # q(w) = u S_JJ u + 2 b.w + w S_cc w
+            q_u = np.einsum("ij,jk,ik->i", U, Sigma[np.ix_(J, J)], U)
+            candidates = [np.linalg.solve(S_cc, -b.T).T]  # the interior
+            for sign in itertools.product((-1.0, 0.0, 1.0), repeat=len(C)):
+                P = np.flatnonzero(sign)
+                if P.size == 0:
+                    continue
+                sg = np.array(sign)[P]
+                K = np.block([[S_cc[np.ix_(P, P)], sg[:, None]], [sg[None, :], np.zeros((1, 1))]])
+                sol = np.linalg.solve(K, np.column_stack([-b[:, P], R]).T).T[:, :-1]
+                w = np.zeros_like(b)
+                w[:, P] = sol
+                w[(sol * sg < -1e-12).any(axis=1)] = np.nan  # off its face
+                candidates.append(w)
+            for w in candidates:
+                q = q_u + 2 * np.einsum("ij,ij->i", b, w) + np.einsum("ij,jk,ik->i", w, S_cc, w)
+                feasible = np.abs(w).sum(axis=1) <= R * (1 + 1e-9)
+                if feasible.any():
+                    best = min(best, float(np.sqrt(max(q[feasible].min(), 0.0))))
+    return best
+
+
+def _fine_directions(k):
+    """Unit directions up to sign: 720 angles in R^2, a 61 x 61 polar grid in R^3."""
+    if k == 1:
+        return np.ones((1, 1))
+    if k == 2:
+        a = np.pi * np.arange(720) / 720
+        return np.column_stack([np.cos(a), np.sin(a)])
+    th, ph = (g.ravel() for g in np.meshgrid(np.linspace(0, np.pi, 61), np.linspace(0, np.pi, 61)))
+    return np.column_stack([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)])
+
+
+@pytest.mark.parametrize("Sigma, s, grid, fine_rel", [
+    # equicorrelated, rho = 0.9: the off-support minimizer leaves the cone for
+    # most directions; the minimum sqrt(0.1) sits where the cone is slack
+    (0.1 * np.eye(6) + 0.9, 2, 64, 1e-12),
+    # negatively equicorrelated: the smallest eigenvector is dense, so the
+    # cone decides the value, far above sqrt(lambda_min) = sqrt(0.1)
+    (np.eye(5) - 0.18, 3, 12, 0.01),
+])
+def test_empirical_re_where_the_cone_binds_matches_brute_force(monkeypatch, Sigma, s, grid,
+                                                               fine_rel):
+    """The projected-gradient branch returns the exact cone-constrained minimum
+    on its own direction grid, and the s = 3 golden-spiral grid comes within
+    ``fine_rel`` of a finer, independent polar grid."""
+    projections = []
+    project = diagnostics._project_l1_rows
+    monkeypatch.setattr(diagnostics, "_project_l1_rows",
+                        lambda W, R: projections.append(1) or project(W, R))
+    value = empirical_re(Sigma, s=s, c0=0.3, grid=grid)
+    assert len(projections) > diagnostics.RE_PG_ITERS  # the loop ran
+    exact = _cone_brute_force(Sigma, s, 0.3, lambda k: diagnostics._sphere_grid(k, grid))
+    assert value == pytest.approx(exact, rel=1e-9)
+    fine = _cone_brute_force(Sigma, s, 0.3, _fine_directions)
+    assert fine * (1 - 1e-9) <= value <= fine * (1 + fine_rel)
 
 
 def test_sigma_must_be_symmetric_psd():

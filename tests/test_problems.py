@@ -207,6 +207,41 @@ def test_mask_indices_range_checked():
         TraceProblem(y=np.zeros(1), covariates=cov, dims=(4, 4))
 
 
+def _mask(rows, cols):
+    return MaskCovariates(rows=rows, cols=cols, signs=[1] * len(rows))
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: MaskCovariates(rows=[0, 1], cols=[0], signs=[1, 1]), DimensionMismatchError,
+     "mask arrays must be equal-length vectors, got rows (2,), cols (1,), signs (2,)"),
+    (lambda: RegressionProblem(y=np.zeros((3, 1)), X=np.zeros((3, 2))), DimensionMismatchError,
+     "y must be 1-d and X 2-d, got y (3, 1), X (3, 2)"),
+    (lambda: RegressionProblem(y=np.zeros(3), X=np.zeros(3)), DimensionMismatchError,
+     "y must be 1-d and X 2-d, got y (3,), X (3,)"),
+    (lambda: TraceProblem(y=np.zeros(2), covariates=_mask([0, 0], [0, 0]), dims=(0, 2)),
+     ProblemValidationError, "dims must be positive, got (0, 2)"),
+    (lambda: TraceProblem(y=np.zeros(2), covariates=_mask([0, 0], [0, 0]), dims=(2, -1)),
+     ProblemValidationError, "dims must be positive, got (2, -1)"),
+    (lambda: TraceProblem(y=np.zeros((2, 1)), covariates=_mask([0, 0], [0, 0]), dims=(2, 2)),
+     DimensionMismatchError, "y must be 1-d, got shape (2, 1)"),
+    (lambda: TraceProblem(y=np.zeros(3), covariates=_mask([0, 0], [0, 0]), dims=(2, 2)),
+     DimensionMismatchError, "y has 3 entries but mask covariates have 2"),
+    (lambda: TraceProblem(y=np.zeros(2), covariates=_mask([0, 1], [0, 2]), dims=(2, 2)),
+     ProblemValidationError, "mask column indices out of range"),
+    (lambda: TraceProblem(y=np.zeros(2), covariates=_mask([0, 1], [-1, 0]), dims=(2, 2)),
+     ProblemValidationError, "mask column indices out of range"),
+    (lambda: TraceProblem(y=np.zeros(3), covariates=np.zeros((3, 2, 3)), dims=(2, 2)),
+     DimensionMismatchError, "covariates have shape (3, 2, 3), expected (3, 2, 2)"),
+    (lambda: TraceProblem(y=np.zeros(3), covariates=np.zeros((2, 2, 2)), dims=(2, 2)),
+     DimensionMismatchError, "covariates have shape (2, 2, 2), expected (3, 2, 2)"),
+])
+def test_container_shape_checks_name_the_fault(build, error, message):
+    with pytest.raises(ProblemValidationError) as info:
+        build()
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
 def test_dense_covariates_capped():
     big = np.zeros((1, 1001, 1001))
     with pytest.raises(ProblemValidationError):

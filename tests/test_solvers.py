@@ -168,7 +168,7 @@ def test_give_up_checkpoint(name, verdict):
     assert [x.tobytes() for x in seen] == [coarse.estimate.tobytes()]
     assert coarse.converged and coarse.iterations < full.iterations
     if verdict:
-        assert _same_run(res, coarse) and not res.converged
+        assert _same_run(res, coarse) and res.stop == "abandoned" and not res.converged
     else:
         assert _same_run(res, full) and res.converged == full.converged
 
@@ -549,7 +549,7 @@ def test_iterations_capped_and_reported():
         p, TuningParams(0.5, 0.01), SolverConfig(max_iters=3, rel_tol=1e-16)
     )
     assert res.iterations == 3
-    assert not res.converged
+    assert res.stop == "max_iters" and not res.converged
 
 
 def test_engine_stops_at_the_step_floor_when_no_candidate_descends():
@@ -566,7 +566,7 @@ def test_engine_stops_at_the_step_floor_when_no_candidate_descends():
         x0, lambda x: x.copy(), lambda r: r.copy(), lambda z: (0.5 * float(z @ z), z),
         lambda x: float(np.abs(x).sum()), prox, SolverConfig(), 1.0,
     )
-    assert np.array_equal(run.x, x0)
-    assert not run.converged and run.iterations == 0 and run.restarts == 0
-    assert run.trace.tolist() == [0.5 * float(x0 @ x0) + 2.5]
+    assert np.array_equal(run.estimate, x0)
+    assert run.stop == "step_floor" and run.iterations == 0 and run.restarts == 0
+    assert run.objective_trace.tolist() == [0.5 * float(x0 @ x0) + 2.5]
     assert steps[-1] <= 1e-20 < steps[-2]
