@@ -25,12 +25,14 @@ from .bundles import (
     read_problem_bundle,
     write_problem_bundle,
 )
-from .datagen import ContaminationSpec, NoiseSpec, gen_problem, spikiness
+from .datagen import ContaminationSpec, NoiseSpec, spikiness
 from .diagnostics import empirical_mre, empirical_re
 from .experiments import (
+    _THEOREM,
     SweepSpec,
     _box_radius,
-    _draw_truth,
+    _draw,
+    _require,
     _solve,
     _theorem_tuning,
     fit_rate_slope,
@@ -50,11 +52,6 @@ def _emit(**kv) -> None:
         print(line)
 
 
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise ProblemValidationError(msg)
-
-
 def _size(args, kind: str, option: str):
     """(dims, s): d and the sparsity for lasso, (d1, d2) and the rank otherwise."""
     if kind == "lasso":
@@ -65,28 +62,12 @@ def _size(args, kind: str, option: str):
     return (args.d1, args.d2), args.rank
 
 
-# The theorem options besides --c0 and --variant, each typed as the meta.txt key
-# of its name. One not given is taken from the bundle's meta.txt (solve), else
-# from TheoremInputs or, for completion's variant and alpha, _theorem_tuning.
-_THEOREM = ("o", "sigma", "sigma_xi", "delta", "kappa", "L", "rho", "alpha", "alpha_star")
-
-
-def _given(args, meta, name):
-    """The option ``name`` if given, else ``meta``'s entry, else None."""
-    val = getattr(args, name)
-    return meta.get(name) if val is None else val
-
-
-def _tuning(args, kind, n, dims, meta):
-    """Theorem tuning report of ``kind``; ``meta`` is a bundle's meta.txt, or {}."""
-    size = "s" if kind == "lasso" else "rank"
-    s = _given(args, meta, size)
-    _require(s is not None, f"theorem tuning needs --{size}")
-    given = {name: val for name in _THEOREM if (val := _given(args, meta, name)) is not None}
-    _require(kind != "completion" or "alpha_star" in given, "completion tuning needs --alpha-star")
-    if args.variant is not None:  # else _theorem_tuning's
-        given["variant"] = args.variant
-    return _theorem_tuning(kind, n, dims, s, c0=args.c0, **given)
+def _options(args, meta):
+    """The theorem options given, over ``meta`` (a bundle's meta.txt, or {});
+    --c0 and --variant are never read from meta.txt."""
+    given = {name: val for name in ("s", "rank", *_THEOREM)
+             if (val := getattr(args, name)) is not None}
+    return {**meta, **given, "c0": args.c0, "variant": args.variant}
 
 
 def cmd_generate(args) -> int:
@@ -95,16 +76,10 @@ def cmd_generate(args) -> int:
         o=args.o, strategy=args.adversary, magnitude=args.magnitude, seed=args.seed
     )
     dims, s = _size(args, args.kind, "--kind")
-    truth, design = _draw_truth(args.kind, dims, s, args.seed, args.beta_magnitude,
-                                args.spikiness_cap)
-    problem = gen_problem(design, noise, truth, args.n, contamination)
-    if args.kind == "lasso":
-        problem.meta.update({"s": s, "beta_magnitude": args.beta_magnitude})
-        size = {"d": dims}
-    else:
-        problem.meta.update({"rank": s, "alpha_star": spikiness(truth)})
-        size = {"d1": dims[0], "d2": dims[1]}
+    problem = _draw(args.kind, args.n, dims, s, noise, contamination, args.spikiness_cap,
+                    args.beta_magnitude)
     write_problem_bundle(problem, args.out)
+    size = {"d": dims} if args.kind == "lasso" else {"d1": dims[0], "d2": dims[1]}
     _emit(kind=args.kind, n=args.n, **size, o=args.o, seed=args.seed, out=args.out)
     return 0
 
@@ -119,20 +94,20 @@ def cmd_solve(args) -> int:
     _require((estimator == "lasso") == (kind == "lasso"),
              f"estimator {estimator} cannot fit a {problem.meta['kind']} bundle")
 
+    given = _options(args, problem.meta)
     if args.tuning == "fixed":
         _require(args.lambda_o is not None and args.lambda_star is not None,
                  "--tuning fixed needs --lambda-o and --lambda-star")
         lam_o, lam_star = args.lambda_o, args.lambda_star
     else:
         dims = problem.d if kind == "lasso" else problem.dims
-        report = _tuning(args, kind, problem.n, dims, problem.meta)
+        report = _theorem_tuning(kind, problem.n, dims, given)
         lam_o, lam_star = report.lambda_o, report.lambda_star
 
     radius = args.inf_radius if estimator == "completion" else None
     if estimator == "completion" and radius is None:
-        a_star = _given(args, problem.meta, "alpha_star")
-        _require(a_star is not None, "completion needs --inf-radius or --alpha-star")
-        radius = _box_radius(estimator, a_star, problem.dims)
+        _require("alpha_star" in given, "completion needs --inf-radius or --alpha-star")
+        radius = _box_radius(given["alpha_star"], problem.dims)
 
     tp = TuningParams(lam_o, lam_star, inf_ball_radius=radius)
     cfg = SolverConfig(max_iters=args.max_iters, rel_tol=args.rel_tol)
@@ -162,7 +137,7 @@ def cmd_solve(args) -> int:
 
 def cmd_tune(args) -> int:
     dims, _ = _size(args, args.model, "--model")
-    report = _tuning(args, args.model, args.n, dims, {})
+    report = _theorem_tuning(args.model, args.n, dims, _options(args, {}))
     text = report.to_kv_text()
     if args.out:
         _write_lines(args.out, text.splitlines())
@@ -243,7 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
     theorem = argparse.ArgumentParser(add_help=False, parents=[cone])
     for name in _THEOREM:
         theorem.add_argument("--" + name.replace("_", "-"), type=_META_TYPES[name])
-    theorem.add_argument("--variant", choices=["heavy_tailed", "subweibull"])
+    theorem.add_argument("--variant", choices=["heavy_tailed", "subweibull"],
+                         help="completion noise model (default: subweibull, at --alpha 2)")
 
     p = sub.add_parser("generate", parents=[dims, sizes],
                        help="simulate a problem and write a bundle")

@@ -82,7 +82,7 @@ class NoiseSpec:
 class ContaminationSpec:
     """Adversary description; ``seed`` is the master seed of the whole draw.
 
-    Strategies:
+    Strategies (a zero magnitude is rejected where it would corrupt no row):
       none              theta* = 0.
       random_large      o uniform indices, theta*_i = +/- magnitude with
                         independent random signs.
@@ -110,6 +110,9 @@ class ContaminationSpec:
             raise ProblemValidationError("strategy 'none' requires o == 0")
         if self.strategy != "none" and not np.isfinite(self.magnitude):
             raise ProblemValidationError("magnitude must be finite")
+        if self.o and self.strategy in ("random_large", "adaptive_residual") and not self.magnitude:
+            raise ProblemValidationError(
+                f"magnitude must be nonzero for strategy {self.strategy!r} when o > 0")
 
     def build_theta(
         self, rng: np.random.Generator, n: int, signal: np.ndarray, noise: np.ndarray

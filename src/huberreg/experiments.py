@@ -12,11 +12,11 @@ smaller lambda_star can beat the best error; ``run_trial`` states the rule
 and when its pick equals the full grid's minimum.
 
 What a problem kind (lasso, matrix_cs, completion) means is decided here,
-once, in ``_kind`` and the helpers beside it: how its truth is drawn and on
-which covariates, which tuning calculator it takes, its completion box
-radius, and its solver. ``run_trial`` and the command line both use them;
-a theorem input neither is given takes its ``TheoremInputs`` default. The
-kind table is built on every call rather than once at import, so the
+once, in ``_kind`` and the helpers beside it: how its problem is drawn, how
+it is tuned, its lambda path and completion box radius, and its solver. A
+trial draws like ``generate`` and tunes its problem's meta like ``solve``,
+through the same helpers, and the sweep's cell check builds its lambda path.
+The kind table is built on every call rather than once at import, so the
 calculators, solvers and generators in it are whatever this module's
 attributes are at call time, and a wrapper installed on one of them (a
 profiler, a test double) sees every call.
@@ -168,8 +168,10 @@ class SweepSpec:
     says when its pick equals the full walk's). ``loss_regime``
     "quadratic" pushes lambda_o so high the loss never leaves its quadratic
     branch, giving the plain penalized least-squares baseline. No theorem
-    input is set here: o comes from the cell, sigma, L and rho from the
-    problem's meta, the rest are defaults.
+    input is set here: a trial tunes from its problem's meta through
+    ``solve``'s resolver, o from the cell. A cell is checked with its
+    trial's rules, its lambda path (box radius included) built by the
+    trial's builder.
     """
 
     problem_kind: str
@@ -229,8 +231,7 @@ class SweepSpec:
         # every cell meets its trials' own checks before any trial runs, drawing
         # nothing; only a completion truth no draw brings under the cap fails later
         SolverConfig(max_iters=self.max_iters, rel_tol=self.rel_tol)
-        fixed = self.tuning_mode == "fixed"
-        if fixed:
+        if self.tuning_mode == "fixed":
             if self.fixed_lambda_o is None or self.fixed_lambda_star is None:
                 raise ProblemValidationError(
                     "tuning_mode 'fixed' needs fixed_lambda_o and fixed_lambda_star")
@@ -249,12 +250,10 @@ class SweepSpec:
                     _check_sparse(dims, s)
                 else:
                     _check_low_rank(*dims, s, cap if kind == "completion" else np.inf)
-                # a completion truth's alpha_star is at most the cap
-                rep = None if fixed else _theorem_tuning(
-                    kind, n, dims, s, o=o, sigma=sigma, alpha_star=cap)
-                lam_o, path = _penalty_levels(self, n, sigma, rep)
-                for lam in path:
-                    TuningParams(lam_o, lam)
+                # the trial's meta, undrawn: a completion truth's alpha_star is
+                # at most the cap, and any matrix's at most sqrt(d1 d2)
+                bound = None if kind == "lasso" else min(cap, np.sqrt(dims[0] * dims[1]))
+                _lambda_path(self, n, dims, {size: s, "o": o, "sigma": sigma, "alpha_star": bound})
             except ProblemValidationError as exc:
                 raise ProblemValidationError(
                     f"cell {i} (o={o}, n={n}, {size}={s}, {dim}={dims}): {exc}") from None
@@ -311,39 +310,57 @@ def _kind(name: str) -> _Kind:
     }[name]
 
 
-def _draw_truth(kind, dims, s, seed, beta_magnitude=1.0, spikiness_cap=3.0):
-    """(truth, design name) of a problem kind, the truth from ``SeedSequence([seed, 3])``.
-
-    ``dims`` is d for lasso and (d1, d2) otherwise; ``s`` the sparsity or
-    rank. Only completion truths are held to the spikiness cap.
-    """
-    truth_seed = np.random.SeedSequence([seed, 3])
+def _draw(kind, n, dims, s, noise, contamination, spikiness_cap, beta_magnitude=1.0):
+    """A problem of a kind, its truth from ``SeedSequence([seed, 3])`` for the
+    contamination's master seed; ``dims`` is d for lasso and (d1, d2)
+    otherwise, ``s`` the sparsity or rank, and only completion truths are
+    held to the cap. Its meta adds ``s`` and ``beta_magnitude`` for lasso,
+    else ``rank`` and ``alpha_star`` (the truth's spikiness)."""
+    truth_seed = np.random.SeedSequence([contamination.seed, 3])
     if kind == "lasso":
         truth = gen_sparse_beta(dims, s, beta_magnitude, truth_seed)
+        size = {"s": s, "beta_magnitude": beta_magnitude}
     else:
         cap = spikiness_cap if kind == "completion" else np.inf
         truth = gen_low_rank(dims[0], dims[1], s, cap, truth_seed)
-    return truth, _kind(kind).design
+        size = {"rank": s, "alpha_star": spikiness(truth)}
+    problem = gen_problem(_kind(kind).design, noise, truth, n, contamination)
+    problem.meta.update(size)
+    return problem
 
 
-def _theorem_tuning(kind, n, dims, s, variant="subweibull", alpha=2.0, **inputs):
+def _require(cond: bool, msg: str) -> None:
+    if not cond:
+        raise ProblemValidationError(msg)
+
+
+# The theorem inputs besides c0 that a caller may give, each of the type of its
+# meta.txt key (bundles._META_TYPES); the CLI declares one option for each.
+_THEOREM = ("o", "sigma", "sigma_xi", "delta", "kappa", "L", "rho", "alpha", "alpha_star")
+
+
+def _theorem_tuning(kind, n, dims, given):
     """The kind's theorem tuning report (a DiagnosticsReport).
 
-    ``inputs`` are the TheoremInputs fields the caller was given; any other
-    takes its TheoremInputs default, and the kind's calculator ignores the
-    fields it does not read. Completion defaults to the sub-Weibull variant
-    at alpha = 2, the one order both variants accept; ``variant`` goes to
-    completion only.
+    ``given`` is a problem's meta (a bundle's meta.txt, or a drawn
+    problem's) with what the caller was given over it. It holds the size
+    (``s`` or ``rank``); its ``c0`` and ``_THEOREM`` entries go to
+    TheoremInputs, each missing or None one taking its default, and each
+    calculator reads the fields it needs. Completion takes ``variant``, by
+    default sub-Weibull at alpha = 2, the one order both variants accept.
     """
-    size = {"d": dims, "s": s} if kind == "lasso" else {"dims": dims, "r": s}
-    extra = {"variant": variant} if kind == "completion" else {}
-    return _kind(kind).tuning(TheoremInputs(n=n, **size, alpha=alpha, **inputs), **extra)
+    size = "s" if kind == "lasso" else "rank"
+    _require(given.get(size) is not None, f"theorem tuning needs --{size}")
+    _require(kind != "completion" or given.get("alpha_star") is not None,
+             "completion tuning needs --alpha-star")
+    inputs = {k: given[k] for k in ("c0", *_THEOREM) if given.get(k) is not None}
+    shape = {"d": dims, "s": given[size]} if kind == "lasso" else {"dims": dims, "r": given[size]}
+    extra = {"variant": given.get("variant") or "subweibull"} if kind == "completion" else {}
+    return _kind(kind).tuning(TheoremInputs(n=n, **shape, **{"alpha": 2.0, **inputs}), **extra)
 
 
-def _box_radius(kind, alpha_star, dims):
-    """Entrywise constraint radius alpha* / sqrt(d1 d2) for completion, else None."""
-    if kind != "completion":
-        return None
+def _box_radius(alpha_star, dims):
+    """Completion's entrywise constraint radius alpha* / sqrt(d1 d2)."""
     return alpha_star / np.sqrt(dims[0] * dims[1])
 
 
@@ -361,22 +378,28 @@ def _solve(kind, problem, tp, cfg, x0=None, give_up=None):
     return _kind(kind).solver(problem, tp, cfg, x0, give_up=give_up)
 
 
-def _penalty_levels(spec, n, sigma, rep):
-    """(lambda_o, lambda_star path) of a trial in a cell of size n and noise sigma.
+def _lambda_path(spec, n, dims, given):
+    """The TuningParams of a trial's lambda_star path, largest first.
 
-    The levels are the theorem report ``rep``'s, or the spec's fixed ones when
-    ``rep`` is None; the quadratic regime replaces lambda_o. The path is the
-    lambda_star grid, largest first, under grid_oracle, else lambda_star alone.
+    ``given`` is what the trial tunes from (see _theorem_tuning): its
+    problem's meta with the cell's o. The levels are the theorem report's,
+    or the spec's fixed ones; the quadratic regime replaces lambda_o. The
+    path is the lambda_star grid under grid_oracle, else lambda_star alone,
+    and completion adds its box radius.
     """
-    if rep is None:
+    kind = spec.problem_kind
+    if spec.tuning_mode == "fixed":
         lam_o, lam_star = spec.fixed_lambda_o, spec.fixed_lambda_star
     else:
+        rep = _theorem_tuning(kind, n, dims, given)
         lam_o, lam_star = rep.lambda_o, rep.lambda_star
     if spec.loss_regime == "quadratic":
-        lam_o = QUADRATIC_SCALE * sigma / np.sqrt(n)
-    if spec.tuning_mode != "grid_oracle":
-        return lam_o, [lam_star]
-    return lam_o, sorted((m * lam_star for m in spec.oracle_multipliers), reverse=True)
+        lam_o = QUADRATIC_SCALE * given["sigma"] / np.sqrt(n)
+    path = [lam_star]
+    if spec.tuning_mode == "grid_oracle":
+        path = sorted((m * lam_star for m in spec.oracle_multipliers), reverse=True)
+    radius = _box_radius(given["alpha_star"], dims) if kind == "completion" else None
+    return [TuningParams(lam_o, lam, inf_ball_radius=radius) for lam in path]
 
 
 def _hopeless(truth, bar):
@@ -421,18 +444,11 @@ def run_trial(spec: SweepSpec, cell_index: int, trial_index: int) -> ExperimentR
 
     t_start = time.perf_counter()
     kind = spec.problem_kind
-    truth, design = _draw_truth(kind, dims, s, master, spikiness_cap=spec.spikiness_cap)
+    problem = _draw(kind, n, dims, s, noise, contamination, spec.spikiness_cap)
+    truth = problem.beta_true if kind == "lasso" else problem.B_true
     dim1, dim2 = (dims, 0) if kind == "lasso" else dims
-    alpha_star = None if kind == "lasso" else spikiness(truth)
-    problem = gen_problem(design, noise, truth, n, contamination)
-
-    # sigma, L and rho as gen_problem recorded them, as solve reads a bundle's
-    rep = None if spec.tuning_mode == "fixed" else _theorem_tuning(
-        kind, n, dims, s, o=o, alpha_star=alpha_star,
-        **{k: problem.meta[k] for k in ("sigma", "L", "rho")})
-    lam_o, path = _penalty_levels(spec, n, noise.sigma, rep)
-    radius = _box_radius(kind, alpha_star, dims)
-    levels = [TuningParams(lam_o, lam, inf_ball_radius=radius) for lam in path]
+    # tuned from the problem's meta as solve tunes a bundle, o from the cell
+    levels = _lambda_path(spec, n, dims, {**problem.meta, "o": o})
     cfg = SolverConfig(max_iters=spec.max_iters, rel_tol=spec.rel_tol)
     coarse = SolverConfig(spec.max_iters, max(spec.rel_tol, SCREEN_REL_TOL))
 
@@ -465,7 +481,7 @@ def run_trial(spec: SweepSpec, cell_index: int, trial_index: int) -> ExperimentR
         noise_kind=noise.kind, noise_sigma=noise.sigma,
         noise_alpha=float(noise.alpha) if noise.alpha is not None else float("nan"),
         adversary=adv_d.get("strategy", "none"), adversary_magnitude=contamination.magnitude,
-        lambda_o=float(lam_o), lambda_star=float(lam_star),
+        lambda_o=float(levels[0].lambda_o), lambda_star=float(lam_star),
         iterations=result.iterations, converged=int(result.converged),
         error=metrics["error"], rel_error=metrics["rel_error"],
         weighted_error=metrics["error"], support_exact=int(exact),

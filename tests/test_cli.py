@@ -202,6 +202,11 @@ _COMPLETION = {"problem_kind": "completion", "n_grid": [400], "d_grid": [[8, 8]]
      "cell 0 (o=0, n=50, s=2, d=10): sigma must be positive, got -1.0"),
     ({"o_grid": [5], "adversary_grid": [{"strategy": "random_large", "magnitude": float("inf")}]},
      "cell 0 (o=5, n=50, s=2, d=10): magnitude must be finite"),
+    ({"o_grid": [0, 10], "adversary_grid": [{"strategy": "random_large", "magnitude": 0}]},
+     "cell 1 (o=10, n=50, s=2, d=10): magnitude must be nonzero for strategy 'random_large'"),
+    ({"o_grid": [10], "adversary_grid": [{"strategy": "adaptive_residual", "magnitude": 0.0}]},
+     "cell 0 (o=10, n=50, s=2, d=10): magnitude must be nonzero for strategy "
+     "'adaptive_residual'"),
     ({"s_grid": [2, 0]}, "cell 1 (o=0, n=50, s=0, d=10): need 1 <= s <= d, got s=0, d=10"),
     ({**_COMPLETION, "d_grid": [[8, 8], [1, 1]], "s_grid": [1]},
      "cell 1 (o=0, n=400, rank=1, dims=(1, 1)): completion needs d1 * d2 > 1"),
@@ -233,7 +238,8 @@ _COMPLETION = {"problem_kind": "completion", "n_grid": [400], "d_grid": [[8, 8]]
         "fractional_grid_entry", "string_int", "fractional_int", "bool_int", "bool_float",
         "bool_entry_value", "string_alpha", "string_entry_value", "missing_magnitude",
         "o_without_adversary", "student_t_without_alpha", "weibull_alpha_3", "negative_sigma",
-        "infinite_magnitude", "lasso_s0_theorem", "completion_1x1", "completion_subweibull_n10",
+        "infinite_magnitude", "zero_magnitude", "zero_magnitude_adaptive",
+        "lasso_s0_theorem", "completion_1x1", "completion_subweibull_n10",
         "completion_cap_below_1", "completion_cap_nan", "theorem_lambda_overflow",
         "quadratic_lambda_overflow", "zero_multiplier", "negative_fixed_lambda", "rel_tol_1",
         "max_iters_0", "number_config", "null_config", "array_config"])
@@ -455,7 +461,8 @@ def test_tune_rejects_zero_L_and_rho(capsys, flag, model):
 @pytest.mark.parametrize("kind", sorted(_KINDS))
 def test_theorem_trial_and_solve_tune_alike(tmp_path, capsys, kind):
     """A theorem-mode sweep trial and solve, on the bundle generate writes from
-    the trial's seed and cell, fit the same penalty levels."""
+    the trial's seed and cell, fit the same penalty levels and the same
+    estimate, bit for bit."""
     size = _KINDS[kind][0]
     dims = 30 if kind == "lasso" else (int(size[1]), int(size[3]))
     spec = SweepSpec(problem_kind=kind, n_grid=(400,), d_grid=(dims,), s_grid=(int(size[-1]),),
@@ -467,11 +474,17 @@ def test_theorem_trial_and_solve_tune_alike(tmp_path, capsys, kind):
     assert main(["generate", "--kind", kind, "--n", "400", *size, "--o", "8",
                  "--adversary", "random_large", "--magnitude", "10", "--sigma", "0.1",
                  "--seed", str(_trial_master_seed(4, 0, 1)), "--out", str(bundle)]) == 0
-    assert main(["solve", "--bundle", str(bundle), "--out", str(fit), "--max-iters", "20"]) == 0
+    assert main(["solve", "--bundle", str(bundle), "--out", str(fit),
+                 "--max-iters", str(spec.max_iters)]) == 0
     capsys.readouterr()
     meta = parse_kv((fit / "solve_meta.txt").read_text())
     assert float(meta["lambda_o"]) == rec.lambda_o
     assert float(meta["lambda_star"]) == rec.lambda_star
+    # and the same problem and fit: the estimate's error against the bundle's truth
+    problem = read_problem_bundle(str(bundle))
+    truth = problem.beta_true if kind == "lasso" else problem.B_true
+    estimate = np.loadtxt(fit / "estimate.csv", delimiter=",").reshape(truth.shape)
+    assert float(np.linalg.norm(estimate - truth)) == rec.error
 
 
 def test_tune_completion_reads_L_and_rho_but_checks_them(capsys):
@@ -513,6 +526,19 @@ def test_nonpositive_matrix_dims_exit_two_naming_the_dims(tmp_path, capsys, argv
     assert main([*argv, "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("strategy", ["random_large", "adaptive_residual"])
+def test_generate_zero_magnitude_with_outliers_exits_two(tmp_path, capsys, strategy):
+    """A zero magnitude corrupts none of the o rows, so generate would report o
+    rows and write o = 0: it exits 2 naming the magnitude, writing nothing."""
+    out = tmp_path / "out"
+    assert main(["generate", "--kind", "lasso", "--n", "50", "--d", "10", "--s", "2",
+                 "--o", "5", "--adversary", strategy, "--magnitude", "0",
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert f"magnitude must be nonzero for strategy '{strategy}' when o > 0" in captured.err
+    assert captured.out == "" and not out.exists()
 
 
 @pytest.mark.parametrize("text", ["", "1,2\n3,nan\n"])

@@ -159,6 +159,19 @@ def test_contamination_validation():
         )
 
 
+@pytest.mark.parametrize("strategy", ["random_large", "adaptive_residual"])
+def test_zero_magnitude_that_corrupts_nothing_is_rejected(strategy):
+    """A zero magnitude would leave theta* zero while o > 0 is reported and
+    tuned for; at o = 0 it corrupts nothing anyway, and sign_flip ignores it."""
+    with pytest.raises(ProblemValidationError,
+                       match=f"magnitude must be nonzero for strategy '{strategy}' when o > 0"):
+        ContaminationSpec(o=5, strategy=strategy, magnitude=0.0)
+    ContaminationSpec(o=0, strategy=strategy, magnitude=0.0)
+    theta = ContaminationSpec(o=5, strategy="sign_flip", magnitude=0.0).build_theta(
+        np.random.default_rng(0), 20, np.ones(20), np.zeros(20))
+    assert np.count_nonzero(theta) == 5
+
+
 def test_random_large_theta_shape():
     spec = ContaminationSpec(o=6, strategy="random_large", magnitude=3.0, seed=0)
     theta = spec.build_theta(np.random.default_rng(1), 50, np.zeros(50), np.zeros(50))

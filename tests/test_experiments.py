@@ -15,7 +15,6 @@ from huberreg import (
     TuningParams,
     error_metrics,
     fit_rate_slope,
-    gen_problem,
     read_results,
     run_sweep,
     run_trial,
@@ -356,6 +355,16 @@ def test_matrix_cs_trial_smoke():
     assert np.isfinite(rec.error) and rec.error < 1.0
 
 
+@pytest.mark.parametrize("mode", ["fixed", "theorem", "grid_oracle"])
+def test_uncapped_completion_cell_passes_the_box_radius_check(mode):
+    """Without a spikiness cap the cell check bounds alpha_star by sqrt(d1 d2),
+    as it bounds any matrix's, so the box radius it builds is finite."""
+    spec = SweepSpec(problem_kind="completion", n_grid=(300,), d_grid=((8, 6),), s_grid=(2,),
+                     spikiness_cap=math.inf, tuning_mode=mode, fixed_lambda_o=0.05,
+                     fixed_lambda_star=0.02, trials_per_cell=1, **FAST)
+    assert np.isfinite(run_trial(spec, 0, 0).error)
+
+
 # ------------------------------------------------ grid oracle's early stop
 
 _DEFAULT_MARGIN = E.SCREEN_MARGIN
@@ -377,20 +386,20 @@ def _full_path(spec, trial_index):
     n, dims, s, o, noise_d, adv_d = spec.cells()[0]
     kind = spec.problem_kind
     master = E._trial_master_seed(spec.base_seed, 0, trial_index)
-    truth, cov = E._draw_truth(kind, dims, s, master, spikiness_cap=spec.spikiness_cap)
     noise = NoiseSpec(**noise_d)
-    problem = gen_problem(cov, noise, truth, n, E._contamination(o, adv_d, master))
+    problem = E._draw(kind, n, dims, s, noise, E._contamination(o, adv_d, master),
+                      spec.spikiness_cap)
+    truth = problem.beta_true if kind == "lasso" else problem.B_true
     alpha_star = None if kind == "lasso" else spikiness(truth)
-    rep = E._theorem_tuning(kind, n, dims, s, o=o, alpha_star=alpha_star,
-                            **{k: problem.meta[k] for k in ("sigma", "L", "rho")})
+    rep = E._theorem_tuning(kind, n, dims, {**problem.meta, "o": o})
     lam_o = rep.lambda_o
     if spec.loss_regime == "quadratic":
         lam_o = E.QUADRATIC_SCALE * noise.sigma / np.sqrt(n)
+    radius = E._box_radius(alpha_star, dims) if kind == "completion" else None
     cfg = SolverConfig(spec.max_iters, spec.rel_tol)
     best, x0, path = None, None, []
     for m in sorted(spec.oracle_multipliers, reverse=True):
-        tp = TuningParams(lam_o, m * rep.lambda_star,
-                          inf_ball_radius=E._box_radius(kind, alpha_star, dims))
+        tp = TuningParams(lam_o, m * rep.lambda_star, inf_ball_radius=radius)
         res = E._kind(kind).solver(problem, tp, cfg, x0)
         x0 = res.estimate
         path.append(tp.lambda_star)
