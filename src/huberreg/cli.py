@@ -30,17 +30,17 @@ from .diagnostics import empirical_mre, empirical_re
 from .experiments import (
     _THEOREM,
     SweepSpec,
-    _box_radius,
     _draw,
     _require,
     _solve,
     _theorem_tuning,
+    _tuning_params,
     fit_rate_slope,
     read_results,
     run_sweep,
     write_results,
 )
-from .problems import InternalInvariantError, ProblemValidationError, TuningParams
+from .problems import InternalInvariantError, ProblemValidationError
 from .solvers import SolverConfig
 
 # problem kind of each bundle kind in meta.txt
@@ -94,22 +94,11 @@ def cmd_solve(args) -> int:
     _require((estimator == "lasso") == (kind == "lasso"),
              f"estimator {estimator} cannot fit a {problem.meta['kind']} bundle")
 
-    given = _options(args, problem.meta)
-    if args.tuning == "fixed":
-        _require(args.lambda_o is not None and args.lambda_star is not None,
-                 "--tuning fixed needs --lambda-o and --lambda-star")
-        lam_o, lam_star = args.lambda_o, args.lambda_star
-    else:
-        dims = problem.d if kind == "lasso" else problem.dims
-        report = _theorem_tuning(kind, problem.n, dims, given)
-        lam_o, lam_star = report.lambda_o, report.lambda_star
-
-    radius = args.inf_radius if estimator == "completion" else None
-    if estimator == "completion" and radius is None:
-        _require("alpha_star" in given, "completion needs --inf-radius or --alpha-star")
-        radius = _box_radius(given["alpha_star"], problem.dims)
-
-    tp = TuningParams(lam_o, lam_star, inf_ball_radius=radius)
+    fixed = (args.lambda_o, args.lambda_star) if args.tuning == "fixed" else None
+    _require(not fixed or None not in fixed, "--tuning fixed needs --lambda-o and --lambda-star")
+    dims = problem.d if kind == "lasso" else problem.dims
+    tp = _tuning_params(kind, problem.n, dims, _options(args, problem.meta), fixed,
+                        estimator == "completion", args.inf_radius)
     cfg = SolverConfig(max_iters=args.max_iters, rel_tol=args.rel_tol)
     result = _solve(estimator, problem, tp, cfg)
 
@@ -117,21 +106,19 @@ def cmd_solve(args) -> int:
     slack = 1e-9 * max(1.0, abs(float(trace[0])))
     if np.any(np.diff(trace) > slack):
         raise InternalInvariantError("objective trace increased beyond tolerance")
-    if radius is not None and np.abs(result.estimate).max() > radius + 1e-9:
+    if np.abs(result.estimate).max() > (tp.inf_ball_radius or np.inf) + 1e-9:
         raise InternalInvariantError("estimate left the entrywise constraint ball")
 
     os.makedirs(args.out, exist_ok=True)
     # a 1-d estimate is written as a column, one entry per line
     _write_matrix(os.path.join(args.out, "estimate.csv"), result.estimate)
-    info = {"estimator": estimator, "lambda_o": lam_o, "lambda_star": lam_star}
-    if radius is not None:
-        info["inf_ball_radius"] = radius
+    info = {"estimator": estimator, "lambda_o": tp.lambda_o, "lambda_star": tp.lambda_star}
+    if tp.inf_ball_radius is not None:
+        info["inf_ball_radius"] = tp.inf_ball_radius
     info.update(objective=float(trace[-1]), iterations=result.iterations,
                 converged=int(result.converged))
     _write_lines(os.path.join(args.out, "solve_meta.txt"), _kv_lines(info))
-    _emit(estimator=estimator, lambda_o=lam_o, lambda_star=lam_star,
-          objective=info["objective"], iterations=result.iterations,
-          converged=info["converged"], out=args.out)
+    _emit(**{k: v for k, v in info.items() if k != "inf_ball_radius"}, out=args.out)
     return 0
 
 

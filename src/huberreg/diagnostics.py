@@ -70,9 +70,10 @@ class TheoremInputs:
             raise ProblemValidationError(f"n must be >= 1, got {self.n}")
         if not 0 <= self.o <= self.n:
             raise ProblemValidationError(f"need 0 <= o <= n, got o={self.o}")
-        for name in ("sigma", "sigma_xi", "L", "rho", "kappa", "c0"):
+        for name in ("sigma", "sigma_xi", "L", "rho", "kappa", "c0", "alpha", "alpha_star"):
             v = getattr(self, name)
-            if not ((v is None and name == "sigma_xi") or (np.isfinite(v) and v > 0)):
+            if not ((v is None and name in ("sigma_xi", "alpha", "alpha_star"))
+                    or (np.isfinite(v) and v > 0)):
                 raise ProblemValidationError(f"{name} must be positive, got {v}")
 
     @property
@@ -337,7 +338,9 @@ def empirical_re(Sigma: np.ndarray, s: int, c0: float, grid: int = 64) -> float:
                 eta = 1.0 / (2.0 * max(lmax, 1e-300))
                 for _ in range(RE_PG_ITERS):
                     gradc = 2.0 * (Vc @ S_Jc + Wc @ S_cc)
-                    Wc = _project_l1_rows(Wc - eta * gradc, R[~feas])
+                    Wc, last = _project_l1_rows(Wc - eta * gradc, R[~feas]), Wc
+                    if np.array_equal(Wc, last):  # a fixed point: every later step repeats it
+                        break
                 W[~feas] = Wc
             q = (
                 q_JJ

@@ -14,8 +14,8 @@ and when its pick equals the full grid's minimum.
 What a problem kind (lasso, matrix_cs, completion) means is decided here,
 once, in ``_kind`` and the helpers beside it: how its problem is drawn, how
 it is tuned, its lambda path and completion box radius, and its solver. A
-trial draws like ``generate`` and tunes its problem's meta like ``solve``,
-through the same helpers, and the sweep's cell check builds its lambda path.
+trial draws like ``generate`` (``_draw``) and tunes like ``solve``
+(``_tuning_params``), and the sweep's cell check builds its lambda path.
 The kind table is built on every call rather than once at import, so the
 calculators, solvers and generators in it are whatever this module's
 attributes are at call time, and a wrapper installed on one of them (a
@@ -28,7 +28,7 @@ import itertools
 import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, fields, replace
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -239,7 +239,8 @@ class SweepSpec:
                 TuningParams(self.fixed_lambda_o, self.fixed_lambda_star)
             except ProblemValidationError as exc:  # it names lambda_o or lambda_star
                 raise ProblemValidationError(f"fixed_{exc}") from None
-        kind, cap = self.problem_kind, self.spikiness_cap
+        kind = self.problem_kind
+        cap = self.spikiness_cap if kind == "completion" else np.inf  # no other truth is capped
         size, dim = ("s", "d") if kind == "lasso" else ("rank", "dims")
         for i, (n, dims, s, o, noise_d, adv_d) in enumerate(self.cells()):
             try:
@@ -249,7 +250,7 @@ class SweepSpec:
                 if kind == "lasso":  # the truth generator's size rule
                     _check_sparse(dims, s)
                 else:
-                    _check_low_rank(*dims, s, cap if kind == "completion" else np.inf)
+                    _check_low_rank(*dims, s, cap)
                 # the trial's meta, undrawn: a completion truth's alpha_star is
                 # at most the cap, and any matrix's at most sqrt(d1 d2)
                 bound = None if kind == "lasso" else min(cap, np.sqrt(dims[0] * dims[1]))
@@ -359,11 +360,6 @@ def _theorem_tuning(kind, n, dims, given):
     return _kind(kind).tuning(TheoremInputs(n=n, **shape, **{"alpha": 2.0, **inputs}), **extra)
 
 
-def _box_radius(alpha_star, dims):
-    """Completion's entrywise constraint radius alpha* / sqrt(d1 d2)."""
-    return alpha_star / np.sqrt(dims[0] * dims[1])
-
-
 def _contamination(o, adversary, seed=0):
     """A cell's ContaminationSpec; an o = 0 cell takes strategy 'none'. A missing
     magnitude would read as 0 and corrupt no row, so an o > 0 entry must give one."""
@@ -378,28 +374,37 @@ def _solve(kind, problem, tp, cfg, x0=None, give_up=None):
     return _kind(kind).solver(problem, tp, cfg, x0, give_up=give_up)
 
 
+def _tuning_params(kind, n, dims, given, fixed=None, boxed=False, radius=None):
+    """A fit's TuningParams: lambda_o and lambda_star from the ``fixed`` pair
+    if one is given, else from the kind's theorem report on ``given`` (see
+    _theorem_tuning); a ``boxed`` (completion) fit takes ``radius`` if given,
+    else alpha* / sqrt(d1 d2)."""
+    if fixed is None:
+        rep = _theorem_tuning(kind, n, dims, given)
+        fixed = rep.lambda_o, rep.lambda_star
+    if boxed and radius is None:
+        _require(given.get("alpha_star") is not None,
+                 "completion needs --inf-radius or --alpha-star")
+        radius = given["alpha_star"] / np.sqrt(dims[0] * dims[1])
+    return TuningParams(*fixed, inf_ball_radius=radius if boxed else None)
+
+
 def _lambda_path(spec, n, dims, given):
     """The TuningParams of a trial's lambda_star path, largest first.
 
     ``given`` is what the trial tunes from (see _theorem_tuning): its
-    problem's meta with the cell's o. The levels are the theorem report's,
-    or the spec's fixed ones; the quadratic regime replaces lambda_o. The
-    path is the lambda_star grid under grid_oracle, else lambda_star alone,
-    and completion adds its box radius.
+    problem's meta with the cell's o. The one level is _tuning_params's,
+    fixed or theorem; the quadratic regime replaces its lambda_o, and
+    grid_oracle scales its lambda_star by the oracle multipliers.
     """
     kind = spec.problem_kind
-    if spec.tuning_mode == "fixed":
-        lam_o, lam_star = spec.fixed_lambda_o, spec.fixed_lambda_star
-    else:
-        rep = _theorem_tuning(kind, n, dims, given)
-        lam_o, lam_star = rep.lambda_o, rep.lambda_star
+    fixed = (spec.fixed_lambda_o, spec.fixed_lambda_star) if spec.tuning_mode == "fixed" else None
+    tp = _tuning_params(kind, n, dims, given, fixed, kind == "completion")
     if spec.loss_regime == "quadratic":
-        lam_o = QUADRATIC_SCALE * given["sigma"] / np.sqrt(n)
-    path = [lam_star]
-    if spec.tuning_mode == "grid_oracle":
-        path = sorted((m * lam_star for m in spec.oracle_multipliers), reverse=True)
-    radius = _box_radius(given["alpha_star"], dims) if kind == "completion" else None
-    return [TuningParams(lam_o, lam, inf_ball_radius=radius) for lam in path]
+        tp = replace(tp, lambda_o=QUADRATIC_SCALE * given["sigma"] / np.sqrt(n))
+    grid = spec.oracle_multipliers if spec.tuning_mode == "grid_oracle" else (1.0,)
+    return [replace(tp, lambda_star=lam)
+            for lam in sorted((m * tp.lambda_star for m in grid), reverse=True)]
 
 
 def _hopeless(truth, bar):

@@ -1,5 +1,6 @@
 import filecmp
 import json
+import shutil
 import subprocess
 import sys
 
@@ -102,6 +103,19 @@ def test_tune_completion_needs_alpha_star():
                    "--d2", "16", "--rank", "2", "--alpha", "2.0")
     assert proc.returncode == 2
     assert "alpha" in proc.stderr.lower()
+
+
+@pytest.mark.parametrize("options, message", [
+    (["--alpha-star", "inf"], "alpha_star must be positive, got inf"),
+    (["--alpha-star", "2", "--variant", "heavy_tailed", "--alpha", "inf"],
+     "alpha must be positive, got inf"),
+    (["--alpha-star", "2", "--alpha", "nan"], "alpha must be positive, got nan"),
+    (["--alpha-star", "2", "--alpha", "0"], "alpha must be positive, got 0.0"),
+])
+def test_tune_completion_rejects_bad_alpha_by_name(capsys, options, message):
+    assert main(["tune", "--model", "completion", "--n", "400", "--d1", "8", "--d2", "6",
+                 "--rank", "2", *options]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_diagnose_re_identity():
@@ -640,3 +654,86 @@ def test_solve_on_bundle_without_dims_exits_two_naming_key(tmp_path, capsys, kin
     assert main(["solve", "--bundle", str(bundle), "--out", str(tmp_path / "f")]) == 2
     err = capsys.readouterr().err
     assert str(meta) in err and message in err
+
+
+# ------------------------------------------------ solve's tuning, pinned
+
+_PIN_BUNDLES = {
+    "lasso": ["--kind", "lasso", "--d", "30", "--s", "3"],
+    "completion": ["--kind", "completion", "--d1", "8", "--d2", "6", "--rank", "2"],
+    "trace_dense": ["--kind", "matrix_cs", "--d1", "5", "--d2", "4", "--rank", "2"],
+}
+
+
+@pytest.fixture(scope="module")
+def pin_bundles(tmp_path_factory):
+    root = tmp_path_factory.mktemp("pins")
+    for name, kind in _PIN_BUNDLES.items():
+        assert main(["generate", "--n", "200", *kind, "--o", "8", "--adversary", "random_large",
+                     "--magnitude", "10", "--sigma", "0.1", "--seed", "5",
+                     "--out", str(root / name)]) == 0
+    return root
+
+
+def _meta(*lines):
+    return "".join(f"{ln}\n" for ln in lines)
+
+
+_LASSO_FIXED = ["--tuning", "fixed", "--lambda-o", "0.36", "--lambda-star", "0.08"]
+
+
+@pytest.mark.parametrize("bundle, options, expected", [
+    ("lasso", [], _meta(
+        "estimator = lasso", "lambda_o = 0.50911688245431419",
+        "lambda_star = 1.0321204024553694", "objective = 41.159722651753583",
+        "iterations = 6", "converged = 1")),
+    ("lasso", _LASSO_FIXED, _meta(
+        "estimator = lasso", "lambda_o = 0.35999999999999999",
+        "lambda_star = 0.080000000000000002", "objective = 28.500364562580788",
+        "iterations = 15", "converged = 1")),
+    ("completion", ["--alpha-star", "1"], _meta(
+        "estimator = completion", "lambda_o = 0.020045708086578618",
+        "lambda_star = 0.15523488195151597", "inf_ball_radius = 0.14433756729740646",
+        "objective = 1.7564137027048323", "iterations = 16", "converged = 1")),
+    ("completion", ["--inf-radius", "0.1"], _meta(
+        "estimator = completion", "lambda_o = 0.020045708086578618",
+        "lambda_star = 0.15523488195151597", "inf_ball_radius = 0.10000000000000001",
+        "objective = 1.7587792920022622", "iterations = 50", "converged = 0")),
+    ("trace_dense", ["--estimator", "completion", "--inf-radius", "0.1", "--sigma", "0.01"],
+     _meta("estimator = completion", "lambda_o = 0.050911688245431415",
+           "lambda_star = 0.1845260898372531", "inf_ball_radius = 0.10000000000000001",
+           "objective = 4.382762121411738", "iterations = 50", "converged = 0")),
+    ("completion", ["--estimator", "matrix_cs"], _meta(
+        "estimator = matrix_cs", "lambda_o = 0.020045708086578618",
+        "lambda_star = 0.15523488195151597", "objective = 1.755856793522836",
+        "iterations = 38", "converged = 1")),
+], ids=["lasso-theorem", "lasso-fixed", "completion-alpha-star", "completion-inf-radius",
+        "trace_dense-inf-radius", "completion-by-matrix_cs"])
+def test_solve_meta_pinned_for_each_tuning_path(pin_bundles, tmp_path, capsys, bundle, options,
+                                                expected):
+    """solve_meta.txt, byte for byte, for theorem and fixed levels and each way
+    completion gets its box: from --alpha-star, or --inf-radius on either
+    matrix bundle; the matrix_cs estimator on a completion bundle has none."""
+    fit = tmp_path / "f"
+    assert main(["solve", "--bundle", str(pin_bundles / bundle), "--out", str(fit),
+                 "--max-iters", "50", *options]) == 0
+    capsys.readouterr()
+    assert (fit / "solve_meta.txt").read_bytes() == expected.encode()
+
+
+def test_solve_tuning_errors_exit_two(pin_bundles, tmp_path, capsys):
+    """--tuning fixed without both levels, and a completion fit with neither
+    --inf-radius nor an alpha_star (here a trace bundle whose meta.txt lacks
+    its line), exit 2 by name."""
+    assert main(["solve", "--bundle", str(pin_bundles / "lasso"), "--out", str(tmp_path / "f"),
+                 *_LASSO_FIXED[:-2]]) == 2
+    assert "error: --tuning fixed needs --lambda-o and --lambda-star" in capsys.readouterr().err
+    bundle = tmp_path / "b"
+    shutil.copytree(pin_bundles / "trace_dense", bundle)
+    meta = bundle / "meta.txt"
+    lines = meta.read_text(encoding="utf-8").splitlines(keepends=True)
+    meta.write_text("".join(ln for ln in lines if not ln.startswith("alpha_star =")),
+                    encoding="utf-8")
+    assert main(["solve", "--bundle", str(bundle), "--out", str(tmp_path / "g"),
+                 "--estimator", "completion"]) == 2
+    assert "error: completion needs --inf-radius or --alpha-star" in capsys.readouterr().err

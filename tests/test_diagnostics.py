@@ -228,6 +228,18 @@ def test_theorem_inputs_validation():
         TheoremInputs(n=100, sigma=0.0)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("alpha_star", np.inf), ("alpha", np.inf), ("alpha", np.nan), ("alpha_star", -np.inf),
+    ("alpha", 0.0), ("alpha", -1.0),
+])
+def test_theorem_inputs_reject_nonfinite_or_nonpositive_alpha(name, value):
+    """An infinite alpha* once gave a nan radius, an infinite alpha a nan
+    radius, a nan alpha an error naming lambda_o, and alpha = 0 a
+    ZeroDivisionError; each is now rejected by name."""
+    with pytest.raises(ProblemValidationError, match=f"^{name} must be positive, got {value}$"):
+        TheoremInputs(n=400, dims=(8, 6), r=2, **{"alpha": 2.0, "alpha_star": 2.0, name: value})
+
+
 # -------------------------------------------------------- report formatting
 
 
@@ -338,6 +350,18 @@ def test_empirical_re_where_the_cone_binds_matches_brute_force(monkeypatch, Sigm
     assert value == pytest.approx(exact, rel=1e-9)
     fine = _cone_brute_force(Sigma, s, 0.3, _fine_directions)
     assert fine * (1 - 1e-9) <= value <= fine * (1 + fine_rel)
+
+
+def test_empirical_re_stops_its_projected_gradient_at_a_fixed_point(monkeypatch):
+    """An iterate equal to the one before it is a fixed point of the
+    deterministic step, so the loop stops there: the value is the full
+    loop's float, from 9 projections instead of the full loop's 1503."""
+    projections = []
+    project = diagnostics._project_l1_rows
+    monkeypatch.setattr(diagnostics, "_project_l1_rows",
+                        lambda W, R: projections.append(1) or project(W, R))
+    assert empirical_re(0.1 * np.eye(3) + 0.9, s=1, c0=0.5, grid=4) == 0.5809475019311126
+    assert 1 < len(projections) < 1503
 
 
 def test_sigma_must_be_symmetric_psd():

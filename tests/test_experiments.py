@@ -365,6 +365,16 @@ def test_uncapped_completion_cell_passes_the_box_radius_check(mode):
     assert np.isfinite(run_trial(spec, 0, 0).error)
 
 
+@pytest.mark.parametrize("cap", [math.nan, -math.inf, 0.0])
+def test_matrix_cs_cell_ignores_the_spikiness_cap(cap):
+    """Only completion truths are held to the cap, so a matrix_cs cell's check
+    bounds alpha_star by sqrt(d1 d2) alone and accepts any cap, as its trial
+    does."""
+    spec = SweepSpec(problem_kind="matrix_cs", n_grid=(200,), d_grid=((5, 4),), s_grid=(2,),
+                     spikiness_cap=cap, tuning_mode="theorem", trials_per_cell=1, **FAST)
+    assert np.isfinite(run_trial(spec, 0, 0).error)
+
+
 # ------------------------------------------------ grid oracle's early stop
 
 _DEFAULT_MARGIN = E.SCREEN_MARGIN
@@ -395,7 +405,7 @@ def _full_path(spec, trial_index):
     lam_o = rep.lambda_o
     if spec.loss_regime == "quadratic":
         lam_o = E.QUADRATIC_SCALE * noise.sigma / np.sqrt(n)
-    radius = E._box_radius(alpha_star, dims) if kind == "completion" else None
+    radius = alpha_star / np.sqrt(dims[0] * dims[1]) if kind == "completion" else None
     cfg = SolverConfig(spec.max_iters, spec.rel_tol)
     best, x0, path = None, None, []
     for m in sorted(spec.oracle_multipliers, reverse=True):
