@@ -12,6 +12,11 @@ always serializes to the same bytes):
                    a key in _META_TYPES is read as its type, any other as text
     beta_true.csv / B_true.csv / theta_true.csv   optional ground truth
 
+Reading and writing hold one copy of the design and make no full-size
+temporary of it: ``_write_matrix`` formats one row at a time, and
+``_read_matrix`` keeps each parsed row as a float64 array (never a list of
+Python floats) until it stacks them into the one array the problem adopts.
+
 Every other text format of the package lives here too: ``_fmt`` (one
 value), ``_kv_lines`` (``key<sep>value`` lines), ``_write_lines`` (every
 file written) and ``_scan_csv`` (every CSV read).
@@ -71,7 +76,8 @@ def _write_matrix(path: str, M: np.ndarray) -> None:
     M = np.asarray(M, dtype=float)
     M = M[:, None] if M.ndim == 1 else M
     row = ",".join(["%" + _F] * M.shape[1])
-    _write_lines(path, (row % tuple(r) for r in M.tolist()))
+    # one row's Python floats at a time: no text or float list of all of M
+    _write_lines(path, (row % tuple(r.tolist()) for r in M))
 
 
 def _integral(token: str) -> float:
@@ -116,8 +122,9 @@ def _scan_csv(path: str, parse, header=None) -> tuple:
 
 
 def _read_matrix(path: str) -> np.ndarray:
-    """A comma-separated matrix of floats, read by ``_scan_csv``."""
-    return np.array(_scan_csv(path, lambda t: list(map(float, t)))[1])
+    """A comma-separated matrix of floats, read by ``_scan_csv`` one float64
+    row at a time and stacked once."""
+    return np.array(_scan_csv(path, lambda t: np.fromiter(map(float, t), float, len(t)))[1])
 
 
 def write_problem_bundle(problem, out_dir: str) -> None:

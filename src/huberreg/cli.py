@@ -93,6 +93,8 @@ def cmd_solve(args) -> int:
     # completion radius below reads a matrix bundle's dims before any solver
     _require((estimator == "lasso") == (kind == "lasso"),
              f"estimator {estimator} cannot fit a {problem.meta['kind']} bundle")
+    _require(args.inf_radius is None or estimator == "completion",
+             f"--inf-radius needs the completion estimator, not {estimator}")
 
     fixed = (args.lambda_o, args.lambda_star) if args.tuning == "fixed" else None
     _require(not fixed or None not in fixed, "--tuning fixed needs --lambda-o and --lambda-star")

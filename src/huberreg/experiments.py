@@ -27,7 +27,6 @@ from __future__ import annotations
 import itertools
 import numbers
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, fields, replace
 from typing import Callable, NamedTuple, Optional
 
@@ -502,7 +501,10 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> list:
     """All trials of all cells, ordered by (cell_index, trial_index).
 
     ``jobs`` > 1 fans trials out to at most one process per trial; seeding
-    is per-trial, so the result list is identical for any jobs value.
+    is per-trial, so the result list is identical for any jobs value. The
+    process pool (``concurrent.futures.process``, ``multiprocessing``) is
+    imported only then, when the sweep forks: importing the package or
+    running any other command never loads it.
     """
     indices = [
         (ci, ti)
@@ -511,6 +513,8 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> list:
     ]
     if jobs <= 1:
         return [run_trial(spec, ci, ti) for ci, ti in indices]
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=min(jobs, len(indices))) as pool:
         records = list(pool.map(_trial_args, itertools.repeat(spec), indices))
     return records

@@ -16,7 +16,9 @@ the caller's data. An array that one of the library's own producers
 (``datagen.gen_problem``, ``bundles.read_problem_bundle``) has just built,
 and that nothing else holds, is handed over wrapped in ``_Adopt`` and kept
 without a copy. Either way the write flags are cleared, so instances are
-safe to share across threads.
+safe to share across threads. Validation makes no full-size temporary of
+any array either: the finiteness check works in bounded blocks, so adopting
+a dense design costs the design and nothing else of its size.
 
 Both containers share one design protocol (``_Design``): ``n``,
 ``is_mask``, ``param_shape`` and the power-iteration estimate of the design's
@@ -42,6 +44,8 @@ import numpy as np
 # canonical encoding for completion problems.
 MAX_DENSE_CELLS = 10**6
 POWER_ITERS = 20
+# entries per block of the finiteness check (a 64 KiB boolean buffer)
+FINITE_BLOCK = 1 << 16
 
 
 class ProblemValidationError(ValueError):
@@ -88,9 +92,20 @@ def _locked(a, dtype) -> np.ndarray:
 
 
 def _as_locked_float(a, name: str) -> np.ndarray:
+    """``a`` as a locked float array; raises unless every entry is finite.
+
+    The check runs ``np.isfinite`` over blocks of FINITE_BLOCK entries of the
+    flat view into one reused buffer, so it allocates nothing of the array's
+    size. The flat view is not a copy: a copied array, like every array a
+    producer hands over, is contiguous.
+    """
     arr = _locked(a, float)
-    if not np.isfinite(arr).all():
-        raise ProblemValidationError(f"{name} contains non-finite entries")
+    flat = arr.ravel(order="K")
+    buf = np.empty(min(flat.size, FINITE_BLOCK), dtype=bool)
+    for start in range(0, flat.size, FINITE_BLOCK):
+        block = flat[start:start + FINITE_BLOCK]
+        if not np.isfinite(block, out=buf[:block.size]).all():
+            raise ProblemValidationError(f"{name} contains non-finite entries")
     return arr
 
 

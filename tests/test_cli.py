@@ -267,10 +267,13 @@ def test_malformed_sweep_config_exits_two_naming_key(tmp_path, capsys, cfg, mess
 
 
 def test_bad_last_cell_exits_two_before_any_trial_or_worker(tmp_path, capsys, monkeypatch):
+    import concurrent.futures
+
     import huberreg.experiments as experiments
 
     calls = []
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        lambda *a, **k: calls.append(a))
     monkeypatch.setattr(experiments, "run_trial", lambda *a, **k: calls.append(a))
     # only the last cell has more outliers than samples
     cfg = {"problem_kind": "lasso", "n_grid": [100, 50], "d_grid": [10], "s_grid": [2],
@@ -282,6 +285,19 @@ def test_bad_last_cell_exits_two_before_any_trial_or_worker(tmp_path, capsys, mo
     assert "cell 3 (o=60, n=50, s=2, d=10): need 0 <= o <= n, got o=60" in capsys.readouterr().err
     assert calls == []
     assert not (tmp_path / "r.csv").exists()
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    """A command that does not fork pays for no process pool: a fresh
+    interpreter that imports the package and its CLI has loaded neither
+    concurrent.futures.process nor multiprocessing. run_sweep imports the
+    pool only when jobs > 1."""
+    code = ("import sys, huberreg, huberreg.cli; "
+            "print(*(m for m in ('concurrent.futures.process', 'multiprocessing') "
+            "if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
 
 
 @pytest.mark.parametrize("jobs", ["0", "-2"])
@@ -310,10 +326,13 @@ def test_sweep_rejects_jobs_below_one(tmp_path, capsys, monkeypatch, jobs):
 def test_negative_seed_exits_two_naming_the_field(tmp_path, capsys, monkeypatch, argv, message):
     """A negative seed is rejected by name at each entry, before any draw,
     trial or worker, not deep in numpy's SeedSequence."""
+    import concurrent.futures
+
     import huberreg.experiments as experiments
 
     calls = []
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        lambda *a, **k: calls.append(a))
     monkeypatch.setattr(experiments, "run_trial", lambda *a, **k: calls.append(a))
     out = tmp_path / "out"
     if argv[0] == "sweep":
@@ -719,6 +738,23 @@ def test_solve_meta_pinned_for_each_tuning_path(pin_bundles, tmp_path, capsys, b
                  "--max-iters", "50", *options]) == 0
     capsys.readouterr()
     assert (fit / "solve_meta.txt").read_bytes() == expected.encode()
+
+
+@pytest.mark.parametrize("bundle, options, estimator", [
+    ("lasso", [], "lasso"),
+    ("trace_dense", [], "matrix_cs"),
+    ("completion", ["--estimator", "matrix_cs"], "matrix_cs"),
+], ids=["lasso", "trace_dense-by-matrix_cs", "completion-by-matrix_cs"])
+def test_solve_inf_radius_without_completion_exits_two(pin_bundles, tmp_path, capsys, bundle,
+                                                       options, estimator):
+    """Only the completion estimator has a box: --inf-radius on any other fit
+    exits 2 by name before any solve, as an --estimator mismatch does."""
+    fit = tmp_path / "f"
+    assert main(["solve", "--bundle", str(pin_bundles / bundle), "--out", str(fit),
+                 "--inf-radius", "0.5", *options]) == 2
+    assert capsys.readouterr().err == (
+        f"error: --inf-radius needs the completion estimator, not {estimator}\n")
+    assert not fit.exists()
 
 
 def test_solve_tuning_errors_exit_two(pin_bundles, tmp_path, capsys):

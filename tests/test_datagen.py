@@ -257,7 +257,7 @@ def test_meta_records_draw_facts():
 
 def test_gen_problem_holds_one_copy_of_the_design():
     """the drawn X is handed to the container, not copied: the peak is X
-    plus the isfinite temporary (1.13 X.nbytes), where a copy gave 2.14"""
+    plus the vectors (1.02 X.nbytes), where a copy gave 2.14"""
     beta = gen_sparse_beta(500, 10, seed=0)
     args = ("gaussian", NoiseSpec(sigma=0.1), beta, 2000,
             ContaminationSpec(o=100, strategy="random_large", magnitude=10.0, seed=3))

@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import math
 import re
@@ -82,7 +83,7 @@ def test_sweep_starts_at_most_one_worker_per_trial(tmp_path, monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(E, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     spec = small_lasso_spec(n_grid=(60,), trials_per_cell=3)
     p1, p500 = tmp_path / "serial.csv", tmp_path / "jobs500.csv"
     write_results(run_sweep(spec, jobs=1), p1)

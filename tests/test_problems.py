@@ -1,4 +1,5 @@
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -340,7 +341,57 @@ def test_adopted_arrays_still_checked_finite(bad):
         TraceProblem(y=_Adopt(np.zeros(4)), covariates=_Adopt(cov), dims=(2, 2))
 
 
+def _traced_peak(fn):
+    """``(fn(), peak)``: what fn returns, and the most memory traced while it
+    ran, counting what was traced before it as well."""
+    tracemalloc.reset_peak()
+    out = fn()
+    return out, tracemalloc.get_traced_memory()[1]
+
+
+def test_adopting_a_dense_design_makes_no_full_size_temporary():
+    """Adopting a 2000 x 500 design allocates under a tenth of X beyond X:
+    no n x p boolean mask. A non-finite entry in the first, a middle or the
+    last row is still rejected with the same message, and an empty design
+    is accepted."""
+    X = np.ones((2000, 500))
+    tracemalloc.start()
+    try:
+        _, peak = _traced_peak(lambda: RegressionProblem(y=_Adopt(np.zeros(2000)), X=_Adopt(X)))
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * X.nbytes
+    for row in (0, 1000, 1999):
+        for bad in (np.nan, np.inf, -np.inf):
+            X.flags.writeable = True
+            X[row, 250] = bad
+            with pytest.raises(ProblemValidationError, match="^X contains non-finite entries$"):
+                RegressionProblem(y=_Adopt(np.zeros(2000)), X=_Adopt(X))
+            X.flags.writeable = True
+            X[row, 250] = 1.0
+    assert RegressionProblem(y=np.zeros(0), X=np.zeros((0, 5))).n == 0
+
+
 # --------------------------------------------------------------- bundle I/O
+
+
+def test_bundle_io_holds_one_copy_of_a_dense_design(tmp_path):
+    """With the 2000 x 500 design alive, writing its bundle peaks under
+    1.25 X: no list of all its floats. Reading it back peaks under 2.25 X:
+    the parsed float64 rows and the one array they are stacked into."""
+    tracemalloc.start()
+    try:
+        X = np.random.default_rng(7).standard_normal((2000, 500))
+        p = RegressionProblem(y=_Adopt(np.zeros(2000)), X=_Adopt(X))
+        nbytes = X.nbytes
+        _, write_peak = _traced_peak(lambda: write_problem_bundle(p, str(tmp_path)))
+        del p, X
+        q, read_peak = _traced_peak(lambda: read_problem_bundle(str(tmp_path)))
+    finally:
+        tracemalloc.stop()
+    assert write_peak <= 1.25 * nbytes
+    assert read_peak <= 2.25 * nbytes
+    assert q.X.tobytes() == np.random.default_rng(7).standard_normal((2000, 500)).tobytes()
 
 
 def test_bundle_roundtrip_lasso(tmp_path):
