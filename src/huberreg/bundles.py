@@ -14,8 +14,9 @@ always serializes to the same bytes):
 
 Reading and writing hold one copy of the design and make no full-size
 temporary of it: ``_write_matrix`` formats one row at a time, and
-``_read_matrix`` keeps each parsed row as a float64 array (never a list of
-Python floats) until it stacks them into the one array the problem adopts.
+``_read_matrix`` and the ``masks.csv`` reader parse one row's floats at a
+time into one growing ``array.array`` of doubles per file (no array or list
+kept per row), which the problem adopts as a numpy view without a copy.
 
 Every other text format of the package lives here too: ``_fmt`` (one
 value), ``_kv_lines`` (``key<sep>value`` lines), ``_write_lines`` (every
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 import os
+from array import array
 
 import numpy as np
 
@@ -87,7 +89,7 @@ def _integral(token: str) -> float:
     return value
 
 
-def _scan_csv(path: str, parse, header=None) -> tuple:
+def _scan_csv(path: str, parse, header=None, into=None) -> tuple:
     """``(lines, rows)``: the line number and ``parse(tokens)`` of each
     nonblank line of a comma-separated file.
 
@@ -97,8 +99,14 @@ def _scan_csv(path: str, parse, header=None) -> tuple:
     another length and a ValueError from ``header`` or the parser (its
     message quotes the bad text) raise ProblemValidationError naming the
     file and the 1-based line; a missing header, naming the file.
+
+    ``rows`` is the list of parsed rows; given ``into``, an ``array.array``,
+    it is ``into``, extended by each parsed row (a list of numbers), so a
+    file of numbers becomes one buffer rather than an object per row.
+    ``lines`` is an ``array.array`` of ints.
     """
-    lines, rows, width = [], [], None
+    lines, rows, width = array("q"), [] if into is None else into, None
+    add = rows.append if into is None else rows.fromlist
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, ln in enumerate(fh, start=1):
             tokens = ln.strip().split(",")
@@ -112,7 +120,7 @@ def _scan_csv(path: str, parse, header=None) -> tuple:
                         continue
                 if len(tokens) != width[0]:
                     raise ValueError(f"{len(tokens)} values, but {width[1]} has {width[0]}")
-                rows.append(parse(tokens))
+                add(parse(tokens))
                 lines.append(lineno)
             except ValueError as exc:
                 raise ProblemValidationError(f"{path}, line {lineno}: {exc}") from None
@@ -121,10 +129,17 @@ def _scan_csv(path: str, parse, header=None) -> tuple:
     return lines, rows
 
 
+def _as_matrix(lines, buf: array) -> np.ndarray:
+    """The doubles ``_scan_csv`` read into ``buf`` as a float64 matrix with
+    one row per line (a view, no copy); no rows give shape (0,)."""
+    flat = np.frombuffer(buf, dtype=float)
+    return flat.reshape(len(lines), -1) if lines else flat
+
+
 def _read_matrix(path: str) -> np.ndarray:
-    """A comma-separated matrix of floats, read by ``_scan_csv`` one float64
-    row at a time and stacked once."""
-    return np.array(_scan_csv(path, lambda t: np.fromiter(map(float, t), float, len(t)))[1])
+    """A comma-separated matrix of floats, parsed by ``_scan_csv`` into one
+    growing buffer of doubles."""
+    return _as_matrix(*_scan_csv(path, lambda t: list(map(float, t)), into=array("d")))
 
 
 def write_problem_bundle(problem, out_dir: str) -> None:
@@ -219,10 +234,10 @@ def read_problem_bundle(bundle_dir: str):
                 raise ValueError(f"expected the header 'i,k,l,sign', got {','.join(tokens)!r}")
             return lambda row: list(map(_integral, row))
 
-        lines, rows = _scan_csv(path, None, header)
-        if not rows:
+        lines, buf = _scan_csv(path, None, header, into=array("d"))
+        if not lines:
             raise ProblemValidationError(f"{path}: expected rows of i,k,l,sign")
-        raw = np.array(rows)
+        raw = _as_matrix(lines, buf)
         # the first row whose i is out of range or repeats an earlier one
         i = raw[:, 0]
         repeat = np.ones(len(i), dtype=bool)

@@ -21,8 +21,11 @@ from .datagen import _check_low_rank
 from .problems import ProblemValidationError
 
 SUPPORT_TOL = 1e-8
-# projected-gradient steps empirical_re takes where the cone constraint binds
+# empirical_re's projected gradient where the cone constraint binds: at most
+# RE_PG_ITERS steps, stopping once no entry of an iterate moves by more than
+# RE_PG_STALL * max(1, max|W|) from the one before it
 RE_PG_ITERS = 500
+RE_PG_STALL = 1e-9
 
 
 def _psd_sqrt(M: np.ndarray, name: str) -> np.ndarray:
@@ -339,7 +342,8 @@ def empirical_re(Sigma: np.ndarray, s: int, c0: float, grid: int = 64) -> float:
                 for _ in range(RE_PG_ITERS):
                     gradc = 2.0 * (Vc @ S_Jc + Wc @ S_cc)
                     Wc, last = _project_l1_rows(Wc - eta * gradc, R[~feas]), Wc
-                    if np.array_equal(Wc, last):  # a fixed point: every later step repeats it
+                    # stalled: every iterate is cone-feasible, so stopping keeps the bound
+                    if np.abs(Wc - last).max() <= RE_PG_STALL * max(1.0, np.abs(Wc).max()):
                         break
                 W[~feas] = Wc
             q = (

@@ -25,6 +25,7 @@ profiler, a test double) sees every call.
 from __future__ import annotations
 
 import itertools
+import math
 import numbers
 import time
 from dataclasses import MISSING, dataclass, fields, replace
@@ -520,12 +521,25 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> list:
     return records
 
 
+def _median(values) -> float:
+    """``np.median`` of a nonempty list, to the bit: the middle of the sorted
+    floats, ``(a + b) / 2`` of the middle two for an even count, NaN if any
+    value is NaN. ``np.median`` itself imports ``numpy.ma`` on first use,
+    which the process and every sweep worker it forks would then hold."""
+    v = sorted(map(float, values))
+    if any(map(math.isnan, v)):
+        return math.nan
+    h = len(v) // 2
+    return v[h] if len(v) % 2 else (v[h - 1] + v[h]) / 2
+
+
 def fit_rate_slope(records, x_axis: str = "n", y: str = "error") -> SlopeFit:
     """OLS slope of log median error against log x over grouped records.
 
     ``x_axis`` is "n" or "o_frac" (= o/n). Groups records by the x value,
-    takes the median of ``y`` per group, and regresses log median on
-    log x. Needs at least three distinct x values and positive medians.
+    takes the median of ``y`` per group (``_median``, equal to ``np.median``
+    without loading ``numpy.ma``), and regresses log median on log x. Needs
+    at least three distinct x values and positive medians.
     """
     if x_axis not in ("n", "o_frac"):
         raise ProblemValidationError(f"x_axis must be 'n' or 'o_frac', got {x_axis!r}")
@@ -538,7 +552,7 @@ def fit_rate_slope(records, x_axis: str = "n", y: str = "error") -> SlopeFit:
             f"need >= 3 distinct {x_axis} values, got {len(groups)}"
         )
     xs = np.array(sorted(groups))
-    med = np.array([np.median(groups[x]) for x in xs])
+    med = np.array([_median(groups[x]) for x in xs])
     if (xs <= 0).any() or (med <= 0).any():
         raise ProblemValidationError("log-log fit needs positive x and positive medians")
     lx, ly = np.log(xs), np.log(med)

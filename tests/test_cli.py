@@ -300,6 +300,20 @@ def test_importing_the_cli_loads_no_process_pool():
     assert proc.stdout.split() == []
 
 
+def test_slope_loads_no_numpy_ma(tmp_path):
+    """``slope`` takes its group medians without np.median, whose NaN check
+    imports numpy.ma: a fresh interpreter that runs it has not loaded
+    numpy.ma, so neither a sweep that follows nor its forked workers hold it."""
+    path = _results_csv(tmp_path / "r.csv")
+    code = ("import sys, huberreg.cli; "
+            "rc = huberreg.cli.main(['slope', '--results', sys.argv[1], '--x', 'n']); "
+            "print(rc, 'numpy.ma' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code, str(path)], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "slope=" in proc.stdout
+    assert proc.stdout.splitlines()[-1] == "0 False"
+
+
 @pytest.mark.parametrize("jobs", ["0", "-2"])
 def test_sweep_rejects_jobs_below_one(tmp_path, capsys, monkeypatch, jobs):
     import huberreg.experiments as experiments

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -345,7 +346,8 @@ def test_empirical_re_where_the_cone_binds_matches_brute_force(monkeypatch, Sigm
     monkeypatch.setattr(diagnostics, "_project_l1_rows",
                         lambda W, R: projections.append(1) or project(W, R))
     value = empirical_re(Sigma, s=s, c0=0.3, grid=grid)
-    assert len(projections) > diagnostics.RE_PG_ITERS  # the loop ran
+    # each support projects at most once before its loop: any more is a loop step
+    assert len(projections) > sum(math.comb(len(Sigma), k) for k in range(1, s + 1))
     exact = _cone_brute_force(Sigma, s, 0.3, lambda k: diagnostics._sphere_grid(k, grid))
     assert value == pytest.approx(exact, rel=1e-9)
     fine = _cone_brute_force(Sigma, s, 0.3, _fine_directions)
@@ -353,15 +355,25 @@ def test_empirical_re_where_the_cone_binds_matches_brute_force(monkeypatch, Sigm
 
 
 def test_empirical_re_stops_its_projected_gradient_at_a_fixed_point(monkeypatch):
-    """An iterate equal to the one before it is a fixed point of the
-    deterministic step, so the loop stops there: the value is the full
-    loop's float, from 9 projections instead of the full loop's 1503."""
+    """The loop stops once an iterate stalls, here at a fixed point of the
+    deterministic step: the value is the full loop's float, from 6
+    projections instead of the full loop's 1503."""
     projections = []
     project = diagnostics._project_l1_rows
     monkeypatch.setattr(diagnostics, "_project_l1_rows",
                         lambda W, R: projections.append(1) or project(W, R))
     assert empirical_re(0.1 * np.eye(3) + 0.9, s=1, c0=0.5, grid=4) == 0.5809475019311126
     assert 1 < len(projections) < 1503
+
+
+def test_empirical_re_stall_stop_keeps_the_full_loops_value():
+    """Where the cone binds on a random 8 x 8 covariance, the stall stop keeps
+    the value the loop reaches when run to a fixed point (0.348082451647732,
+    found that way) to 1e-12 relative. A stall tolerance of 1e-6 would move
+    it by 5e-11."""
+    A = np.random.default_rng(1).standard_normal((8, 8))
+    value = empirical_re(A @ A.T / 8 + 0.1 * np.eye(8), s=2, c0=0.3, grid=16)
+    assert value == pytest.approx(0.3480824516477324, rel=1e-12)
 
 
 def test_sigma_must_be_symmetric_psd():

@@ -5,6 +5,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import huberreg.experiments as E
 from huberreg import (
@@ -165,6 +167,31 @@ def test_fit_rate_slope_o_frac_axis():
     records = [mk_rec(1000, o, 0.7 * (o / 1000.0)) for o in (10, 20, 40, 80)]
     fit = fit_rate_slope(records, x_axis="o_frac", y="error")
     assert fit.slope == pytest.approx(1.0, abs=1e-12)
+
+
+_POSITIVE = st.floats(min_value=1e-300, max_value=1e300)
+# plain lists, and lists drawn with replacement from a pool, so values repeat
+_MEDIAN_LISTS = st.one_of(
+    st.lists(_POSITIVE, min_size=1, max_size=41),
+    st.lists(_POSITIVE, min_size=1, max_size=8).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=41)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=_MEDIAN_LISTS, at=st.integers(0, 41))
+def test_median_equals_numpy_to_the_bit(values, at):
+    """The slope's group median is np.median's float for odd and even counts
+    and repeated values; a NaN anywhere in a group gives NaN."""
+    assert np.float64(E._median(values)).tobytes() == np.median(values).tobytes()
+    assert math.isnan(E._median(values[:at] + [math.nan] + values[at:]))
+
+
+def test_median_equals_numpy_at_every_length():
+    rng = np.random.default_rng(0)
+    for size in range(1, 42):
+        for values in (rng.lognormal(size=size).tolist(), rng.integers(1, 4, size).tolist()):
+            assert np.float64(E._median(values)).tobytes() == np.median(values).tobytes()
 
 
 def test_fit_rate_slope_guards():
