@@ -247,8 +247,9 @@ def read_problem_bundle(bundle_dir: str):
             raise ProblemValidationError(
                 f"{path}, line {lines[bad[0]]}: i = {i[bad[0]]:g}, but the i values "
                 f"must be a permutation of 0..{len(i) - 1}")
-        # rows, cols and signs in the order of i, each a contiguous int64 row
-        cells = raw[np.argsort(i), 1:].T.astype(np.int64, order="C")
+        # rows, cols and signs, row k at place i[k]: int64 rows cast from the buffer
+        cells = np.empty((3, len(i)), np.int64)
+        cells[:, i.astype(np.intp)] = raw[:, 1:].T
         cov = MaskCovariates(*map(_Adopt, cells))
     else:
         path = os.path.join(bundle_dir, "X.csv")

@@ -31,6 +31,7 @@ from .experiments import (
     _THEOREM,
     SweepSpec,
     _draw,
+    _kinds,
     _require,
     _solve,
     _theorem_tuning,
@@ -43,9 +44,6 @@ from .experiments import (
 from .problems import InternalInvariantError, ProblemValidationError
 from .solvers import SolverConfig
 
-# problem kind of each bundle kind in meta.txt
-_BUNDLE_KINDS = {"lasso": "lasso", "trace_dense": "matrix_cs", "completion": "completion"}
-
 
 def _emit(**kv) -> None:
     for line in _kv_lines(kv, "="):
@@ -53,13 +51,12 @@ def _emit(**kv) -> None:
 
 
 def _size(args, kind: str, option: str):
-    """(dims, s): d and the sparsity for lasso, (d1, d2) and the rank otherwise."""
-    if kind == "lasso":
-        _require(args.d is not None and args.s is not None, f"{option} lasso needs --d and --s")
-        return args.d, args.s
-    _require(args.d1 is not None and args.d2 is not None and args.rank is not None,
-             f"{option} {kind} needs --d1, --d2 and --rank")
-    return (args.d1, args.d2), args.rank
+    """(dims, size) of the kind: --d and --s for lasso, else --d1, --d2 and --rank."""
+    k = _kinds()[kind]
+    *dims, size = values = [getattr(args, key) for key in (*k.keys, k.size)]
+    *flags, last = [f"--{key}" for key in (*k.keys, k.size)]
+    _require(None not in values, f"{option} {kind} needs {', '.join(flags)} and {last}")
+    return k.coerce(dims if len(dims) > 1 else dims[0]), size
 
 
 def _options(args, meta):
@@ -79,30 +76,29 @@ def cmd_generate(args) -> int:
     problem = _draw(args.kind, args.n, dims, s, noise, contamination, args.spikiness_cap,
                     args.beta_magnitude)
     write_problem_bundle(problem, args.out)
-    size = {"d": dims} if args.kind == "lasso" else {"d1": dims[0], "d2": dims[1]}
-    _emit(kind=args.kind, n=args.n, **size, o=args.o, seed=args.seed, out=args.out)
+    _emit(kind=args.kind, n=args.n, **dict(zip(_kinds()[args.kind].keys, problem.param_shape)),
+          o=args.o, seed=args.seed, out=args.out)
     return 0
 
 
 def cmd_solve(args) -> int:
     problem = read_problem_bundle(args.bundle)
-    kind = _BUNDLE_KINDS[problem.meta["kind"]]
-    estimator = kind if args.estimator == "auto" else args.estimator
+    kind = next(k for k in _kinds().values() if k.bundle == problem.meta["kind"])
+    est = kind if args.estimator == "auto" else _kinds()[args.estimator]
     # the matrix estimators fit either matrix bundle, but vectors and
     # matrices do not mix; checked here, by the bundle's kind, because the
     # completion radius below reads a matrix bundle's dims before any solver
-    _require((estimator == "lasso") == (kind == "lasso"),
-             f"estimator {estimator} cannot fit a {problem.meta['kind']} bundle")
-    _require(args.inf_radius is None or estimator == "completion",
-             f"--inf-radius needs the completion estimator, not {estimator}")
+    _require(est.dims == kind.dims,
+             f"estimator {est.name} cannot fit a {problem.meta['kind']} bundle")
+    _require(args.inf_radius is None or est.boxed,
+             f"--inf-radius needs the completion estimator, not {est.name}")
 
     fixed = (args.lambda_o, args.lambda_star) if args.tuning == "fixed" else None
     _require(not fixed or None not in fixed, "--tuning fixed needs --lambda-o and --lambda-star")
-    dims = problem.d if kind == "lasso" else problem.dims
-    tp = _tuning_params(kind, problem.n, dims, _options(args, problem.meta), fixed,
-                        estimator == "completion", args.inf_radius)
+    tp = _tuning_params(kind.name, problem.n, getattr(problem, kind.dims),
+                        _options(args, problem.meta), fixed, est.boxed, args.inf_radius)
     cfg = SolverConfig(max_iters=args.max_iters, rel_tol=args.rel_tol)
-    result = _solve(estimator, problem, tp, cfg)
+    result = _solve(est.name, problem, tp, cfg)
 
     trace = result.objective_trace
     slack = 1e-9 * max(1.0, abs(float(trace[0])))
@@ -114,7 +110,7 @@ def cmd_solve(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     # a 1-d estimate is written as a column, one entry per line
     _write_matrix(os.path.join(args.out, "estimate.csv"), result.estimate)
-    info = {"estimator": estimator, "lambda_o": tp.lambda_o, "lambda_star": tp.lambda_star}
+    info = {"estimator": est.name, "lambda_o": tp.lambda_o, "lambda_star": tp.lambda_star}
     if tp.inf_ball_radius is not None:
         info["inf_ball_radius"] = tp.inf_ball_radius
     info.update(objective=float(trace[-1]), iterations=result.iterations,
@@ -191,6 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Robust penalized regression under adversarial contamination.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    kinds = list(_kinds())
 
     # options several subcommands share, each declared once; the theorem
     # options default to None (see _THEOREM), but --c0, which diagnose re and
@@ -212,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", parents=[dims, sizes],
                        help="simulate a problem and write a bundle")
-    p.add_argument("--kind", required=True, choices=["lasso", "matrix_cs", "completion"])
+    p.add_argument("--kind", required=True, choices=kinds)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--beta-magnitude", type=float, default=1.0)
     p.add_argument("--spikiness-cap", type=float, default=3.0)
@@ -231,8 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", parents=[sizes, theorem], help="fit an estimator on a bundle")
     p.add_argument("--bundle", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--estimator", default="auto",
-                   choices=["auto", "lasso", "matrix_cs", "completion"])
+    p.add_argument("--estimator", default="auto", choices=["auto", *kinds])
     p.add_argument("--tuning", default="theorem", choices=["theorem", "fixed"])
     p.add_argument("--lambda-o", type=float, default=None)
     p.add_argument("--lambda-star", type=float, default=None)
@@ -243,8 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tune", parents=[dims, sizes, theorem],
                        help="print theorem-driven penalty levels")
-    p.add_argument("--model", required=True,
-                   choices=["lasso", "matrix_cs", "completion"])
+    p.add_argument("--model", required=True, choices=kinds)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_tune)

@@ -12,14 +12,14 @@ smaller lambda_star can beat the best error; ``run_trial`` states the rule
 and when its pick equals the full grid's minimum.
 
 What a problem kind (lasso, matrix_cs, completion) means is decided here,
-once, in ``_kind`` and the helpers beside it: how its problem is drawn, how
-it is tuned, its lambda path and completion box radius, and its solver. A
-trial draws like ``generate`` (``_draw``) and tunes like ``solve``
-(``_tuning_params``), and the sweep's cell check builds its lambda path.
-The kind table is built on every call rather than once at import, so the
-calculators, solvers and generators in it are whatever this module's
-attributes are at call time, and a wrapper installed on one of them (a
-profiler, a test double) sees every call.
+once: ``_kinds`` holds one ``_Kind`` record per kind (its design, size and
+dims names, truth generator, tuning calculator, box and solver), and the
+sweep's cell check, ``_draw``, the tuning resolver and the CLI read it,
+never the kind's name. A trial draws like ``generate`` (``_draw``) and tunes
+like ``solve`` (``_tuning_params``). The records are built on every call
+rather than once at import, so the calculators, solvers and generators in
+them are whatever this module's attributes are at call time, and a wrapper
+installed on one of them (a profiler, a test double) sees every call.
 """
 
 from __future__ import annotations
@@ -156,8 +156,9 @@ def _pair(dims) -> tuple:
 class SweepSpec:
     """Grid description for run_sweep; JSON-friendly (see from_dict).
 
-    ``d_grid`` holds ints for vector problems and (d1, d2) pairs for the
-    matrix problems. ``tuning_mode``: "theorem" transcribes the tuning
+    ``problem_kind`` names a ``_Kind`` record, which says what ``d_grid``
+    (ints for lasso, else (d1, d2) pairs) and ``s_grid`` (sparsity or rank)
+    hold. ``tuning_mode``: "theorem" transcribes the tuning
     calculators, "fixed" uses fixed_lambda_o / fixed_lambda_star, and
     "grid_oracle" keeps the theorem lambda_o but picks lambda_star on a
     multiplicative grid by minimizing the true error (ground truth is
@@ -193,8 +194,7 @@ class SweepSpec:
     rel_tol: float = 1e-9
 
     def __post_init__(self):
-        if self.problem_kind not in ("lasso", "matrix_cs", "completion"):
-            raise ProblemValidationError(f"unknown problem_kind {self.problem_kind!r}")
+        k = _kind(self.problem_kind)
         if self.tuning_mode not in ("theorem", "fixed", "grid_oracle"):
             raise ProblemValidationError(f"unknown tuning_mode {self.tuning_mode!r}")
         if self.loss_regime not in ("huber", "quadratic"):
@@ -202,7 +202,7 @@ class SweepSpec:
         # numbers to int or float and grids to hashable tuples, so specs pickle
         # cleanly; a value of the wrong type is rejected by name
         for name, entry in (
-            ("n_grid", _integer), ("d_grid", _integer if self.problem_kind == "lasso" else _pair),
+            ("n_grid", _integer), ("d_grid", k.coerce),
             ("s_grid", _integer), ("o_grid", _integer), ("noise_grid", _entry),
             ("adversary_grid", _entry), ("oracle_multipliers", _multiplier),
             ("trials_per_cell", _integer), ("base_seed", _integer), ("max_iters", _integer),
@@ -239,25 +239,20 @@ class SweepSpec:
                 TuningParams(self.fixed_lambda_o, self.fixed_lambda_star)
             except ProblemValidationError as exc:  # it names lambda_o or lambda_star
                 raise ProblemValidationError(f"fixed_{exc}") from None
-        kind = self.problem_kind
-        cap = self.spikiness_cap if kind == "completion" else np.inf  # no other truth is capped
-        size, dim = ("s", "d") if kind == "lasso" else ("rank", "dims")
+        cap = self.spikiness_cap if k.boxed else np.inf  # no other truth is capped
         for i, (n, dims, s, o, noise_d, adv_d) in enumerate(self.cells()):
             try:
                 TheoremInputs(n=n, o=o)
                 sigma = NoiseSpec(**noise_d).sigma
                 _contamination(o, adv_d)
-                if kind == "lasso":  # the truth generator's size rule
-                    _check_sparse(dims, s)
-                else:
-                    _check_low_rank(*dims, s, cap)
-                # the trial's meta, undrawn: a completion truth's alpha_star is
-                # at most the cap, and any matrix's at most sqrt(d1 d2)
-                bound = None if kind == "lasso" else min(cap, np.sqrt(dims[0] * dims[1]))
-                _lambda_path(self, n, dims, {size: s, "o": o, "sigma": sigma, "alpha_star": bound})
+                k.check(dims, s, cap)
+                # undrawn meta: a boxed truth's alpha_star is at most the cap and sqrt(d1 d2)
+                bound = min(cap, np.sqrt(dims[0] * dims[1])) if k.boxed else None
+                given = {k.size: s, "o": o, "sigma": sigma, "alpha_star": bound}
+                _lambda_path(self, n, dims, given)
             except ProblemValidationError as exc:
                 raise ProblemValidationError(
-                    f"cell {i} (o={o}, n={n}, {size}={s}, {dim}={dims}): {exc}") from None
+                    f"cell {i} (o={o}, n={n}, {k.size}={s}, {k.dims}={dims}): {exc}") from None
 
     @staticmethod
     def from_dict(cfg: dict) -> "SweepSpec":
@@ -296,37 +291,64 @@ def _trial_master_seed(base_seed: int, cell_index: int, trial_index: int) -> int
     return (int(state[0]) << 32) | int(state[1])
 
 
+# Every fact that differs between the problem kinds; _kinds holds one record per kind.
 class _Kind(NamedTuple):
+    name: str
     design: str  # gen_problem's design name
-    tuning: Callable  # theorem tuning calculator
-    solver: Callable  # called as solver(problem, tp, cfg, start)
+    bundle: str  # the kind meta.txt gives its bundle
+    size: str  # the sparsity or rank: its key in a cell, a meta and the CLI
+    dims: str  # the dims: their TheoremInputs field and problem attribute
+    keys: tuple  # the dims' keys in a meta and the CLI
+    coerce: Callable  # a d_grid entry to dims
+    check: Callable  # check(dims, size, cap): the truth generator's size rule
+    truth: Callable  # truth(dims, size, cap, beta_magnitude, seed): the truth generator
+    meta: Callable  # meta(truth, beta_magnitude): its problem's meta beside the size
+    attr: str  # the problem's truth attribute
+    tuning: Callable  # tuning(TheoremInputs, variant or None): theorem tuning
+    theorem_size: str  # the size's TheoremInputs field
+    boxed: bool  # truth held to the spikiness cap, fit to the entrywise box
+    solver: Callable  # called as solver(problem, tp, cfg, start, give_up=...)
 
 
-def _kind(name: str) -> _Kind:
-    """What the problem kind ``name`` means; built per call (see the module docstring)."""
-    return {
-        "lasso": _Kind("gaussian", tuning_lasso, solve_adversarial_lasso),
-        "matrix_cs": _Kind("gaussian", tuning_matrix_cs, solve_matrix_cs),
-        "completion": _Kind("mask_uniform", tuning_completion, solve_matrix_completion),
-    }[name]
+def _kinds() -> dict:
+    """Each problem kind's record by name; built per call (see the module docstring)."""
+    lasso = _Kind(
+        name="lasso", design="gaussian", bundle="lasso", size="s", dims="d", keys=("d",),
+        coerce=_integer, check=lambda d, s, cap: _check_sparse(d, s),
+        truth=lambda d, s, cap, mag, seed: gen_sparse_beta(d, s, mag, seed),
+        meta=lambda beta, mag: {"beta_magnitude": mag}, attr="beta_true",
+        tuning=lambda ti, variant: tuning_lasso(ti), theorem_size="s", boxed=False,
+        solver=solve_adversarial_lasso)
+    matrix_cs = lasso._replace(
+        name="matrix_cs", bundle="trace_dense", size="rank", dims="dims", keys=("d1", "d2"),
+        coerce=_pair, check=lambda dims, r, cap: _check_low_rank(*dims, r, cap),
+        truth=lambda dims, r, cap, mag, seed: gen_low_rank(*dims, r, cap, seed),
+        meta=lambda B, mag: {"alpha_star": spikiness(B)}, attr="B_true",
+        tuning=lambda ti, variant: tuning_matrix_cs(ti), theorem_size="r", solver=solve_matrix_cs)
+    completion = matrix_cs._replace(
+        name="completion", design="mask_uniform", bundle="completion", boxed=True,
+        tuning=lambda ti, variant: tuning_completion(ti, variant or "subweibull"),
+        solver=solve_matrix_completion)
+    return {kind.name: kind for kind in (lasso, matrix_cs, completion)}
+
+
+def _kind(name) -> _Kind:
+    """The record of the problem kind ``name``."""
+    _require(name in list(kinds := _kinds()), f"unknown problem_kind {name!r}")
+    return kinds[name]
 
 
 def _draw(kind, n, dims, s, noise, contamination, spikiness_cap, beta_magnitude=1.0):
     """A problem of a kind, its truth from ``SeedSequence([seed, 3])`` for the
-    contamination's master seed; ``dims`` is d for lasso and (d1, d2)
-    otherwise, ``s`` the sparsity or rank, and only completion truths are
-    held to the cap. Its meta adds ``s`` and ``beta_magnitude`` for lasso,
-    else ``rank`` and ``alpha_star`` (the truth's spikiness)."""
-    truth_seed = np.random.SeedSequence([contamination.seed, 3])
-    if kind == "lasso":
-        truth = gen_sparse_beta(dims, s, beta_magnitude, truth_seed)
-        size = {"s": s, "beta_magnitude": beta_magnitude}
-    else:
-        cap = spikiness_cap if kind == "completion" else np.inf
-        truth = gen_low_rank(dims[0], dims[1], s, cap, truth_seed)
-        size = {"rank": s, "alpha_star": spikiness(truth)}
-    problem = gen_problem(_kind(kind).design, noise, truth, n, contamination)
-    problem.meta.update(size)
+    contamination's master seed; ``dims`` and ``s`` are the kind's dims and
+    size, and only a boxed kind's truth is held to the cap. Its meta adds the
+    size under the kind's key and ``beta_magnitude`` for lasso, else
+    ``alpha_star`` (the truth's spikiness)."""
+    k = _kind(kind)
+    truth = k.truth(dims, s, spikiness_cap if k.boxed else np.inf, beta_magnitude,
+                    np.random.SeedSequence([contamination.seed, 3]))
+    problem = gen_problem(k.design, noise, truth, n, contamination)
+    problem.meta.update({k.size: s, **k.meta(truth, beta_magnitude)})
     return problem
 
 
@@ -350,14 +372,13 @@ def _theorem_tuning(kind, n, dims, given):
     calculator reads the fields it needs. Completion takes ``variant``, by
     default sub-Weibull at alpha = 2, the one order both variants accept.
     """
-    size = "s" if kind == "lasso" else "rank"
-    _require(given.get(size) is not None, f"theorem tuning needs --{size}")
-    _require(kind != "completion" or given.get("alpha_star") is not None,
-             "completion tuning needs --alpha-star")
-    inputs = {k: given[k] for k in ("c0", *_THEOREM) if given.get(k) is not None}
-    shape = {"d": dims, "s": given[size]} if kind == "lasso" else {"dims": dims, "r": given[size]}
-    extra = {"variant": given.get("variant") or "subweibull"} if kind == "completion" else {}
-    return _kind(kind).tuning(TheoremInputs(n=n, **shape, **{"alpha": 2.0, **inputs}), **extra)
+    k = _kind(kind)
+    _require(given.get(k.size) is not None, f"theorem tuning needs --{k.size}")
+    _require(not k.boxed or given.get("alpha_star") is not None,
+             f"{kind} tuning needs --alpha-star")
+    inputs = {key: given[key] for key in ("c0", *_THEOREM) if given.get(key) is not None}
+    shape = {k.dims: dims, k.theorem_size: given[k.size]}
+    return k.tuning(TheoremInputs(n=n, **shape, **{"alpha": 2.0, **inputs}), given.get("variant"))
 
 
 def _contamination(o, adversary, seed=0):
@@ -377,8 +398,8 @@ def _solve(kind, problem, tp, cfg, x0=None, give_up=None):
 def _tuning_params(kind, n, dims, given, fixed=None, boxed=False, radius=None):
     """A fit's TuningParams: lambda_o and lambda_star from the ``fixed`` pair
     if one is given, else from the kind's theorem report on ``given`` (see
-    _theorem_tuning); a ``boxed`` (completion) fit takes ``radius`` if given,
-    else alpha* / sqrt(d1 d2)."""
+    _theorem_tuning); a ``boxed`` fit takes ``radius`` if given, else
+    alpha* / sqrt(d1 d2)."""
     if fixed is None:
         rep = _theorem_tuning(kind, n, dims, given)
         fixed = rep.lambda_o, rep.lambda_star
@@ -397,9 +418,8 @@ def _lambda_path(spec, n, dims, given):
     fixed or theorem; the quadratic regime replaces its lambda_o, and
     grid_oracle scales its lambda_star by the oracle multipliers.
     """
-    kind = spec.problem_kind
     fixed = (spec.fixed_lambda_o, spec.fixed_lambda_star) if spec.tuning_mode == "fixed" else None
-    tp = _tuning_params(kind, n, dims, given, fixed, kind == "completion")
+    tp = _tuning_params(spec.problem_kind, n, dims, given, fixed, _kind(spec.problem_kind).boxed)
     if spec.loss_regime == "quadratic":
         tp = replace(tp, lambda_o=QUADRATIC_SCALE * given["sigma"] / np.sqrt(n))
     grid = spec.oracle_multipliers if spec.tuning_mode == "grid_oracle" else (1.0,)
@@ -450,8 +470,8 @@ def run_trial(spec: SweepSpec, cell_index: int, trial_index: int) -> ExperimentR
     t_start = time.perf_counter()
     kind = spec.problem_kind
     problem = _draw(kind, n, dims, s, noise, contamination, spec.spikiness_cap)
-    truth = problem.beta_true if kind == "lasso" else problem.B_true
-    dim1, dim2 = (dims, 0) if kind == "lasso" else dims
+    truth = getattr(problem, _kind(kind).attr)
+    dim1, dim2 = (*problem.param_shape, 0)[:2]
     # tuned from the problem's meta as solve tunes a bundle, o from the cell
     levels = _lambda_path(spec, n, dims, {**problem.meta, "o": o})
     cfg = SolverConfig(max_iters=spec.max_iters, rel_tol=spec.rel_tol)

@@ -180,82 +180,65 @@ def _design_ops(problem):
     return (lambda x: design_apply(problem, x)), (lambda r: design_adjoint(problem, r))
 
 
-def _start(problem, x0, ndim: int, estimator: str) -> np.ndarray:
-    """``x0`` as a float array, else zeros of the problem's parameter shape.
-    A problem whose parameter is not ``ndim``-dimensional is rejected by name."""
-    shape = getattr(problem, "param_shape", ())
+# Each estimator's penalty, lambda_star times a norm: (the parameter's ndim, the norm,
+# prox(v, tau) of tau times the norm, and whether every iterate and a given start stay
+# in the entrywise ball of radius tp.inf_ball_radius), each function looked up per call.
+_L1 = (1, lambda b: float(np.abs(b).sum()), lambda v, tau: soft_threshold(v, tau), False)
+_NUCLEAR = (2, lambda B: nuclear_norm(B), lambda V, tau: singular_value_threshold(V, tau), False)
+_BOXED_NUCLEAR = (*_NUCLEAR[:3], True)
+
+
+def _solve_huber(penalty, estimator, problem, tp, cfg, x0, give_up) -> SolverResult:
+    """The Huber loss plus ``penalty`` at ``tp``, from ``x0`` (as a float array)
+    or else zeros. A problem whose parameter does not have the penalty's ndim
+    is rejected, naming ``estimator``."""
+    ndim, norm, prox, boxed = penalty
+    shape, lam = getattr(problem, "param_shape", ()), tp.lambda_star
     if len(shape) != ndim:
         raise ProblemValidationError(
             f"{estimator} fits a {('vector', 'matrix')[ndim - 1]} parameter and cannot "
-            f"take a {type(problem).__name__}"
-        )
-    return np.zeros(shape) if x0 is None else np.array(x0, dtype=float)
-
-
-def _solve_huber(problem, tp, cfg, start, penalty_value, prox, give_up) -> SolverResult:
+            f"take a {type(problem).__name__}")
+    start = np.zeros(shape) if x0 is None else np.array(x0, dtype=float)
+    if boxed:
+        if tp.inf_ball_radius is None:
+            raise ProblemValidationError("matrix completion requires inf_ball_radius")
+        radius, svt = tp.inf_ball_radius, prox
+        prox = lambda V, tau: project_inf_ball(svt(V, tau), radius)
+        if x0 is not None:
+            start = project_inf_ball(start, radius)
     apply_fn, adjoint_fn = _design_ops(problem)
     loss = _huber_loss(problem.y, problem.n, tp)
     # the smooth-part curvature is at most opnorm^2 / n for every lambda_o:
     # the loss prefactor lambda_o^2 cancels against the residual rescaling
     t0 = problem.n / problem.opnorm_sq_estimate
-    return _minimize(start, apply_fn, adjoint_fn, loss, penalty_value, prox, cfg, t0, give_up)
+    return _minimize(start, apply_fn, adjoint_fn, loss, lambda x: lam * norm(x),
+                     lambda v, t: prox(v, t * lam), cfg, t0, give_up)
 
 
-def solve_adversarial_lasso(
-    problem: RegressionProblem,
-    tp: TuningParams,
-    cfg: SolverConfig = SolverConfig(),
-    x0: Optional[np.ndarray] = None,
-    *,
-    give_up: Optional[tuple] = None,
-) -> SolverResult:
+def solve_adversarial_lasso(problem: RegressionProblem, tp: TuningParams,
+                            cfg: SolverConfig = SolverConfig(), x0: Optional[np.ndarray] = None,
+                            *, give_up: Optional[tuple] = None) -> SolverResult:
     """l1-penalized Huber-loss regression; starts at zero unless x0 is given.
 
     ``give_up=(tol, hopeless)`` ends the solve, ``"abandoned"``, at the first
     step that passes the stop test at ``tol`` if ``hopeless(estimate)``
     (see ``_minimize``); the other two solvers take it too."""
-    start = _start(problem, x0, 1, "solve_adversarial_lasso")
-    pen = lambda b: tp.lambda_star * float(np.abs(b).sum())
-    prox = lambda v, t: soft_threshold(v, t * tp.lambda_star)
-    return _solve_huber(problem, tp, cfg, start, pen, prox, give_up)
+    return _solve_huber(_L1, "solve_adversarial_lasso", problem, tp, cfg, x0, give_up)
 
 
-def solve_matrix_cs(
-    problem: TraceProblem,
-    tp: TuningParams,
-    cfg: SolverConfig = SolverConfig(),
-    x0: Optional[np.ndarray] = None,
-    *,
-    give_up: Optional[tuple] = None,
-) -> SolverResult:
+def solve_matrix_cs(problem: TraceProblem, tp: TuningParams,
+                    cfg: SolverConfig = SolverConfig(), x0: Optional[np.ndarray] = None,
+                    *, give_up: Optional[tuple] = None) -> SolverResult:
     """Nuclear-norm penalized Huber-loss trace regression; zero start default."""
-    start = _start(problem, x0, 2, "solve_matrix_cs")
-    pen = lambda B: tp.lambda_star * nuclear_norm(B)
-    prox = lambda V, t: singular_value_threshold(V, t * tp.lambda_star)
-    return _solve_huber(problem, tp, cfg, start, pen, prox, give_up)
+    return _solve_huber(_NUCLEAR, "solve_matrix_cs", problem, tp, cfg, x0, give_up)
 
 
-def solve_matrix_completion(
-    problem: TraceProblem,
-    tp: TuningParams,
-    cfg: SolverConfig = SolverConfig(),
-    B0: Optional[np.ndarray] = None,
-    *,
-    give_up: Optional[tuple] = None,
-) -> SolverResult:
+def solve_matrix_completion(problem: TraceProblem, tp: TuningParams,
+                            cfg: SolverConfig = SolverConfig(), B0: Optional[np.ndarray] = None,
+                            *, give_up: Optional[tuple] = None) -> SolverResult:
     """Completion solver: gradient step, then SVT, then box projection.
 
     Iterates stay inside the entrywise ball of radius ``tp.inf_ball_radius``;
     an infeasible start is projected onto the ball rather than rejected.
     """
-    x0 = _start(problem, B0, 2, "solve_matrix_completion")
-    if tp.inf_ball_radius is None:
-        raise ProblemValidationError("matrix completion requires inf_ball_radius")
-    radius = tp.inf_ball_radius
-    pen = lambda B: tp.lambda_star * nuclear_norm(B)
-    prox = lambda V, t: project_inf_ball(
-        singular_value_threshold(V, t * tp.lambda_star), radius
-    )
-    if B0 is not None:
-        x0 = project_inf_ball(x0, radius)
-    return _solve_huber(problem, tp, cfg, x0, pen, prox, give_up)
+    return _solve_huber(_BOXED_NUCLEAR, "solve_matrix_completion", problem, tp, cfg, B0, give_up)

@@ -21,8 +21,9 @@ from huberreg import (
     tuning_lasso,
     tuning_matrix_cs,
 )
-from huberreg.cli import main
-from huberreg.experiments import RESULT_COLUMNS, SweepSpec, _trial_master_seed, run_trial
+from huberreg.cli import build_parser, main
+from huberreg.experiments import RESULT_COLUMNS, SweepSpec, _kinds, _trial_master_seed, run_trial
+from huberreg.problems import ProblemValidationError
 
 
 def run_cli(*args):
@@ -631,6 +632,32 @@ def test_solve_rejects_vector_matrix_mismatch(tmp_path, capsys, bundle_kind, est
         meta_kind = read_problem_bundle(str(bundle)).meta["kind"]
         err = capsys.readouterr().err
         assert f"estimator {estimator} cannot fit a {meta_kind} bundle" in err
+
+
+def test_kind_names_are_one_set_taken_from_the_kind_records(tmp_path, capsys):
+    """The kinds SweepSpec accepts, the choices of generate --kind, tune
+    --model and solve --estimator (besides auto), and the bundle kinds solve
+    maps are all the names of experiments' kind records, so a kind added or
+    renamed there cannot be left out of one of them."""
+    names = list(_kinds())
+    assert names == [kind.name for kind in _kinds().values()] and set(names) == set(_KINDS)
+    for name in (*names, "ridge", "trace_dense"):
+        with pytest.raises(ProblemValidationError) as exc:  # an empty d_grid fails after the kind
+            SweepSpec(problem_kind=name, n_grid=(100,), d_grid=(), s_grid=(1,))
+        assert ("unknown problem_kind" in str(exc.value)) == (name not in names)
+    commands = build_parser()._subparsers._group_actions[0].choices
+    choices = {(cmd, dest): next(a.choices for a in commands[cmd]._actions if a.dest == dest)
+               for cmd, dest in (("generate", "kind"), ("tune", "model"), ("solve", "estimator"))}
+    assert choices.pop(("solve", "estimator")) == ["auto", *names]
+    assert list(choices.values()) == [names, names]
+    for kind in _kinds().values():
+        bundle = tmp_path / kind.name
+        assert main(["generate", "--kind", kind.name, "--n", "200", *_KINDS[kind.name][0],
+                     "--sigma", "0.1", "--out", str(bundle)]) == 0
+        assert read_problem_bundle(str(bundle)).meta["kind"] == kind.bundle
+        assert main(["solve", "--bundle", str(bundle), "--out", str(tmp_path / "f")]) == 0
+        assert f"estimator={kind.name}\n" in capsys.readouterr().out
+    assert len({kind.bundle for kind in _kinds().values()}) == len(names)
 
 
 def _results_csv(path):

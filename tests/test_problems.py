@@ -420,6 +420,34 @@ def test_reading_a_large_completion_bundle_makes_no_row_lists(tmp_path):
         assert got.dtype == np.int64 and got.tobytes() == want.tobytes()
 
 
+def test_masks_are_cast_from_the_parse_buffer_in_one_copy(tmp_path):
+    """Reading a 50,000-row masks.csv whose rows are shuffled peaks under 3.9
+    times the bytes of the rows, cols and signs it returns (3.80 measured; the
+    peak is now the permutation check on i). Each int64 column is filled from
+    the parse buffer in the order of i, with no float copy of the three
+    columns (taking them by argsort and then casting peaked at 4.09)."""
+    n = 50_000
+    rng = np.random.default_rng(3)
+    cov = MaskCovariates(rows=rng.integers(0, 40, n), cols=rng.integers(0, 40, n),
+                         signs=rng.choice([-1, 1], n))
+    write_problem_bundle(TraceProblem(y=rng.standard_normal(n), covariates=cov, dims=(40, 40)),
+                         str(tmp_path))
+    path = tmp_path / "masks.csv"
+    header, *rows = path.read_text(encoding="utf-8").splitlines()
+    order = np.random.default_rng(1).permutation(n)
+    path.write_text("\n".join([header, *(rows[k] for k in order)]) + "\n", encoding="utf-8")
+    tracemalloc.start()
+    try:
+        q, read_peak = _traced_peak(lambda: read_problem_bundle(str(tmp_path)))
+    finally:
+        tracemalloc.stop()
+    assert read_peak <= 3.9 * 3 * cov.rows.nbytes
+    for got, want in ((q.covariates.rows, cov.rows), (q.covariates.cols, cov.cols),
+                      (q.covariates.signs, cov.signs)):
+        assert got.dtype == np.int64 and got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+
+
 def test_bundle_roundtrip_lasso(tmp_path):
     rng = np.random.default_rng(12)
     beta = np.array([1.0, 0.0, -0.5])
