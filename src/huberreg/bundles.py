@@ -5,8 +5,8 @@ A bundle is a directory of plain CSV/text files for one dataset. Layout
 always serializes to the same bytes):
 
     y.csv          one response per line
-    X.csv          vector problems: n rows x d columns
-                   dense trace problems: n rows, each X_i flattened row-major
+    X.csv          n rows of d values (vector) or d1*d2 (dense trace, each X_i
+                   flattened row-major): the dims keys of ``_BUNDLE_DIMS``
     masks.csv      mask problems instead of X.csv; header i,k,l,sign
     meta.txt       "key = value" lines (kind, n, d or d1/d2, o, seed, ...);
                    a key in _META_TYPES is read as its type, any other as text
@@ -48,6 +48,10 @@ _META_TYPES = {
     **dict.fromkeys(("sigma", "sigma_xi", "delta", "kappa", "L", "rho", "alpha",
                      "alpha_star", "beta_magnitude"), float),
 }
+
+# each bundle kind's meta.txt dims keys; a dense kind's X.csv rows hold their product
+_BUNDLE_DIMS = {"lasso": ("d",), **dict.fromkeys(("trace_dense", "completion"), ("d1", "d2"))}
+_TRUTH = {1: "beta_true", 2: "B_true"}  # the truth attribute and file stem by number of dims
 
 
 def _fmt(v) -> str:
@@ -144,16 +148,15 @@ def _read_matrix(path: str) -> np.ndarray:
 
 def write_problem_bundle(problem, out_dir: str) -> None:
     """Serialize a regression or trace problem into ``out_dir``."""
-    if isinstance(problem, RegressionProblem):
-        meta = {"kind": "lasso", "n": problem.n, "d": problem.d}
-        truth, truth_name = problem.beta_true, "beta_true.csv"
-    elif isinstance(problem, TraceProblem):
-        d1, d2 = problem.dims
-        kind = "completion" if problem.is_mask else "trace_dense"
-        meta = {"n": problem.n, "d1": d1, "d2": d2, "kind": kind}
-        truth, truth_name = problem.B_true, "B_true.csv"
-    else:
+    if not isinstance(problem, (RegressionProblem, TraceProblem)):
         raise ProblemValidationError(f"cannot bundle object of type {type(problem)!r}")
+    vector = isinstance(problem, RegressionProblem)
+    kind = "lasso" if vector else "completion" if problem.is_mask else "trace_dense"
+    meta = {"n": problem.n, **dict(zip(_BUNDLE_DIMS[kind], problem.param_shape)), "kind": kind,
+            "o": len(problem.outlier_index_set), "seed": problem.meta.get("seed", 0)}
+    if vector:  # a lasso meta.txt names its kind first
+        meta = {"kind": kind, **meta}
+    meta.update({key: val for key, val in sorted(problem.meta.items()) if key not in meta})
     os.makedirs(out_dir, exist_ok=True)
     if problem.is_mask:
         cov = problem.covariates
@@ -162,17 +165,9 @@ def write_problem_bundle(problem, out_dir: str) -> None:
         _write_lines(os.path.join(out_dir, "masks.csv"), itertools.chain(["i,k,l,sign"], rows))
     else:
         _write_matrix(os.path.join(out_dir, "X.csv"), problem._dense)
-    if truth is not None:
-        _write_matrix(os.path.join(out_dir, truth_name), truth)
-    _write_matrix(os.path.join(out_dir, "y.csv"), problem.y)
-    if problem.theta_true is not None:
-        _write_matrix(os.path.join(out_dir, "theta_true.csv"), problem.theta_true)
-
-    meta["o"] = len(problem.outlier_index_set)
-    meta["seed"] = problem.meta.get("seed", 0)
-    for key in sorted(problem.meta):
-        if key not in meta:
-            meta[key] = problem.meta[key]
+    for name in (_TRUTH[len(problem.param_shape)], "y", "theta_true"):  # file: name.csv
+        if getattr(problem, name) is not None:
+            _write_matrix(os.path.join(out_dir, name + ".csv"), getattr(problem, name))
     _write_lines(os.path.join(out_dir, "meta.txt"), _kv_lines(meta))
 
 
@@ -201,8 +196,8 @@ def read_problem_bundle(bundle_dir: str):
         raise FileNotFoundError(f"bundle directory not found: {bundle_dir}")
     meta = read_meta(bundle_dir)
     kind = meta.get("kind")
-    if kind not in ("lasso", "trace_dense", "completion"):
-        raise ProblemValidationError(f"meta.txt has unknown kind {meta.get('kind')!r}")
+    if kind not in _BUNDLE_DIMS:
+        raise ProblemValidationError(f"meta.txt has unknown kind {kind!r}")
 
     def parse(name, vector=False, optional=False):
         # every array parsed here is fresh and held nowhere else: hand it over
@@ -214,18 +209,13 @@ def read_problem_bundle(bundle_dir: str):
 
     y = parse("y.csv", vector=True)
     theta = parse("theta_true.csv", vector=True, optional=True)
-
-    if kind == "lasso":
-        beta = parse("beta_true.csv", vector=True, optional=True)
-        return RegressionProblem(y, parse("X.csv"), beta, theta, meta=meta)
-
-    for key in ("d1", "d2"):
+    keys = _BUNDLE_DIMS[kind]
+    for key in keys:
         if key not in meta:
-            raise ProblemValidationError(
-                f"{os.path.join(bundle_dir, 'meta.txt')}: a {kind} bundle needs a {key} line"
-            )
-    d1, d2 = meta["d1"], meta["d2"]
-    B_true = parse("B_true.csv", optional=True)
+            path = os.path.join(bundle_dir, "meta.txt")
+            raise ProblemValidationError(f"{path}: a {kind} bundle needs a {key} line")
+    dims = tuple(meta[key] for key in keys)
+    truth = parse(_TRUTH[len(keys)] + ".csv", vector=len(keys) == 1, optional=True)
     if kind == "completion":
         path = os.path.join(bundle_dir, "masks.csv")
 
@@ -253,14 +243,13 @@ def read_problem_bundle(bundle_dir: str):
         cov = MaskCovariates(*map(_Adopt, cells))
     else:
         path = os.path.join(bundle_dir, "X.csv")
-        flat = _read_matrix(path)
+        flat, width = _read_matrix(path), int(np.prod(dims))
+        wanted = f"{'*'.join(keys)} = {width}"
         if not len(flat):  # an empty file reads as shape (0,), with no column count
-            raise ProblemValidationError(f"{path}: expected rows of d1*d2 = {d1 * d2} values")
-        if flat.shape[1] != d1 * d2:
-            raise ProblemValidationError(
-                f"X.csv has {flat.shape[1]} columns, expected d1*d2 = {d1 * d2}"
-            )
-        cov = _Adopt(flat.reshape(len(flat), d1, d2))
-    return TraceProblem(
-        y=y, covariates=cov, dims=(d1, d2), B_true=B_true, theta_true=theta, meta=meta
-    )
+            raise ProblemValidationError(f"{path}: expected rows of {wanted} values")
+        if flat.shape[1] != width:
+            raise ProblemValidationError(f"X.csv has {flat.shape[1]} columns, expected {wanted}")
+        cov = _Adopt(flat.reshape(len(flat), *dims))
+    if len(keys) == 1:
+        return RegressionProblem(y, cov, truth, theta, meta=meta)
+    return TraceProblem(y, cov, dims, truth, theta, meta=meta)

@@ -5,6 +5,9 @@ machine-parseable lines on stdout: ``key=value``, except ``tune``, which
 prints its tuning report's ``key = value`` lines. Exit codes: 0 success,
 2 bad arguments or configuration, 3 file system trouble, 4 an internal
 postcondition failed (a bug worth reporting, not a usage problem).
+Each choice list, the dims options (``bundles._BUNDLE_DIMS``) and each
+default shared with a library dataclass are read from the module that
+validates them, never restated here.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import sys
 import numpy as np
 
 from .bundles import (
+    _BUNDLE_DIMS,
     _META_TYPES,
     _kv_lines,
     _read_matrix,
@@ -25,9 +29,11 @@ from .bundles import (
     read_problem_bundle,
     write_problem_bundle,
 )
-from .datagen import ContaminationSpec, NoiseSpec, spikiness
-from .diagnostics import empirical_mre, empirical_re
+from .datagen import _NOISE_KINDS, _STRATEGIES, ContaminationSpec, NoiseSpec, spikiness
+from .diagnostics import _VARIANTS, TheoremInputs, empirical_mre, empirical_re
 from .experiments import (
+    _SLOPE_AXES,
+    _SLOPE_COLUMNS,
     _THEOREM,
     SweepSpec,
     _draw,
@@ -59,9 +65,12 @@ def _size(args, kind: str, option: str):
     return k.coerce(dims if len(dims) > 1 else dims[0]), size
 
 
-def _options(args, meta):
-    """The theorem options given, over ``meta`` (a bundle's meta.txt, or {});
-    --c0 and --variant are never read from meta.txt."""
+def _options(args, meta, kind):
+    """The theorem options given for tuning the ``kind`` record, over ``meta``
+    (a bundle's meta.txt, or {}); --c0 and --variant are never read from
+    meta.txt, and --variant is refused for a kind whose tuning takes none."""
+    _require(args.variant is None or kind.variant is not None,
+             f"--variant applies to completion tuning only, not {kind.name}")
     given = {name: val for name in ("s", "rank", *_THEOREM)
              if (val := getattr(args, name)) is not None}
     return {**meta, **given, "c0": args.c0, "variant": args.variant}
@@ -96,7 +105,7 @@ def cmd_solve(args) -> int:
     fixed = (args.lambda_o, args.lambda_star) if args.tuning == "fixed" else None
     _require(not fixed or None not in fixed, "--tuning fixed needs --lambda-o and --lambda-star")
     tp = _tuning_params(kind.name, problem.n, getattr(problem, kind.dims),
-                        _options(args, problem.meta), fixed, est.boxed, args.inf_radius)
+                        _options(args, problem.meta, kind), fixed, est.boxed, args.inf_radius)
     cfg = SolverConfig(max_iters=args.max_iters, rel_tol=args.rel_tol)
     result = _solve(est.name, problem, tp, cfg)
 
@@ -122,7 +131,7 @@ def cmd_solve(args) -> int:
 
 def cmd_tune(args) -> int:
     dims, _ = _size(args, args.model, "--model")
-    report = _theorem_tuning(args.model, args.n, dims, _options(args, {}))
+    report = _theorem_tuning(args.model, args.n, dims, _options(args, {}, _kinds()[args.model]))
     text = report.to_kv_text()
     if args.out:
         _write_lines(args.out, text.splitlines())
@@ -189,39 +198,36 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     kinds = list(_kinds())
 
-    # options several subcommands share, each declared once; the theorem
-    # options default to None (see _THEOREM), but --c0, which diagnose re and
-    # mre read directly, to the cone constant
+    # options several subcommands share, each declared once: one per bundle
+    # dims key, and the theorem options, which default to None (see _THEOREM),
+    # but --c0, which diagnose re and mre read directly, to the cone constant
     dims = argparse.ArgumentParser(add_help=False)
-    dims.add_argument("--d", type=int)
-    dims.add_argument("--d1", type=int)
-    dims.add_argument("--d2", type=int)
+    for key in dict.fromkeys(key for keys in _BUNDLE_DIMS.values() for key in keys):
+        dims.add_argument("--" + key, type=_META_TYPES[key])
     sizes = argparse.ArgumentParser(add_help=False)
     sizes.add_argument("--s", type=int, help="sparsity of the true vector")
     sizes.add_argument("--rank", type=int, help="rank of the true matrix")
     cone = argparse.ArgumentParser(add_help=False)
-    cone.add_argument("--c0", type=float, default=3.0)
+    cone.add_argument("--c0", type=float, default=TheoremInputs.c0)
     theorem = argparse.ArgumentParser(add_help=False, parents=[cone])
     for name in _THEOREM:
         theorem.add_argument("--" + name.replace("_", "-"), type=_META_TYPES[name])
-    theorem.add_argument("--variant", choices=["heavy_tailed", "subweibull"],
-                         help="completion noise model (default: subweibull, at --alpha 2)")
+    theorem.add_argument("--variant", choices=_VARIANTS, help="completion noise model "
+                         f"(default: {_kinds()['completion'].variant}, at --alpha 2)")
 
     p = sub.add_parser("generate", parents=[dims, sizes],
                        help="simulate a problem and write a bundle")
     p.add_argument("--kind", required=True, choices=kinds)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--beta-magnitude", type=float, default=1.0)
-    p.add_argument("--spikiness-cap", type=float, default=3.0)
-    p.add_argument("--noise", default="gaussian",
-                   choices=["gaussian", "student_t", "weibull_symmetric"])
-    p.add_argument("--sigma", type=float, default=1.0)
+    p.add_argument("--spikiness-cap", type=float, default=SweepSpec.spikiness_cap)
+    p.add_argument("--noise", default=NoiseSpec.kind, choices=_NOISE_KINDS)
+    p.add_argument("--sigma", type=float, default=NoiseSpec.sigma)
     p.add_argument("--noise-alpha", type=float, default=None)
-    p.add_argument("--o", type=int, default=0, help="number of contaminated rows")
-    p.add_argument("--adversary", default="none",
-                   choices=["none", "random_large", "sign_flip", "adaptive_residual"])
-    p.add_argument("--magnitude", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--o", type=int, default=ContaminationSpec.o, help="number of contaminated rows")
+    p.add_argument("--adversary", default=ContaminationSpec.strategy, choices=_STRATEGIES)
+    p.add_argument("--magnitude", type=float, default=ContaminationSpec.magnitude)
+    p.add_argument("--seed", type=int, default=ContaminationSpec.seed)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_generate)
 
@@ -233,8 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda-o", type=float, default=None)
     p.add_argument("--lambda-star", type=float, default=None)
     p.add_argument("--inf-radius", type=float, default=None)
-    p.add_argument("--max-iters", type=int, default=5000)
-    p.add_argument("--rel-tol", type=float, default=1e-9)
+    p.add_argument("--max-iters", type=int, default=SolverConfig.max_iters)
+    p.add_argument("--rel-tol", type=float, default=SolverConfig.rel_tol)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("tune", parents=[dims, sizes, theorem],
@@ -263,9 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("slope", help="fit a log-log rate slope on sweep results")
     p.add_argument("--results", required=True)
-    p.add_argument("--x", required=True, choices=["n", "o_frac"])
-    p.add_argument("--y", default="error",
-                   choices=["error", "rel_error", "weighted_error"])
+    p.add_argument("--x", required=True, choices=_SLOPE_AXES)
+    p.add_argument("--y", default=_SLOPE_COLUMNS[0], choices=_SLOPE_COLUMNS)
     p.set_defaults(func=cmd_slope)
 
     return parser

@@ -34,6 +34,8 @@ from .problems import (
 
 _STREAM_COV, _STREAM_NOISE, _STREAM_ADV = 0, 1, 2
 LOW_RANK_DRAWS = 1000  # gen_low_rank's draws before it gives up on the cap
+_NOISE_KINDS = ("gaussian", "student_t", "weibull_symmetric")  # NoiseSpec's kinds
+_STRATEGIES = ("none", "random_large", "sign_flip", "adaptive_residual")  # the adversary's
 
 
 def child_rng(master_seed: int, *keys: int) -> np.random.Generator:
@@ -56,7 +58,7 @@ class NoiseSpec:
     alpha: Optional[float] = None
 
     def __post_init__(self):
-        if self.kind not in ("gaussian", "student_t", "weibull_symmetric"):
+        if self.kind not in _NOISE_KINDS:
             raise ProblemValidationError(f"unknown noise kind {self.kind!r}")
         if not (np.isfinite(self.sigma) and self.sigma > 0):
             raise ProblemValidationError(f"sigma must be positive, got {self.sigma}")
@@ -100,7 +102,7 @@ class ContaminationSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.strategy not in ("none", "random_large", "sign_flip", "adaptive_residual"):
+        if self.strategy not in _STRATEGIES:
             raise ProblemValidationError(f"unknown adversary strategy {self.strategy!r}")
         if self.o < 0:
             raise ProblemValidationError(f"o must be nonnegative, got {self.o}")

@@ -26,6 +26,7 @@ SUPPORT_TOL = 1e-8
 # RE_PG_STALL * max(1, max|W|) from the one before it
 RE_PG_ITERS = 500
 RE_PG_STALL = 1e-9
+_VARIANTS = ("heavy_tailed", "subweibull")  # tuning_completion's noise models
 
 
 def _psd_sqrt(M: np.ndarray, name: str) -> np.ndarray:
@@ -179,7 +180,7 @@ def tuning_completion(ti: TheoremInputs, variant: str = "heavy_tailed") -> Diagn
     only the second branch exists.
     """
     _check_delta(ti.delta, 1.0)
-    if variant not in ("heavy_tailed", "subweibull"):
+    if variant not in _VARIANTS:
         raise ProblemValidationError(f"unknown completion variant {variant!r}")
     if ti.dims is None or ti.r is None:
         raise ProblemValidationError("completion needs dims and r")

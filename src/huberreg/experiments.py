@@ -33,7 +33,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .bundles import _fmt, _scan_csv, _write_lines
+from .bundles import _BUNDLE_DIMS, _TRUTH, _fmt, _scan_csv, _write_lines
 from .datagen import (
     ContaminationSpec,
     NoiseSpec,
@@ -66,6 +66,9 @@ DEFAULT_ORACLE_MULTIPLIERS = (
 # path's.
 SCREEN_REL_TOL = 1e-4
 SCREEN_MARGIN = 0.2
+
+_SLOPE_AXES = ("n", "o_frac")  # fit_rate_slope's x axes and y columns, the first its default
+_SLOPE_COLUMNS = ("error", "rel_error", "weighted_error")
 
 
 @dataclass(frozen=True)
@@ -298,37 +301,36 @@ class _Kind(NamedTuple):
     bundle: str  # the kind meta.txt gives its bundle
     size: str  # the sparsity or rank: its key in a cell, a meta and the CLI
     dims: str  # the dims: their TheoremInputs field and problem attribute
-    keys: tuple  # the dims' keys in a meta and the CLI
     coerce: Callable  # a d_grid entry to dims
     check: Callable  # check(dims, size, cap): the truth generator's size rule
     truth: Callable  # truth(dims, size, cap, beta_magnitude, seed): the truth generator
     meta: Callable  # meta(truth, beta_magnitude): its problem's meta beside the size
-    attr: str  # the problem's truth attribute
-    tuning: Callable  # tuning(TheoremInputs, variant or None): theorem tuning
+    tuning: Callable  # tuning(TheoremInputs, variant): theorem tuning
+    variant: Optional[str]  # the tuning's variant when none is given; None: it takes none
     theorem_size: str  # the size's TheoremInputs field
     boxed: bool  # truth held to the spikiness cap, fit to the entrywise box
     solver: Callable  # called as solver(problem, tp, cfg, start, give_up=...)
+    keys = property(lambda self: _BUNDLE_DIMS[self.bundle])  # dims keys in a meta and the CLI
 
 
 def _kinds() -> dict:
     """Each problem kind's record by name; built per call (see the module docstring)."""
     lasso = _Kind(
-        name="lasso", design="gaussian", bundle="lasso", size="s", dims="d", keys=("d",),
+        name="lasso", design="gaussian", bundle="lasso", size="s", dims="d",
         coerce=_integer, check=lambda d, s, cap: _check_sparse(d, s),
         truth=lambda d, s, cap, mag, seed: gen_sparse_beta(d, s, mag, seed),
-        meta=lambda beta, mag: {"beta_magnitude": mag}, attr="beta_true",
-        tuning=lambda ti, variant: tuning_lasso(ti), theorem_size="s", boxed=False,
-        solver=solve_adversarial_lasso)
+        meta=lambda beta, mag: {"beta_magnitude": mag},
+        tuning=lambda ti, variant: tuning_lasso(ti), variant=None, theorem_size="s",
+        boxed=False, solver=solve_adversarial_lasso)
     matrix_cs = lasso._replace(
-        name="matrix_cs", bundle="trace_dense", size="rank", dims="dims", keys=("d1", "d2"),
+        name="matrix_cs", bundle="trace_dense", size="rank", dims="dims",
         coerce=_pair, check=lambda dims, r, cap: _check_low_rank(*dims, r, cap),
         truth=lambda dims, r, cap, mag, seed: gen_low_rank(*dims, r, cap, seed),
-        meta=lambda B, mag: {"alpha_star": spikiness(B)}, attr="B_true",
+        meta=lambda B, mag: {"alpha_star": spikiness(B)},
         tuning=lambda ti, variant: tuning_matrix_cs(ti), theorem_size="r", solver=solve_matrix_cs)
     completion = matrix_cs._replace(
         name="completion", design="mask_uniform", bundle="completion", boxed=True,
-        tuning=lambda ti, variant: tuning_completion(ti, variant or "subweibull"),
-        solver=solve_matrix_completion)
+        tuning=tuning_completion, variant="subweibull", solver=solve_matrix_completion)
     return {kind.name: kind for kind in (lasso, matrix_cs, completion)}
 
 
@@ -370,15 +372,15 @@ def _theorem_tuning(kind, n, dims, given):
     (``s`` or ``rank``); its ``c0`` and ``_THEOREM`` entries go to
     TheoremInputs, each missing or None one taking its default, and each
     calculator reads the fields it needs. Completion takes ``variant``, by
-    default sub-Weibull at alpha = 2, the one order both variants accept.
+    default its record's (sub-Weibull) at alpha = 2, which both accept.
     """
     k = _kind(kind)
     _require(given.get(k.size) is not None, f"theorem tuning needs --{k.size}")
     _require(not k.boxed or given.get("alpha_star") is not None,
              f"{kind} tuning needs --alpha-star")
     inputs = {key: given[key] for key in ("c0", *_THEOREM) if given.get(key) is not None}
-    shape = {k.dims: dims, k.theorem_size: given[k.size]}
-    return k.tuning(TheoremInputs(n=n, **shape, **{"alpha": 2.0, **inputs}), given.get("variant"))
+    shape = {k.dims: dims, k.theorem_size: given[k.size], "alpha": 2.0}
+    return k.tuning(TheoremInputs(n=n, **{**shape, **inputs}), given.get("variant") or k.variant)
 
 
 def _contamination(o, adversary, seed=0):
@@ -470,7 +472,7 @@ def run_trial(spec: SweepSpec, cell_index: int, trial_index: int) -> ExperimentR
     t_start = time.perf_counter()
     kind = spec.problem_kind
     problem = _draw(kind, n, dims, s, noise, contamination, spec.spikiness_cap)
-    truth = getattr(problem, _kind(kind).attr)
+    truth = getattr(problem, _TRUTH[len(problem.param_shape)])
     dim1, dim2 = (*problem.param_shape, 0)[:2]
     # tuned from the problem's meta as solve tunes a bundle, o from the cell
     levels = _lambda_path(spec, n, dims, {**problem.meta, "o": o})
@@ -553,16 +555,18 @@ def _median(values) -> float:
     return v[h] if len(v) % 2 else (v[h - 1] + v[h]) / 2
 
 
-def fit_rate_slope(records, x_axis: str = "n", y: str = "error") -> SlopeFit:
+def fit_rate_slope(records, x_axis: str = "n", y: str = _SLOPE_COLUMNS[0]) -> SlopeFit:
     """OLS slope of log median error against log x over grouped records.
 
-    ``x_axis`` is "n" or "o_frac" (= o/n). Groups records by the x value,
-    takes the median of ``y`` per group (``_median``, equal to ``np.median``
-    without loading ``numpy.ma``), and regresses log median on log x. Needs
-    at least three distinct x values and positive medians.
+    ``x_axis`` is in ``_SLOPE_AXES`` ("o_frac" = o/n), ``y`` in ``_SLOPE_COLUMNS``.
+    Groups records by the x value, takes the median of ``y`` per group
+    (``_median``, equal to ``np.median`` without loading ``numpy.ma``), and
+    regresses log median on log x. Needs at least three distinct x values
+    and positive medians.
     """
-    if x_axis not in ("n", "o_frac"):
-        raise ProblemValidationError(f"x_axis must be 'n' or 'o_frac', got {x_axis!r}")
+    for name, value, choices in (("x_axis", x_axis, _SLOPE_AXES), ("y", y, _SLOPE_COLUMNS)):
+        *most, last = map(repr, choices)
+        _require(value in choices, f"{name} must be {', '.join(most)} or {last}, got {value!r}")
     groups = {}
     for rec in records:
         xv = rec.n if x_axis == "n" else rec.o / rec.n

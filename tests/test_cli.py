@@ -1,4 +1,6 @@
+import dataclasses
 import filecmp
+import inspect
 import json
 import shutil
 import subprocess
@@ -8,6 +10,8 @@ import numpy as np
 import pytest
 
 from huberreg import (
+    ContaminationSpec,
+    NoiseSpec,
     SolverConfig,
     TheoremInputs,
     TuningParams,
@@ -21,8 +25,20 @@ from huberreg import (
     tuning_lasso,
     tuning_matrix_cs,
 )
+from huberreg.bundles import _BUNDLE_DIMS, _META_TYPES
 from huberreg.cli import build_parser, main
-from huberreg.experiments import RESULT_COLUMNS, SweepSpec, _kinds, _trial_master_seed, run_trial
+from huberreg.datagen import _NOISE_KINDS, _STRATEGIES
+from huberreg.diagnostics import _VARIANTS
+from huberreg.experiments import (
+    _SLOPE_AXES,
+    _SLOPE_COLUMNS,
+    RESULT_COLUMNS,
+    SweepSpec,
+    _kinds,
+    _trial_master_seed,
+    fit_rate_slope,
+    run_trial,
+)
 from huberreg.problems import ProblemValidationError
 
 
@@ -814,3 +830,111 @@ def test_solve_tuning_errors_exit_two(pin_bundles, tmp_path, capsys):
     assert main(["solve", "--bundle", str(bundle), "--out", str(tmp_path / "g"),
                  "--estimator", "completion"]) == 2
     assert "error: completion needs --inf-radius or --alpha-star" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, kind", [
+    (["tune", "--model", "lasso", "--n", "400", *_KINDS["lasso"][0]], "lasso"),
+    (["tune", "--model", "matrix_cs", "--n", "400", *_KINDS["matrix_cs"][0]], "matrix_cs"),
+    (["solve", "lasso"], "lasso"),
+    (["solve", "lasso", *_LASSO_FIXED], "lasso"),
+    (["solve", "trace_dense"], "matrix_cs"),
+    (["solve", "trace_dense", "--estimator", "completion", "--inf-radius", "0.1"], "matrix_cs"),
+], ids=["tune-lasso", "tune-matrix_cs", "solve-lasso", "solve-lasso-fixed",
+        "solve-trace_dense", "solve-trace_dense-by-completion"])
+def test_variant_off_completion_exits_two_naming_the_kind(pin_bundles, tmp_path, capsys, command,
+                                                          kind):
+    """Only completion's tuning takes a variant: --variant on any other kind
+    exits 2 by name before any solve or write. solve goes by the bundle's
+    kind, so a trace_dense bundle fitted by the completion estimator, tuned
+    as matrix_cs, is refused too."""
+    if command[0] == "solve":
+        command = ["solve", "--bundle", str(pin_bundles / command[1]), *command[2:]]
+    out = tmp_path / "out"
+    assert main([*command, "--out", str(out), "--variant", "heavy_tailed"]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: --variant applies to completion tuning only, not {kind}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("d_line, x_text, message", [
+    ("d = 9\n", None, "error: X.csv has 7 columns, expected d = 9"),
+    ("", None, "meta.txt: a lasso bundle needs a d line"),
+    ("d = 7\n", "", "X.csv: expected rows of d = 7 values"),
+], ids=["d-disagrees-with-X", "no-d-line", "empty-X"])
+def test_lasso_bundle_dims_are_checked_like_trace_ones(tmp_path, capsys, d_line, x_text, message):
+    """A lasso X.csv is read as a trace_dense one is: a meta.txt without its
+    d line, an empty X.csv and an X.csv whose width is not d exit 2, naming
+    meta.txt or X.csv, before any fit."""
+    bundle, fit = tmp_path / "b", tmp_path / "f"
+    assert main(["generate", "--kind", "lasso", "--n", "30", "--d", "7", "--s", "2",
+                 "--out", str(bundle)]) == 0
+    meta = bundle / "meta.txt"
+    meta.write_text(meta.read_text(encoding="utf-8").replace("\nd = 7\n", "\n" + d_line),
+                    encoding="utf-8")
+    if x_text is not None:
+        (bundle / "X.csv").write_text(x_text, encoding="utf-8")
+    capsys.readouterr()
+    assert main(["solve", "--bundle", str(bundle), "--out", str(fit)]) == 2
+    assert message in capsys.readouterr().err
+    assert not fit.exists()
+
+
+def _option(command, dest):
+    commands = build_parser()._subparsers._group_actions[0].choices
+    return next(a for a in commands[command]._actions if a.dest == dest)
+
+
+@pytest.mark.parametrize("command, dest, choices", [
+    ("generate", "noise", _NOISE_KINDS),
+    ("generate", "adversary", _STRATEGIES),
+    ("solve", "variant", _VARIANTS),
+    ("tune", "variant", _VARIANTS),
+    ("slope", "x", _SLOPE_AXES),
+    ("slope", "y", _SLOPE_COLUMNS),
+])
+def test_option_choices_are_the_library_lists(command, dest, choices):
+    """Each choice list of the CLI is the tuple its library validator checks,
+    so a name added to or dropped from one cannot miss the other."""
+    assert tuple(_option(command, dest).choices) == choices
+
+
+def test_dims_options_are_the_bundle_dims_keys(tmp_path, capsys):
+    """The dims options of generate, tune and diagnose are the bundle kinds'
+    dims keys, each of its meta.txt type, and a generated bundle's meta.txt
+    has exactly its kind's keys."""
+    keys = {key: _META_TYPES[key] for keys in _BUNDLE_DIMS.values() for key in keys}
+    for command in ("generate", "tune", "diagnose"):
+        assert {key: _option(command, key).type for key in keys} == keys
+    for kind in _kinds().values():
+        bundle = tmp_path / kind.name
+        assert main(["generate", "--kind", kind.name, "--n", "200", *_KINDS[kind.name][0],
+                     "--out", str(bundle)]) == 0
+        meta = read_problem_bundle(str(bundle)).meta
+        assert tuple(key for key in meta if key in keys) == _BUNDLE_DIMS[meta["kind"]]
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("command, dest, cls, name", [
+    ("generate", "noise", NoiseSpec, "kind"),
+    ("generate", "sigma", NoiseSpec, "sigma"),
+    ("generate", "o", ContaminationSpec, "o"),
+    ("generate", "adversary", ContaminationSpec, "strategy"),
+    ("generate", "magnitude", ContaminationSpec, "magnitude"),
+    ("generate", "seed", ContaminationSpec, "seed"),
+    ("solve", "max_iters", SolverConfig, "max_iters"),
+    ("solve", "rel_tol", SolverConfig, "rel_tol"),
+    ("solve", "c0", TheoremInputs, "c0"),
+    ("tune", "c0", TheoremInputs, "c0"),
+    ("diagnose", "c0", TheoremInputs, "c0"),
+    ("generate", "spikiness_cap", SweepSpec, "spikiness_cap"),
+])
+def test_option_defaults_are_the_dataclass_defaults(command, dest, cls, name):
+    """A CLI default that a library dataclass also has is that field's default."""
+    default = {f.name: f.default for f in dataclasses.fields(cls)}[name]
+    option = _option(command, dest).default
+    assert (option, type(option)) == (default, type(default))
+
+
+def test_slope_y_default_is_the_library_default():
+    y = inspect.signature(fit_rate_slope).parameters["y"].default
+    assert _option("slope", "y").default == y

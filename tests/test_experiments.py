@@ -205,6 +205,16 @@ def test_fit_rate_slope_guards():
         fit_rate_slope(two, x_axis="d")
 
 
+
+@pytest.mark.parametrize("y", ["err", "problem_kind", "wall_time"])
+def test_fit_rate_slope_rejects_y_outside_the_slope_columns(y):
+    """A y that is not an error column raises by name, not an AttributeError
+    or numpy's ValueError on a text median."""
+    records = [mk_rec(n, 0, 1.0 / n) for n in (100, 200, 400)]
+    with pytest.raises(ProblemValidationError) as exc:
+        fit_rate_slope(records, x_axis="n", y=y)
+    assert str(exc.value) == f"y must be 'error', 'rel_error' or 'weighted_error', got {y!r}"
+
 def test_aggregate_medians_groups_and_sorts():
     records = [mk_rec(100, 0, e, cell=0) for e in (3.0, 1.0, 2.0)]
     records += [mk_rec(200, 0, e, cell=1) for e in (10.0, 30.0)]
