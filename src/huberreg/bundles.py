@@ -209,11 +209,12 @@ def read_problem_bundle(bundle_dir: str):
 
     y = parse("y.csv", vector=True)
     theta = parse("theta_true.csv", vector=True, optional=True)
-    keys = _BUNDLE_DIMS[kind]
+    keys, path = _BUNDLE_DIMS[kind], os.path.join(bundle_dir, "meta.txt")
     for key in keys:
         if key not in meta:
-            path = os.path.join(bundle_dir, "meta.txt")
             raise ProblemValidationError(f"{path}: a {kind} bundle needs a {key} line")
+        if meta[key] < 1:
+            raise ProblemValidationError(f"{path}: {key} must be >= 1, got {meta[key]}")
     dims = tuple(meta[key] for key in keys)
     truth = parse(_TRUTH[len(keys)] + ".csv", vector=len(keys) == 1, optional=True)
     if kind == "completion":

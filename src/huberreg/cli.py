@@ -56,12 +56,11 @@ def _emit(**kv) -> None:
         print(line)
 
 
-def _size(args, kind: str, option: str):
-    """(dims, size) of the kind: --d and --s for lasso, else --d1, --d2 and --rank."""
-    k = _kinds()[kind]
+def _size(args, k, option: str):
+    """(dims, size) of the kind ``k``: --d and --s for lasso, else --d1, --d2 and --rank."""
     *dims, size = values = [getattr(args, key) for key in (*k.keys, k.size)]
     *flags, last = [f"--{key}" for key in (*k.keys, k.size)]
-    _require(None not in values, f"{option} {kind} needs {', '.join(flags)} and {last}")
+    _require(None not in values, f"{option} {k.name} needs {', '.join(flags)} and {last}")
     return k.coerce(dims if len(dims) > 1 else dims[0]), size
 
 
@@ -81,19 +80,21 @@ def cmd_generate(args) -> int:
     contamination = ContaminationSpec(
         o=args.o, strategy=args.adversary, magnitude=args.magnitude, seed=args.seed
     )
-    dims, s = _size(args, args.kind, "--kind")
-    problem = _draw(args.kind, args.n, dims, s, noise, contamination, args.spikiness_cap,
+    k = _kinds()[args.kind]
+    dims, s = _size(args, k, "--kind")
+    problem = _draw(k, args.n, dims, s, noise, contamination, args.spikiness_cap,
                     args.beta_magnitude)
     write_problem_bundle(problem, args.out)
-    _emit(kind=args.kind, n=args.n, **dict(zip(_kinds()[args.kind].keys, problem.param_shape)),
+    _emit(kind=args.kind, n=args.n, **dict(zip(k.keys, problem.param_shape)),
           o=args.o, seed=args.seed, out=args.out)
     return 0
 
 
 def cmd_solve(args) -> int:
     problem = read_problem_bundle(args.bundle)
-    kind = next(k for k in _kinds().values() if k.bundle == problem.meta["kind"])
-    est = kind if args.estimator == "auto" else _kinds()[args.estimator]
+    kinds = _kinds()
+    kind = next(k for k in kinds.values() if k.bundle == problem.meta["kind"])
+    est = kind if args.estimator == "auto" else kinds[args.estimator]
     # the matrix estimators fit either matrix bundle, but vectors and
     # matrices do not mix; checked here, by the bundle's kind, because the
     # completion radius below reads a matrix bundle's dims before any solver
@@ -104,10 +105,17 @@ def cmd_solve(args) -> int:
 
     fixed = (args.lambda_o, args.lambda_star) if args.tuning == "fixed" else None
     _require(not fixed or None not in fixed, "--tuning fixed needs --lambda-o and --lambda-star")
-    tp = _tuning_params(kind.name, problem.n, getattr(problem, kind.dims),
-                        _options(args, problem.meta, kind), fixed, est.boxed, args.inf_radius)
+    given = _options(args, problem.meta, kind)
+    # an option the tuning mode does not read is refused by name; fixed tuning
+    # reads --alpha-star only as the box of a completion fit without --inf-radius
+    for name in ("s", "rank", "variant", *_THEOREM) if fixed else ("lambda_o", "lambda_star"):
+        box = name == "alpha_star" and est.boxed and args.inf_radius is None
+        _require(getattr(args, name) is None or box,
+                 f"--tuning {args.tuning} does not read --{name.replace('_', '-')}")
+    tp = _tuning_params(kind, problem.n, getattr(problem, kind.dims), given, fixed, est.boxed,
+                        args.inf_radius)
     cfg = SolverConfig(max_iters=args.max_iters, rel_tol=args.rel_tol)
-    result = _solve(est.name, problem, tp, cfg)
+    result = _solve(est, problem, tp, cfg)
 
     trace = result.objective_trace
     slack = 1e-9 * max(1.0, abs(float(trace[0])))
@@ -130,8 +138,9 @@ def cmd_solve(args) -> int:
 
 
 def cmd_tune(args) -> int:
-    dims, _ = _size(args, args.model, "--model")
-    report = _theorem_tuning(args.model, args.n, dims, _options(args, {}, _kinds()[args.model]))
+    k = _kinds()[args.model]
+    dims, _ = _size(args, k, "--model")
+    report = _theorem_tuning(k, args.n, dims, _options(args, {}, k))
     text = report.to_kv_text()
     if args.out:
         _write_lines(args.out, text.splitlines())
@@ -154,8 +163,6 @@ def cmd_diagnose(args) -> int:
         Sigma = _read_matrix(args.sigma_csv) if args.sigma_csv else None
         _require(args.d1 is not None and args.d2 is not None and args.rank is not None,
                  "diagnose mre needs --d1, --d2 and --rank")
-        for flag, value in (("--d1", args.d1), ("--d2", args.d2)):
-            _require(value >= 1, f"{flag} must be >= 1, got {value}")
         value = empirical_mre(
             Sigma, (args.d1, args.d2), args.rank, args.c0,
             n_probes=args.probes, seed=args.seed,
@@ -196,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Robust penalized regression under adversarial contamination.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    kinds = list(_kinds())
+    kinds = _kinds()
 
     # options several subcommands share, each declared once: one per bundle
     # dims key, and the theorem options, which default to None (see _THEOREM),
@@ -213,11 +220,11 @@ def build_parser() -> argparse.ArgumentParser:
     for name in _THEOREM:
         theorem.add_argument("--" + name.replace("_", "-"), type=_META_TYPES[name])
     theorem.add_argument("--variant", choices=_VARIANTS, help="completion noise model "
-                         f"(default: {_kinds()['completion'].variant}, at --alpha 2)")
+                         f"(default: {kinds['completion'].variant}, at --alpha 2)")
 
     p = sub.add_parser("generate", parents=[dims, sizes],
                        help="simulate a problem and write a bundle")
-    p.add_argument("--kind", required=True, choices=kinds)
+    p.add_argument("--kind", required=True, choices=list(kinds))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--beta-magnitude", type=float, default=1.0)
     p.add_argument("--spikiness-cap", type=float, default=SweepSpec.spikiness_cap)
@@ -245,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tune", parents=[dims, sizes, theorem],
                        help="print theorem-driven penalty levels")
-    p.add_argument("--model", required=True, choices=kinds)
+    p.add_argument("--model", required=True, choices=list(kinds))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_tune)

@@ -375,6 +375,8 @@ def empirical_mre(
     never certifies a lower bound.
     """
     d1, d2 = int(dims[0]), int(dims[1])
+    if min(d1, d2) < 1:
+        raise ProblemValidationError(f"d1 and d2 must be >= 1, got d1={d1}, d2={d2}")
     if d1 > 4 or d2 > 4:
         raise ProblemValidationError(f"desk-scale search needs d1, d2 <= 4, got {dims}")
     if not 1 <= r <= min(d1, d2) or r > 2:

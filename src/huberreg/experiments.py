@@ -13,13 +13,15 @@ and when its pick equals the full grid's minimum.
 
 What a problem kind (lasso, matrix_cs, completion) means is decided here,
 once: ``_kinds`` holds one ``_Kind`` record per kind (its design, size and
-dims names, truth generator, tuning calculator, box and solver), and the
-sweep's cell check, ``_draw``, the tuning resolver and the CLI read it,
-never the kind's name. A trial draws like ``generate`` (``_draw``) and tunes
-like ``solve`` (``_tuning_params``). The records are built on every call
-rather than once at import, so the calculators, solvers and generators in
-them are whatever this module's attributes are at call time, and a wrapper
-installed on one of them (a profiler, a test double) sees every call.
+dims names, truth generator, tuning calculator, box and solver). Each sweep
+check, trial and CLI command looks its record up once, as it starts, and
+hands the record, never the name, to ``_draw``, the tuning resolver and
+``_solve``. A trial draws like ``generate`` (``_draw``) and tunes like
+``solve`` (``_tuning_params``). The records are built once per trial, sweep
+check and command rather than once at import, so the calculators, solvers
+and generators in them are this module's attributes as that work starts,
+and a wrapper installed on one before then (a profiler, a test double)
+sees every call.
 """
 
 from __future__ import annotations
@@ -197,7 +199,9 @@ class SweepSpec:
     rel_tol: float = 1e-9
 
     def __post_init__(self):
-        k = _kind(self.problem_kind)
+        _require(self.problem_kind in list(kinds := _kinds()),
+                 f"unknown problem_kind {self.problem_kind!r}")
+        k = kinds[self.problem_kind]
         if self.tuning_mode not in ("theorem", "fixed", "grid_oracle"):
             raise ProblemValidationError(f"unknown tuning_mode {self.tuning_mode!r}")
         if self.loss_regime not in ("huber", "quadratic"):
@@ -252,7 +256,7 @@ class SweepSpec:
                 # undrawn meta: a boxed truth's alpha_star is at most the cap and sqrt(d1 d2)
                 bound = min(cap, np.sqrt(dims[0] * dims[1])) if k.boxed else None
                 given = {k.size: s, "o": o, "sigma": sigma, "alpha_star": bound}
-                _lambda_path(self, n, dims, given)
+                _lambda_path(self, k, n, dims, given)
             except ProblemValidationError as exc:
                 raise ProblemValidationError(
                     f"cell {i} (o={o}, n={n}, {k.size}={s}, {k.dims}={dims}): {exc}") from None
@@ -314,7 +318,8 @@ class _Kind(NamedTuple):
 
 
 def _kinds() -> dict:
-    """Each problem kind's record by name; built per call (see the module docstring)."""
+    """Each kind's record by name. Built anew per call, once per sweep check, trial and
+    command, so a wrapper put on a generator, calculator or solver before then is called."""
     lasso = _Kind(
         name="lasso", design="gaussian", bundle="lasso", size="s", dims="d",
         coerce=_integer, check=lambda d, s, cap: _check_sparse(d, s),
@@ -334,19 +339,12 @@ def _kinds() -> dict:
     return {kind.name: kind for kind in (lasso, matrix_cs, completion)}
 
 
-def _kind(name) -> _Kind:
-    """The record of the problem kind ``name``."""
-    _require(name in list(kinds := _kinds()), f"unknown problem_kind {name!r}")
-    return kinds[name]
-
-
-def _draw(kind, n, dims, s, noise, contamination, spikiness_cap, beta_magnitude=1.0):
-    """A problem of a kind, its truth from ``SeedSequence([seed, 3])`` for the
-    contamination's master seed; ``dims`` and ``s`` are the kind's dims and
-    size, and only a boxed kind's truth is held to the cap. Its meta adds the
-    size under the kind's key and ``beta_magnitude`` for lasso, else
-    ``alpha_star`` (the truth's spikiness)."""
-    k = _kind(kind)
+def _draw(k, n, dims, s, noise, contamination, spikiness_cap, beta_magnitude=1.0):
+    """A problem of the kind ``k`` (a ``_Kind``), its truth from
+    ``SeedSequence([seed, 3])`` for the contamination's master seed; ``dims``
+    and ``s`` are the kind's dims and size, and only a boxed kind's truth is
+    held to the cap. Its meta adds the size under the kind's key and
+    ``beta_magnitude`` for lasso, else ``alpha_star`` (the truth's spikiness)."""
     truth = k.truth(dims, s, spikiness_cap if k.boxed else np.inf, beta_magnitude,
                     np.random.SeedSequence([contamination.seed, 3]))
     problem = gen_problem(k.design, noise, truth, n, contamination)
@@ -364,8 +362,8 @@ def _require(cond: bool, msg: str) -> None:
 _THEOREM = ("o", "sigma", "sigma_xi", "delta", "kappa", "L", "rho", "alpha", "alpha_star")
 
 
-def _theorem_tuning(kind, n, dims, given):
-    """The kind's theorem tuning report (a DiagnosticsReport).
+def _theorem_tuning(k, n, dims, given):
+    """The theorem tuning report (a DiagnosticsReport) of the kind ``k``.
 
     ``given`` is a problem's meta (a bundle's meta.txt, or a drawn
     problem's) with what the caller was given over it. It holds the size
@@ -374,10 +372,9 @@ def _theorem_tuning(kind, n, dims, given):
     calculator reads the fields it needs. Completion takes ``variant``, by
     default its record's (sub-Weibull) at alpha = 2, which both accept.
     """
-    k = _kind(kind)
     _require(given.get(k.size) is not None, f"theorem tuning needs --{k.size}")
     _require(not k.boxed or given.get("alpha_star") is not None,
-             f"{kind} tuning needs --alpha-star")
+             f"{k.name} tuning needs --alpha-star")
     inputs = {key: given[key] for key in ("c0", *_THEOREM) if given.get(key) is not None}
     shape = {k.dims: dims, k.theorem_size: given[k.size], "alpha": 2.0}
     return k.tuning(TheoremInputs(n=n, **{**shape, **inputs}), given.get("variant") or k.variant)
@@ -393,17 +390,17 @@ def _contamination(o, adversary, seed=0):
                              magnitude=adversary.get("magnitude", 0.0), seed=seed)
 
 
-def _solve(kind, problem, tp, cfg, x0=None, give_up=None):
-    return _kind(kind).solver(problem, tp, cfg, x0, give_up=give_up)
+def _solve(k, problem, tp, cfg, x0=None, give_up=None):
+    return k.solver(problem, tp, cfg, x0, give_up=give_up)
 
 
-def _tuning_params(kind, n, dims, given, fixed=None, boxed=False, radius=None):
+def _tuning_params(k, n, dims, given, fixed=None, boxed=False, radius=None):
     """A fit's TuningParams: lambda_o and lambda_star from the ``fixed`` pair
-    if one is given, else from the kind's theorem report on ``given`` (see
-    _theorem_tuning); a ``boxed`` fit takes ``radius`` if given, else
-    alpha* / sqrt(d1 d2)."""
+    if one is given, else from the theorem report of the kind ``k`` on
+    ``given`` (see _theorem_tuning); a ``boxed`` fit takes ``radius`` if
+    given, else alpha* / sqrt(d1 d2)."""
     if fixed is None:
-        rep = _theorem_tuning(kind, n, dims, given)
+        rep = _theorem_tuning(k, n, dims, given)
         fixed = rep.lambda_o, rep.lambda_star
     if boxed and radius is None:
         _require(given.get("alpha_star") is not None,
@@ -412,8 +409,8 @@ def _tuning_params(kind, n, dims, given, fixed=None, boxed=False, radius=None):
     return TuningParams(*fixed, inf_ball_radius=radius if boxed else None)
 
 
-def _lambda_path(spec, n, dims, given):
-    """The TuningParams of a trial's lambda_star path, largest first.
+def _lambda_path(spec, k, n, dims, given):
+    """The TuningParams of the kind ``k``'s lambda_star path, largest first.
 
     ``given`` is what the trial tunes from (see _theorem_tuning): its
     problem's meta with the cell's o. The one level is _tuning_params's,
@@ -421,7 +418,7 @@ def _lambda_path(spec, n, dims, given):
     grid_oracle scales its lambda_star by the oracle multipliers.
     """
     fixed = (spec.fixed_lambda_o, spec.fixed_lambda_star) if spec.tuning_mode == "fixed" else None
-    tp = _tuning_params(spec.problem_kind, n, dims, given, fixed, _kind(spec.problem_kind).boxed)
+    tp = _tuning_params(k, n, dims, given, fixed, k.boxed)
     if spec.loss_regime == "quadratic":
         tp = replace(tp, lambda_o=QUADRATIC_SCALE * given["sigma"] / np.sqrt(n))
     grid = spec.oracle_multipliers if spec.tuning_mode == "grid_oracle" else (1.0,)
@@ -435,12 +432,12 @@ def _hopeless(truth, bar):
     return lambda x: float(np.linalg.norm(x - truth)) >= bar
 
 
-def _screen_rejects(kind, problem, levels, cfg, x0, hopeless) -> bool:
+def _screen_rejects(k, problem, levels, cfg, x0, hopeless) -> bool:
     """Whether coarse solves down ``levels`` (TuningParams), each warm-started
     at the last from ``x0``, all end ``hopeless``; stops at the first that
     does not."""
     for tp in levels:
-        x0 = _solve(kind, problem, tp, cfg, x0).estimate
+        x0 = _solve(k, problem, tp, cfg, x0).estimate
         if not hopeless(x0):
             return False
     return True
@@ -470,12 +467,12 @@ def run_trial(spec: SweepSpec, cell_index: int, trial_index: int) -> ExperimentR
     contamination = _contamination(o, adv_d, master)
 
     t_start = time.perf_counter()
-    kind = spec.problem_kind
-    problem = _draw(kind, n, dims, s, noise, contamination, spec.spikiness_cap)
+    k = _kinds()[spec.problem_kind]
+    problem = _draw(k, n, dims, s, noise, contamination, spec.spikiness_cap)
     truth = getattr(problem, _TRUTH[len(problem.param_shape)])
     dim1, dim2 = (*problem.param_shape, 0)[:2]
     # tuned from the problem's meta as solve tunes a bundle, o from the cell
-    levels = _lambda_path(spec, n, dims, {**problem.meta, "o": o})
+    levels = _lambda_path(spec, k, n, dims, {**problem.meta, "o": o})
     cfg = SolverConfig(max_iters=spec.max_iters, rel_tol=spec.rel_tol)
     coarse = SolverConfig(spec.max_iters, max(spec.rel_tol, SCREEN_REL_TOL))
 
@@ -485,12 +482,12 @@ def run_trial(spec: SweepSpec, cell_index: int, trial_index: int) -> ExperimentR
         if best is not None and screen:
             hopeless = _hopeless(truth, (1.0 + SCREEN_MARGIN) * best[0])
             give_up = (coarse.rel_tol, hopeless)
-        res = _solve(kind, problem, tp, cfg, x0, give_up)
+        res = _solve(k, problem, tp, cfg, x0, give_up)
         if res.stop == "abandoned":
-            if _screen_rejects(kind, problem, levels[i + 1:], coarse, res.estimate, hopeless):
+            if _screen_rejects(k, problem, levels[i + 1:], coarse, res.estimate, hopeless):
                 break
             screen = False
-            res = _solve(kind, problem, tp, cfg, x0)
+            res = _solve(k, problem, tp, cfg, x0)
         x0 = res.estimate
         err = float(np.linalg.norm(res.estimate - truth))
         if best is None or err < best[0]:

@@ -25,6 +25,7 @@ from huberreg import (
     tuning_lasso,
     tuning_matrix_cs,
 )
+from huberreg import cli, experiments
 from huberreg.bundles import _BUNDLE_DIMS, _META_TYPES
 from huberreg.cli import build_parser, main
 from huberreg.datagen import _NOISE_KINDS, _STRATEGIES
@@ -32,6 +33,7 @@ from huberreg.diagnostics import _VARIANTS
 from huberreg.experiments import (
     _SLOPE_AXES,
     _SLOPE_COLUMNS,
+    _THEOREM,
     RESULT_COLUMNS,
     SweepSpec,
     _kinds,
@@ -569,8 +571,8 @@ def test_tune_completion_reads_L_and_rho_but_checks_them(capsys):
     (["mre", "--d1", "3", "--d2", "3", "--rank", "1", "--c0", "nan"],
      "c0 must be positive, got nan"),
     (["re", "--d", "-1", "--s", "1"], "--d must be >= 1, got -1"),
-    (["mre", "--d1", "-1", "--d2", "3", "--rank", "1"], "--d1 must be >= 1, got -1"),
-    (["mre", "--d1", "3", "--d2", "0", "--rank", "1"], "--d2 must be >= 1, got 0"),
+    (["mre", "--d1", "-1", "--d2", "3", "--rank", "1"], "d1 and d2 must be >= 1, got d1=-1, d2=3"),
+    (["mre", "--d1", "3", "--d2", "0", "--rank", "1"], "d1 and d2 must be >= 1, got d1=3, d2=0"),
 ], ids=["re-c0-nan", "mre-c0-nan", "re-negative-d", "mre-negative-d1", "mre-zero-d2"])
 def test_diagnose_rejects_bad_c0_and_d(capsys, argv, message):
     assert main(["diagnose", *argv]) == 2
@@ -732,6 +734,33 @@ def test_solve_on_bundle_without_dims_exits_two_naming_key(tmp_path, capsys, kin
     assert str(meta) in err and message in err
 
 
+@pytest.mark.parametrize("kind, dims", [
+    ("lasso", {"d": 0}),
+    ("matrix_cs", {"d1": -3, "d2": -3}),
+    ("completion", {"d2": 0}),
+], ids=["lasso-d-zero", "trace_dense-d1-d2-negative", "completion-d2-zero"])
+def test_bundle_dims_below_one_exit_two_naming_meta_and_key(tmp_path, capsys, kind, dims):
+    """A meta.txt dims value below 1 exits 2 naming meta.txt and the first
+    such key, before the design is reshaped by it: a 3 x 3 trace_dense bundle
+    at d1 = d2 = -3 still has the 9 columns its dims multiply to."""
+    bundle, fit = tmp_path / "b", tmp_path / "f"
+    size = ["--d", "9", "--s", "2"] if kind == "lasso" else ["--d1", "3", "--d2", "3",
+                                                              "--rank", "1"]
+    assert main(["generate", "--kind", kind, "--n", "30", *size, "--out", str(bundle)]) == 0
+    meta = bundle / "meta.txt"
+    lines = meta.read_text(encoding="utf-8").splitlines(keepends=True)
+    kept = "".join(ln for ln in lines if ln.partition(" =")[0] not in dims)
+    meta.write_text(kept + "".join(f"{key} = {v}\n" for key, v in dims.items()),
+                    encoding="utf-8")
+    capsys.readouterr()
+    assert main(["solve", "--bundle", str(bundle), "--out", str(fit)]) == 2
+    key, value = next(iter(dims.items()))
+    assert capsys.readouterr() == ("", f"error: {meta}: {key} must be >= 1, got {value}\n")
+    assert not fit.exists()
+    with pytest.raises(ProblemValidationError, match=f"{key} must be >= 1"):
+        read_problem_bundle(str(bundle))
+
+
 # ------------------------------------------------ solve's tuning, pinned
 
 _PIN_BUNDLES = {
@@ -830,6 +859,59 @@ def test_solve_tuning_errors_exit_two(pin_bundles, tmp_path, capsys):
     assert main(["solve", "--bundle", str(bundle), "--out", str(tmp_path / "g"),
                  "--estimator", "completion"]) == 2
     assert "error: completion needs --inf-radius or --alpha-star" in capsys.readouterr().err
+
+
+_FIXED = ["--tuning", "fixed", "--lambda-o", "0.3", "--lambda-star", "0.05"]
+_BOXED = [*_FIXED, "--inf-radius", "0.1"]  # completion under fixed tuning, its box given
+_VALUES = {"s": "2", "rank": "1", "variant": "heavy_tailed", "o": "3", "alpha": "2"}
+
+
+@pytest.mark.parametrize("bundle, options, flag", [
+    *(("completion", [*_BOXED, "--" + name.replace("_", "-"), _VALUES.get(name, "0.5")],
+       "--" + name.replace("_", "-")) for name in ("s", "rank", "variant", *_THEOREM)),
+    ("lasso", [*_FIXED, "--sigma", "5", "--s", "9", "--delta", "0.01"], "--s"),
+    ("lasso", [*_FIXED, "--alpha-star", "2"], "--alpha-star"),
+    ("completion", [*_FIXED, "--estimator", "matrix_cs", "--alpha-star", "2"], "--alpha-star"),
+    ("lasso", ["--lambda-o", "0.3", "--lambda-star", "0.05"], "--lambda-o"),
+    ("completion", ["--lambda-star", "0.05"], "--lambda-star"),
+    ("completion", [*_FIXED, "--alpha-star", "2"], None),
+])
+def test_solve_refuses_options_its_tuning_mode_does_not_read(pin_bundles, tmp_path, capsys,
+                                                             bundle, options, flag):
+    """Fixed tuning reads no theorem input, size or variant, and theorem
+    tuning no fixed level: each exits 2 naming the option and the mode before
+    any solve or write. Fixed tuning still reads --alpha-star as the box of
+    a completion fit without --inf-radius."""
+    out = tmp_path / "out"
+    code = main(["solve", "--bundle", str(pin_bundles / bundle), "--out", str(out), *options,
+                 "--max-iters", "5"])
+    err = capsys.readouterr().err
+    if flag is None:
+        assert code == 0 and out.exists()
+        return
+    mode = "fixed" if "fixed" in options else "theorem"
+    assert (code, err) == (2, f"error: --tuning {mode} does not read {flag}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bundle, broken, message", [
+    ("lasso", lambda res: dataclasses.replace(res, objective_trace=np.array([1.0, 2.0])),
+     "objective trace increased beyond tolerance"),
+    ("completion", lambda res: dataclasses.replace(res, estimate=res.estimate + 1.0),
+     "estimate left the entrywise constraint ball"),
+], ids=["rising-objective", "outside-the-box"])
+def test_solve_postcondition_failure_exits_four(pin_bundles, tmp_path, capsys, monkeypatch,
+                                                bundle, broken, message):
+    """A solver result that breaks solve's postconditions (a rising objective
+    trace, a completion estimate outside its box) is an internal error: exit
+    4, reported on stderr, with nothing written."""
+    solve = cli._solve
+    monkeypatch.setattr(cli, "_solve", lambda *args: broken(solve(*args)))
+    out = tmp_path / "out"
+    assert main(["solve", "--bundle", str(pin_bundles / bundle), "--out", str(out),
+                 "--max-iters", "5"]) == 4
+    assert capsys.readouterr() == ("", f"internal error: {message}\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, kind", [
@@ -938,3 +1020,40 @@ def test_option_defaults_are_the_dataclass_defaults(command, dest, cls, name):
 def test_slope_y_default_is_the_library_default():
     y = inspect.signature(fit_rate_slope).parameters["y"].default
     assert _option("slope", "y").default == y
+
+
+def test_each_trial_spec_and_command_builds_the_kind_table_once(monkeypatch, tmp_path, capsys):
+    """The kind table is built where work starts and its record handed down:
+    once per SweepSpec, whatever its cell count, once per run_trial, and at
+    most twice per generate, solve or tune, build_parser's build included."""
+    builds = []
+
+    def counted(build=_kinds):
+        builds.append(1)
+        return build()
+
+    for module in (experiments, cli):
+        monkeypatch.setattr(module, "_kinds", counted)
+
+    def built(call, *args, **kwargs):
+        builds.clear()
+        call(*args, **kwargs)
+        return len(builds)
+
+    assert not hasattr(experiments, "_kind")
+    for kind, d in (("lasso", 10), ("matrix_cs", (3, 3)), ("completion", (5, 5))):
+        spec = dict(problem_kind=kind, n_grid=(60, 80), d_grid=(d,), s_grid=(1,), o_grid=(0, 3),
+                    adversary_grid=({"strategy": "random_large", "magnitude": 5.0},),
+                    trials_per_cell=1)
+        assert built(SweepSpec, **spec) == 1
+        spec = SweepSpec(**spec)
+        assert len(spec.cells()) == 4
+        assert built(run_trial, spec, 3, 0) == 1
+    bundle = str(tmp_path / "b")
+    for argv in (["generate", "--kind", "completion", "--n", "60", "--d1", "4", "--d2", "3",
+                  "--rank", "1", "--out", bundle],
+                 ["solve", "--bundle", bundle, "--out", str(tmp_path / "f"), "--max-iters", "5"],
+                 ["tune", "--model", "lasso", "--n", "400", *_KINDS["lasso"][0]]):
+        builds.clear()
+        assert main(argv) == 0, capsys.readouterr().err
+        assert len(builds) <= 2

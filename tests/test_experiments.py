@@ -137,6 +137,14 @@ def test_timing_column_is_opt_in(tmp_path):
     assert read_results(timed)[0].wall_time > 0.0
 
 
+@pytest.mark.parametrize("text", ["", "\n\n"], ids=["empty", "blank-lines"])
+def test_results_file_without_header_line_is_named(tmp_path, text):
+    path = tmp_path / "res.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ProblemValidationError, match=f"^{re.escape(str(path))}: no header line$"):
+        read_results(path)
+
+
 # --------------------------------------------------------------- slope fits
 
 
@@ -432,14 +440,14 @@ def _full_path(spec, trial_index):
     the last, keeping the first strict error minimum; ``path`` lists the
     lambdas, largest first."""
     n, dims, s, o, noise_d, adv_d = spec.cells()[0]
-    kind = spec.problem_kind
+    kind, k = spec.problem_kind, E._kinds()[spec.problem_kind]
     master = E._trial_master_seed(spec.base_seed, 0, trial_index)
     noise = NoiseSpec(**noise_d)
-    problem = E._draw(kind, n, dims, s, noise, E._contamination(o, adv_d, master),
+    problem = E._draw(k, n, dims, s, noise, E._contamination(o, adv_d, master),
                       spec.spikiness_cap)
     truth = problem.beta_true if kind == "lasso" else problem.B_true
     alpha_star = None if kind == "lasso" else spikiness(truth)
-    rep = E._theorem_tuning(kind, n, dims, {**problem.meta, "o": o})
+    rep = E._theorem_tuning(k, n, dims, {**problem.meta, "o": o})
     lam_o = rep.lambda_o
     if spec.loss_regime == "quadratic":
         lam_o = E.QUADRATIC_SCALE * noise.sigma / np.sqrt(n)
@@ -448,7 +456,7 @@ def _full_path(spec, trial_index):
     best, x0, path = None, None, []
     for m in sorted(spec.oracle_multipliers, reverse=True):
         tp = TuningParams(lam_o, m * rep.lambda_star, inf_ball_radius=radius)
-        res = E._kind(kind).solver(problem, tp, cfg, x0)
+        res = k.solver(problem, tp, cfg, x0)
         x0 = res.estimate
         path.append(tp.lambda_star)
         err = float(np.linalg.norm(res.estimate - truth))

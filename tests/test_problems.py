@@ -573,6 +573,29 @@ def test_bundle_masks_rows_may_come_in_any_order_of_i(tmp_path):
     np.testing.assert_array_equal(q.covariates.signs, p.covariates.signs)
 
 
+@pytest.mark.parametrize("name, edit, message", [
+    ("masks.csv", lambda text: "", r"masks\.csv: no header line$"),
+    ("masks.csv", lambda text: "\n\n", r"masks\.csv: no header line$"),
+    ("masks.csv", lambda text: text.splitlines(keepends=True)[0],
+     r"masks\.csv: expected rows of i,k,l,sign$"),
+    ("meta.txt", lambda text: text.replace("kind = completion", "kind = sparse"),
+     r"^meta\.txt has unknown kind 'sparse'$"),
+], ids=["masks-empty", "masks-blank-lines", "masks-header-only", "meta-unknown-kind"])
+def test_bundle_without_header_rows_or_known_kind_names_the_file(tmp_path, name, edit, message):
+    write_problem_bundle(make_mask_problem(n=5, seed=17), str(tmp_path / "b"))
+    path = tmp_path / "b" / name
+    path.write_text(edit(path.read_text(encoding="utf-8")), encoding="utf-8")
+    with pytest.raises(ProblemValidationError, match=message):
+        read_problem_bundle(str(tmp_path / "b"))
+
+
+def test_writing_a_non_problem_bundle_raises_before_any_write(tmp_path):
+    with pytest.raises(ProblemValidationError,
+                       match="^cannot bundle object of type <class 'dict'>$"):
+        write_problem_bundle({"y": [1.0]}, str(tmp_path / "b"))
+    assert not (tmp_path / "b").exists()
+
+
 # Finite float64 values the 17-digit text format must carry exactly: signed
 # zeros, subnormals, the extremes and values that need all 17 digits.
 _EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
