@@ -37,6 +37,8 @@ from .problems import (
     RegressionProblem,
     TraceProblem,
     _Adopt,
+    _at_least,
+    _require,
 )
 
 _F = ".17g"
@@ -128,8 +130,7 @@ def _scan_csv(path: str, parse, header=None, into=None) -> tuple:
                 lines.append(lineno)
             except ValueError as exc:
                 raise ProblemValidationError(f"{path}, line {lineno}: {exc}") from None
-    if header:
-        raise ProblemValidationError(f"{path}: no header line")
+    _require(not header, f"{path}: no header line")
     return lines, rows
 
 
@@ -148,8 +149,8 @@ def _read_matrix(path: str) -> np.ndarray:
 
 def write_problem_bundle(problem, out_dir: str) -> None:
     """Serialize a regression or trace problem into ``out_dir``."""
-    if not isinstance(problem, (RegressionProblem, TraceProblem)):
-        raise ProblemValidationError(f"cannot bundle object of type {type(problem)!r}")
+    _require(isinstance(problem, (RegressionProblem, TraceProblem)),
+             f"cannot bundle object of type {type(problem)!r}")
     vector = isinstance(problem, RegressionProblem)
     kind = "lasso" if vector else "completion" if problem.is_mask else "trace_dense"
     meta = {"n": problem.n, **dict(zip(_BUNDLE_DIMS[kind], problem.param_shape)), "kind": kind,
@@ -196,8 +197,7 @@ def read_problem_bundle(bundle_dir: str):
         raise FileNotFoundError(f"bundle directory not found: {bundle_dir}")
     meta = read_meta(bundle_dir)
     kind = meta.get("kind")
-    if kind not in _BUNDLE_DIMS:
-        raise ProblemValidationError(f"meta.txt has unknown kind {kind!r}")
+    _require(kind in _BUNDLE_DIMS, f"meta.txt has unknown kind {kind!r}")
 
     def parse(name, vector=False, optional=False):
         # every array parsed here is fresh and held nowhere else: hand it over
@@ -211,10 +211,8 @@ def read_problem_bundle(bundle_dir: str):
     theta = parse("theta_true.csv", vector=True, optional=True)
     keys, path = _BUNDLE_DIMS[kind], os.path.join(bundle_dir, "meta.txt")
     for key in keys:
-        if key not in meta:
-            raise ProblemValidationError(f"{path}: a {kind} bundle needs a {key} line")
-        if meta[key] < 1:
-            raise ProblemValidationError(f"{path}: {key} must be >= 1, got {meta[key]}")
+        _require(key in meta, f"{path}: a {kind} bundle needs a {key} line")
+        _at_least(f"{path}: {key}", meta[key])
     dims = tuple(meta[key] for key in keys)
     truth = parse(_TRUTH[len(keys)] + ".csv", vector=len(keys) == 1, optional=True)
     if kind == "completion":
@@ -226,17 +224,18 @@ def read_problem_bundle(bundle_dir: str):
             return lambda row: list(map(_integral, row))
 
         lines, buf = _scan_csv(path, None, header, into=array("d"))
-        if not lines:
-            raise ProblemValidationError(f"{path}: expected rows of i,k,l,sign")
+        _require(len(lines), f"{path}: expected rows of i,k,l,sign")
         raw = _as_matrix(lines, buf)
-        # the first row whose i is out of range or repeats an earlier one
         i = raw[:, 0]
-        repeat = np.ones(len(i), dtype=bool)
-        repeat[np.unique(i, return_index=True)[1]] = False
-        bad = np.flatnonzero(repeat | (i < 0) | (i >= len(i)))
-        if bad.size:
+        # n values in 0..n-1 form a permutation when none occurs twice
+        if not (0 <= i.min() and i.max() < len(i)
+                and np.bincount(i.astype(np.intp), minlength=len(i)).max() == 1):
+            # the first row whose i is out of range or repeats an earlier one
+            repeat = np.ones(len(i), dtype=bool)
+            repeat[np.unique(i, return_index=True)[1]] = False
+            bad = np.flatnonzero(repeat | (i < 0) | (i >= len(i)))[0]
             raise ProblemValidationError(
-                f"{path}, line {lines[bad[0]]}: i = {i[bad[0]]:g}, but the i values "
+                f"{path}, line {lines[bad]}: i = {i[bad]:g}, but the i values "
                 f"must be a permutation of 0..{len(i) - 1}")
         # rows, cols and signs, row k at place i[k]: int64 rows cast from the buffer
         cells = np.empty((3, len(i)), np.int64)
@@ -246,10 +245,9 @@ def read_problem_bundle(bundle_dir: str):
         path = os.path.join(bundle_dir, "X.csv")
         flat, width = _read_matrix(path), int(np.prod(dims))
         wanted = f"{'*'.join(keys)} = {width}"
-        if not len(flat):  # an empty file reads as shape (0,), with no column count
-            raise ProblemValidationError(f"{path}: expected rows of {wanted} values")
-        if flat.shape[1] != width:
-            raise ProblemValidationError(f"X.csv has {flat.shape[1]} columns, expected {wanted}")
+        # an empty file reads as shape (0,), with no column count
+        _require(len(flat), f"{path}: expected rows of {wanted} values")
+        _require(flat.shape[1] == width, f"X.csv has {flat.shape[1]} columns, expected {wanted}")
         cov = _Adopt(flat.reshape(len(flat), *dims))
     if len(keys) == 1:
         return RegressionProblem(y, cov, truth, theta, meta=meta)

@@ -7,7 +7,8 @@ prints its tuning report's ``key = value`` lines. Exit codes: 0 success,
 postcondition failed (a bug worth reporting, not a usage problem).
 Each choice list, the dims options (``bundles._BUNDLE_DIMS``) and each
 default shared with a library dataclass are read from the module that
-validates them, never restated here.
+validates them, never restated here. ``generate``, ``tune`` and ``solve``
+refuse by name an option they are given and will not read (``_refuse_unread``).
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from .experiments import (
     SweepSpec,
     _draw,
     _kinds,
-    _require,
     _solve,
     _theorem_tuning,
     _tuning_params,
@@ -47,8 +47,12 @@ from .experiments import (
     run_sweep,
     write_results,
 )
-from .problems import InternalInvariantError, ProblemValidationError
+from .problems import InternalInvariantError, ProblemValidationError, _at_least, _require
 from .solvers import SolverConfig
+
+_DIMS = tuple(dict.fromkeys(key for keys in _BUNDLE_DIMS.values() for key in keys))  # --d, ...
+# the options whose default, None, tells a given value from none
+_OPTIONAL = ("s", "rank", *_DIMS, "variant", *_THEOREM, "lambda_o", "lambda_star")
 
 
 def _emit(**kv) -> None:
@@ -64,12 +68,20 @@ def _size(args, k, option: str):
     return k.coerce(dims if len(dims) > 1 else dims[0]), size
 
 
-def _options(args, meta, kind):
-    """The theorem options given for tuning the ``kind`` record, over ``meta``
-    (a bundle's meta.txt, or {}); --c0 and --variant are never read from
-    meta.txt, and --variant is refused for a kind whose tuning takes none."""
-    _require(args.variant is None or kind.variant is not None,
-             f"--variant applies to completion tuning only, not {kind.name}")
+def _refuse_unread(args, k, reads, who: str) -> None:
+    """Refuse by name the first option of ``_OPTIONAL`` given in ``args`` that
+    is not in ``reads``, the options the command ``who`` reads for the kind
+    ``k``; --variant on a kind whose tuning takes none names the kind."""
+    for name in _OPTIONAL:
+        if getattr(args, name, None) is not None and name not in reads:
+            _require(name != "variant" or "variant" in k.reads,
+                     f"--variant applies to completion tuning only, not {k.name}")
+            raise ProblemValidationError(f"{who} does not read --{name.replace('_', '-')}")
+
+
+def _options(args, meta):
+    """The theorem options given, over ``meta`` (a bundle's meta.txt, or {});
+    --c0 and --variant are never read from meta.txt."""
     given = {name: val for name in ("s", "rank", *_THEOREM)
              if (val := getattr(args, name)) is not None}
     return {**meta, **given, "c0": args.c0, "variant": args.variant}
@@ -81,6 +93,8 @@ def cmd_generate(args) -> int:
         o=args.o, strategy=args.adversary, magnitude=args.magnitude, seed=args.seed
     )
     k = _kinds()[args.kind]
+    # --o and --sigma are generate's own: the draw reads them
+    _refuse_unread(args, k, (k.size, *k.keys, "o", "sigma"), f"--kind {k.name}")
     dims, s = _size(args, k, "--kind")
     problem = _draw(k, args.n, dims, s, noise, contamination, args.spikiness_cap,
                     args.beta_magnitude)
@@ -105,15 +119,13 @@ def cmd_solve(args) -> int:
 
     fixed = (args.lambda_o, args.lambda_star) if args.tuning == "fixed" else None
     _require(not fixed or None not in fixed, "--tuning fixed needs --lambda-o and --lambda-star")
-    given = _options(args, problem.meta, kind)
-    # an option the tuning mode does not read is refused by name; fixed tuning
-    # reads --alpha-star only as the box of a completion fit without --inf-radius
-    for name in ("s", "rank", "variant", *_THEOREM) if fixed else ("lambda_o", "lambda_star"):
-        box = name == "alpha_star" and est.boxed and args.inf_radius is None
-        _require(getattr(args, name) is None or box,
-                 f"--tuning {args.tuning} does not read --{name.replace('_', '-')}")
-    tp = _tuning_params(kind, problem.n, getattr(problem, kind.dims), given, fixed, est.boxed,
-                        args.inf_radius)
+    # theorem tuning reads what the bundle kind's calculator does, and a completion
+    # fit without --inf-radius reads --alpha-star as its box under either mode
+    box = ("alpha_star",) if est.boxed and args.inf_radius is None else ()
+    reads = ("lambda_o", "lambda_star") if fixed else (kind.size, *kind.reads)
+    _refuse_unread(args, kind, (*reads, *box), f"--tuning {args.tuning}")
+    tp = _tuning_params(kind, problem.n, getattr(problem, kind.dims), _options(args, problem.meta),
+                        fixed, est.boxed, args.inf_radius)
     cfg = SolverConfig(max_iters=args.max_iters, rel_tol=args.rel_tol)
     result = _solve(est, problem, tp, cfg)
 
@@ -139,8 +151,9 @@ def cmd_solve(args) -> int:
 
 def cmd_tune(args) -> int:
     k = _kinds()[args.model]
+    _refuse_unread(args, k, (k.size, *k.keys, *k.reads), f"--model {k.name}")
     dims, _ = _size(args, k, "--model")
-    report = _theorem_tuning(k, args.n, dims, _options(args, {}, k))
+    report = _theorem_tuning(k, args.n, dims, _options(args, {}))
     text = report.to_kv_text()
     if args.out:
         _write_lines(args.out, text.splitlines())
@@ -154,8 +167,7 @@ def cmd_diagnose(args) -> int:
             Sigma = _read_matrix(args.sigma_csv)
         else:
             _require(args.d is not None, "diagnose re needs --d or --sigma-csv")
-            _require(args.d >= 1, f"--d must be >= 1, got {args.d}")
-            Sigma = np.eye(args.d)
+            Sigma = np.eye(_at_least("--d", args.d))
         _require(args.s is not None, "diagnose re needs --s")
         value = empirical_re(Sigma, args.s, args.c0, grid=args.grid)
         _emit(what="re", d=Sigma.shape[0], s=args.s, c0=args.c0, value=value)
@@ -178,7 +190,7 @@ def cmd_diagnose(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    _require(args.jobs >= 1, f"--jobs must be >= 1, got {args.jobs}")
+    _at_least("--jobs", args.jobs)
     with open(args.config, "r", encoding="utf-8") as fh:
         cfg = json.load(fh)
     spec = SweepSpec.from_dict(cfg)
@@ -209,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     # dims key, and the theorem options, which default to None (see _THEOREM),
     # but --c0, which diagnose re and mre read directly, to the cone constant
     dims = argparse.ArgumentParser(add_help=False)
-    for key in dict.fromkeys(key for keys in _BUNDLE_DIMS.values() for key in keys):
+    for key in _DIMS:
         dims.add_argument("--" + key, type=_META_TYPES[key])
     sizes = argparse.ArgumentParser(add_help=False)
     sizes.add_argument("--s", type=int, help="sparsity of the true vector")

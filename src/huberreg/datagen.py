@@ -30,6 +30,11 @@ from .problems import (
     RegressionProblem,
     TraceProblem,
     _Adopt,
+    _at_least,
+    _finite,
+    _nonnegative,
+    _positive,
+    _require,
 )
 
 _STREAM_COV, _STREAM_NOISE, _STREAM_ADV = 0, 1, 2
@@ -58,16 +63,12 @@ class NoiseSpec:
     alpha: Optional[float] = None
 
     def __post_init__(self):
-        if self.kind not in _NOISE_KINDS:
-            raise ProblemValidationError(f"unknown noise kind {self.kind!r}")
-        if not (np.isfinite(self.sigma) and self.sigma > 0):
-            raise ProblemValidationError(f"sigma must be positive, got {self.sigma}")
-        if self.kind == "student_t" and not (self.alpha is not None and self.alpha > 2):
-            raise ProblemValidationError("student_t needs alpha (dof) > 2")
-        if self.kind == "weibull_symmetric" and not (
-            self.alpha is not None and 0 < self.alpha <= 2
-        ):
-            raise ProblemValidationError("weibull_symmetric needs alpha in (0, 2]")
+        _require(self.kind in _NOISE_KINDS, f"unknown noise kind {self.kind!r}")
+        _positive("sigma", self.sigma)
+        alpha = np.nan if self.alpha is None else self.alpha  # None fails both rules
+        _require(self.kind != "student_t" or alpha > 2, "student_t needs alpha (dof) > 2")
+        _require(self.kind != "weibull_symmetric" or 0 < alpha <= 2,
+                 "weibull_symmetric needs alpha in (0, 2]")
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         if self.kind == "gaussian":
@@ -102,25 +103,18 @@ class ContaminationSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.strategy not in _STRATEGIES:
-            raise ProblemValidationError(f"unknown adversary strategy {self.strategy!r}")
-        if self.o < 0:
-            raise ProblemValidationError(f"o must be nonnegative, got {self.o}")
-        if self.seed < 0:
-            raise ProblemValidationError(f"seed must be nonnegative, got {self.seed}")
-        if self.strategy == "none" and self.o != 0:
-            raise ProblemValidationError("strategy 'none' requires o == 0")
-        if self.strategy != "none" and not np.isfinite(self.magnitude):
-            raise ProblemValidationError("magnitude must be finite")
-        if self.o and self.strategy in ("random_large", "adaptive_residual") and not self.magnitude:
-            raise ProblemValidationError(
-                f"magnitude must be nonzero for strategy {self.strategy!r} when o > 0")
+        _require(self.strategy in _STRATEGIES, f"unknown adversary strategy {self.strategy!r}")
+        _nonnegative("o", self.o)
+        _nonnegative("seed", self.seed)
+        _require(self.strategy != "none" or self.o == 0, "strategy 'none' requires o == 0")
+        _require(self.strategy == "none" or np.isfinite(self.magnitude), "magnitude must be finite")
+        _require(self.magnitude or not self.o or self.strategy in ("none", "sign_flip"),
+                 f"magnitude must be nonzero for strategy {self.strategy!r} when o > 0")
 
     def build_theta(
         self, rng: np.random.Generator, n: int, signal: np.ndarray, noise: np.ndarray
     ) -> np.ndarray:
-        if self.o > n:
-            raise ProblemValidationError(f"o = {self.o} exceeds n = {n}")
+        _require(self.o <= n, f"o = {self.o} exceeds n = {n}")
         theta = np.zeros(n)
         if self.strategy == "none" or self.o == 0:
             return theta
@@ -141,10 +135,8 @@ class ContaminationSpec:
 
 def _check_sparse(d: int, s: int) -> None:
     """gen_sparse_beta's size rule."""
-    if d < 1:
-        raise ProblemValidationError(f"d must be >= 1, got {d}")
-    if not 0 <= s <= d:
-        raise ProblemValidationError(f"need 0 <= s <= d, got s={s}, d={d}")
+    _at_least("d", d)
+    _require(0 <= s <= d, f"need 0 <= s <= d, got s={s}, d={d}")
 
 
 def gen_sparse_beta(
@@ -152,8 +144,7 @@ def gen_sparse_beta(
 ) -> np.ndarray:
     """s-sparse coefficient vector: uniform support, +/- magnitude entries."""
     _check_sparse(d, s)
-    if not (np.isfinite(magnitude) and magnitude > 0):
-        raise ProblemValidationError(f"magnitude must be positive, got {magnitude}")
+    _positive("magnitude", magnitude)
     rng = np.random.default_rng(seed)
     beta = np.zeros(d)
     if s:
@@ -166,24 +157,18 @@ def gen_sparse_beta(
 def spikiness(M: np.ndarray) -> float:
     """d_mc * |M|_inf / |M|_F with d_mc = sqrt(d1 d2); always >= 1."""
     M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.size == 0:
-        raise ProblemValidationError(f"M must be a nonempty matrix, got shape {M.shape}")
-    if not np.isfinite(M).all():
-        raise ProblemValidationError("M must be finite")
+    _require(M.ndim == 2 and M.size > 0, f"M must be a nonempty matrix, got shape {M.shape}")
+    _require(_finite(M), "M must be finite")
     fro = float(np.linalg.norm(M))
-    if fro == 0.0:
-        raise ProblemValidationError("spikiness undefined for the zero matrix")
+    _require(fro != 0.0, "spikiness undefined for the zero matrix")
     return float(np.sqrt(M.shape[0] * M.shape[1]) * np.abs(M).max() / fro)
 
 
 def _check_low_rank(d1: int, d2: int, r: int, spikiness_cap: float) -> None:
     """gen_low_rank's size and cap rule, checked before any draw."""
-    if min(d1, d2) < 1:
-        raise ProblemValidationError(f"d1 and d2 must be >= 1, got d1={d1}, d2={d2}")
-    if not 1 <= r <= min(d1, d2):
-        raise ProblemValidationError(f"need 1 <= r <= min(d1, d2), got r={r}")
-    if not spikiness_cap >= 1.0:  # spikiness is always >= 1; NaN fails too, inf passes
-        raise ProblemValidationError(f"a spikiness bound must be >= 1, got {spikiness_cap}")
+    _at_least("d1 and d2", min(d1, d2), got=f"d1={d1}, d2={d2}")
+    _require(1 <= r <= min(d1, d2), f"need 1 <= r <= min(d1, d2), got r={r}")
+    _at_least("a spikiness bound", spikiness_cap)  # spikiness is always >= 1
 
 
 def gen_low_rank(
@@ -231,20 +216,17 @@ def gen_problem(
     master seed lives on the contamination spec; see the module docstring
     for the stream splitting rule.
     """
-    if design not in ("gaussian", "mask_uniform"):
-        raise ProblemValidationError(f"unknown design {design!r}, not gaussian or mask_uniform")
-    if n < 1:
-        raise ProblemValidationError(f"n must be >= 1, got {n}")
+    _require(design in ("gaussian", "mask_uniform"),
+             f"unknown design {design!r}, not gaussian or mask_uniform")
+    _at_least("n", n)
     truth = np.asarray(truth, dtype=float)
     rng_cov = child_rng(contamination.seed, _STREAM_COV)
     rng_noise = child_rng(contamination.seed, _STREAM_NOISE)
     rng_adv = child_rng(contamination.seed, _STREAM_ADV)
 
-    if truth.ndim not in (1, 2):
-        raise ProblemValidationError(f"truth must be 1-d or 2-d, got shape {truth.shape}")
+    _require(truth.ndim in (1, 2), f"truth must be 1-d or 2-d, got shape {truth.shape}")
     if design == "mask_uniform":
-        if truth.ndim != 2:
-            raise ProblemValidationError("mask covariates need a matrix truth")
+        _require(truth.ndim == 2, "mask covariates need a matrix truth")
         d1, d2 = truth.shape
         # draw order fixed: cells first, then signs
         cells = rng_cov.integers(0, d1 * d2, size=n)

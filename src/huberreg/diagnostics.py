@@ -18,7 +18,7 @@ import numpy as np
 
 from .bundles import _kv_lines
 from .datagen import _check_low_rank
-from .problems import ProblemValidationError
+from .problems import _at_least, _nonnegative, _positive, _require
 
 SUPPORT_TOL = 1e-8
 # empirical_re's projected gradient where the cone constraint binds: at most
@@ -32,11 +32,10 @@ _VARIANTS = ("heavy_tailed", "subweibull")  # tuning_completion's noise models
 def _psd_sqrt(M: np.ndarray, name: str) -> np.ndarray:
     """Symmetric square root of a square PSD matrix; errors name the matrix ``name``."""
     M = np.asarray(M, dtype=float)
-    if not np.allclose(M, M.T, atol=1e-10):
-        raise ProblemValidationError(f"{name} must be symmetric")
+    _require(np.allclose(M, M.T, atol=1e-10), f"{name} must be symmetric")
     w, V = np.linalg.eigh(M)
-    if w.min() < -1e-10 * max(1.0, float(w.max())):
-        raise ProblemValidationError(f"{name} must be positive semidefinite")
+    _require(not w.min() < -1e-10 * max(1.0, float(w.max())),
+             f"{name} must be positive semidefinite")
     return (V * np.sqrt(np.clip(w, 0.0, None))) @ V.T
 
 
@@ -70,15 +69,11 @@ class TheoremInputs:
     alpha_star: Optional[float] = None
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ProblemValidationError(f"n must be >= 1, got {self.n}")
-        if not 0 <= self.o <= self.n:
-            raise ProblemValidationError(f"need 0 <= o <= n, got o={self.o}")
+        _at_least("n", self.n)
+        _require(0 <= self.o <= self.n, f"need 0 <= o <= n, got o={self.o}")
         for name in ("sigma", "sigma_xi", "L", "rho", "kappa", "c0", "alpha", "alpha_star"):
-            v = getattr(self, name)
-            if not ((v is None and name in ("sigma_xi", "alpha", "alpha_star"))
-                    or (np.isfinite(v) and v > 0)):
-                raise ProblemValidationError(f"{name} must be positive, got {v}")
+            if getattr(self, name) is not None or name not in ("sigma_xi", "alpha", "alpha_star"):
+                _positive(name, getattr(self, name))
 
     @property
     def c_kappa(self) -> float:
@@ -117,8 +112,7 @@ def _outlier_rate_term(o: int, n: int) -> float:
 
 
 def _check_delta(delta: float, upper: float):
-    if not 0 < delta < upper:
-        raise ProblemValidationError(f"delta must lie in (0, {upper}), got {delta}")
+    _require(0 < delta < upper, f"delta must lie in (0, {upper}), got {delta}")
 
 
 def _sub_gaussian_tuning(ti, model, size, t_dim) -> DiagnosticsReport:
@@ -153,8 +147,8 @@ def _sub_gaussian_tuning(ti, model, size, t_dim) -> DiagnosticsReport:
 def tuning_lasso(ti: TheoremInputs) -> DiagnosticsReport:
     """Penalty levels and radius for the l1-penalized Huber estimator."""
     _check_delta(ti.delta, 1.0 / 7.0)
-    if ti.d is None or ti.s is None or not 1 <= ti.s <= ti.d:
-        raise ProblemValidationError(f"need 1 <= s <= d, got s={ti.s}, d={ti.d}")
+    _require(ti.d is not None and ti.s is not None and 1 <= ti.s <= ti.d,
+             f"need 1 <= s <= d, got s={ti.s}, d={ti.d}")
     t_dim = ti.rho * np.sqrt(np.log(ti.d / ti.s) / ti.n)
     return _sub_gaussian_tuning(ti, "lasso", ti.s, t_dim)
 
@@ -162,8 +156,7 @@ def tuning_lasso(ti: TheoremInputs) -> DiagnosticsReport:
 def tuning_matrix_cs(ti: TheoremInputs) -> DiagnosticsReport:
     """Penalty levels and radius for nuclear-norm penalized trace regression."""
     _check_delta(ti.delta, 1.0 / 7.0)
-    if ti.dims is None or ti.r is None:
-        raise ProblemValidationError("matrix compressed sensing needs dims and r")
+    _require(ti.dims is not None and ti.r is not None, "matrix compressed sensing needs dims and r")
     d1, d2 = ti.dims
     _check_low_rank(d1, d2, ti.r, np.inf)
     t_dim = ti.rho * np.sqrt((d1 + d2) / ti.n)
@@ -180,46 +173,33 @@ def tuning_completion(ti: TheoremInputs, variant: str = "heavy_tailed") -> Diagn
     only the second branch exists.
     """
     _check_delta(ti.delta, 1.0)
-    if variant not in _VARIANTS:
-        raise ProblemValidationError(f"unknown completion variant {variant!r}")
-    if ti.dims is None or ti.r is None:
-        raise ProblemValidationError("completion needs dims and r")
-    if ti.alpha is None or ti.alpha_star is None:
-        raise ProblemValidationError("completion needs alpha and alpha_star")
+    _require(variant in _VARIANTS, f"unknown completion variant {variant!r}")
+    _require(ti.dims is not None and ti.r is not None, "completion needs dims and r")
+    _require(ti.alpha is not None and ti.alpha_star is not None,
+             "completion needs alpha and alpha_star")
     d1, d2 = ti.dims
     _check_low_rank(d1, d2, ti.r, ti.alpha_star)  # alpha_star bounds the truth's spikiness
     n, o, r, alpha = ti.n, ti.o, ti.r, float(ti.alpha)
     d_mc = float(np.sqrt(d1 * d2))
-    if d_mc <= 1.0:
-        raise ProblemValidationError("completion needs d1 * d2 > 1")
+    _require(d_mc > 1.0, "completion needs d1 * d2 > 1")
     log_dmc = float(np.log(d_mc))
 
     if variant == "heavy_tailed":
-        if alpha < 2.0:
-            raise ProblemValidationError(
-                f"heavy_tailed variant needs alpha >= 2, got {alpha}"
-            )
+        _require(alpha >= 2.0, f"heavy_tailed variant needs alpha >= 2, got {alpha}")
         branch_o = (n / o) ** (1.0 / (alpha + 1.0)) if o > 0 else np.inf
         branch_dim = (n / (r * d_mc * log_dmc)) ** (1.0 / alpha)
     else:
-        if alpha > 2.0:
-            raise ProblemValidationError(
-                f"subweibull variant needs alpha <= 2, got {alpha}"
-            )
+        _require(alpha <= 2.0, f"subweibull variant needs alpha <= 2, got {alpha}")
         base = n / (r * d_mc * log_dmc)
         if o > 0 and n / o > 1.0:
             branch_o = float(np.log(n / o)) ** (1.0 / alpha)
         else:
             branch_o = np.inf
-        if base <= 1.0 and not np.isfinite(branch_o):
-            raise ProblemValidationError(
-                "sub-Weibull lambda_o undefined: both min branches need "
-                "logarithms of arguments > 1"
-            )
+        _require(base > 1.0 or np.isfinite(branch_o), "sub-Weibull lambda_o undefined: both "
+                 "min branches need logarithms of arguments > 1")
         branch_dim = float(np.log(base)) ** (1.0 / alpha) if base > 1.0 else np.inf
     lam_o_sqn = 2.0 * ti.sigma * min(branch_o, branch_dim)
-    if not (np.isfinite(lam_o_sqn) and lam_o_sqn > 0):
-        raise ProblemValidationError(f"lambda_o bound degenerate: {lam_o_sqn}")
+    _require(0 < lam_o_sqn < np.inf, f"lambda_o bound degenerate: {lam_o_sqn}")
     lam_o = lam_o_sqn / np.sqrt(n)
 
     LL = log_dmc + np.log(1.0 / ti.delta)
@@ -302,16 +282,11 @@ def empirical_re(Sigma: np.ndarray, s: int, c0: float, grid: int = 64) -> float:
     """
     Sigma = np.asarray(Sigma, dtype=float)
     d = Sigma.shape[0]
-    if Sigma.shape != (d, d):
-        raise ProblemValidationError(f"Sigma must be square, got {Sigma.shape}")
-    if d > 12 or not 1 <= s <= min(3, d):
-        raise ProblemValidationError(
-            f"desk-scale search needs d <= 12 and 1 <= s <= 3, got d={d}, s={s}"
-        )
-    if not (np.isfinite(c0) and c0 > 0):
-        raise ProblemValidationError(f"c0 must be positive, got {c0}")
-    if grid < 1:
-        raise ProblemValidationError(f"grid must be >= 1, got {grid}")
+    _require(Sigma.shape == (d, d), f"Sigma must be square, got {Sigma.shape}")
+    _require(d <= 12 and 1 <= s <= min(3, d),
+             f"desk-scale search needs d <= 12 and 1 <= s <= 3, got d={d}, s={s}")
+    _positive("c0", c0)
+    _at_least("grid", grid)
     _psd_sqrt(Sigma, "Sigma")  # validates symmetry and PSD-ness
 
     best = np.inf
@@ -375,26 +350,18 @@ def empirical_mre(
     never certifies a lower bound.
     """
     d1, d2 = int(dims[0]), int(dims[1])
-    if min(d1, d2) < 1:
-        raise ProblemValidationError(f"d1 and d2 must be >= 1, got d1={d1}, d2={d2}")
-    if d1 > 4 or d2 > 4:
-        raise ProblemValidationError(f"desk-scale search needs d1, d2 <= 4, got {dims}")
-    if not 1 <= r <= min(d1, d2) or r > 2:
-        raise ProblemValidationError(f"need 1 <= r <= min(2, d1, d2), got r={r}")
-    if not (np.isfinite(c0) and c0 > 0):
-        raise ProblemValidationError(f"c0 must be positive, got {c0}")
-    if n_probes < 1:
-        raise ProblemValidationError("n_probes must be >= 1")
-    if seed < 0:
-        raise ProblemValidationError(f"seed must be nonnegative, got {seed}")
+    _at_least("d1 and d2", min(d1, d2), got=f"d1={d1}, d2={d2}")
+    _require(d1 <= 4 and d2 <= 4, f"desk-scale search needs d1, d2 <= 4, got {dims}")
+    _require(1 <= r <= min(2, d1, d2), f"need 1 <= r <= min(2, d1, d2), got r={r}")
+    _positive("c0", c0)
+    _at_least("n_probes", n_probes)
+    _nonnegative("seed", seed)
     p = d1 * d2
     W = None
     if Sigma is not None:
         Sigma = np.asarray(Sigma, dtype=float)
-        if Sigma.shape != (p, p):
-            raise ProblemValidationError(
-                f"Sigma must be {p} x {p} for dims {dims}, got {Sigma.shape}"
-            )
+        _require(Sigma.shape == (p, p),
+                 f"Sigma must be {p} x {p} for dims {dims}, got {Sigma.shape}")
         W = _psd_sqrt(Sigma, "Sigma")
 
     rng = np.random.default_rng(seed)
@@ -423,8 +390,7 @@ def empirical_mre(
     flat = M.reshape(N, -1)
     num = np.linalg.norm(flat if W is None else flat @ W.T, axis=1)
     ok = den > 1e-12
-    if not ok.any():
-        raise ProblemValidationError("all probes degenerate; increase n_probes")
+    _require(ok.any(), "all probes degenerate; increase n_probes")
     return float(np.min(num[ok] / den[ok]))
 
 
@@ -438,10 +404,8 @@ def error_metrics(estimate: np.ndarray, truth: np.ndarray) -> dict:
     """
     estimate = np.asarray(estimate, dtype=float)
     truth = np.asarray(truth, dtype=float)
-    if estimate.shape != truth.shape:
-        raise ProblemValidationError(
-            f"estimate shape {estimate.shape} does not match truth {truth.shape}"
-        )
+    _require(estimate.shape == truth.shape,
+             f"estimate shape {estimate.shape} does not match truth {truth.shape}")
     diff = estimate - truth
     err = float(np.linalg.norm(diff))
     tnorm = float(np.linalg.norm(truth))

@@ -47,7 +47,7 @@ from .datagen import (
     spikiness,
 )
 from .diagnostics import TheoremInputs, error_metrics, tuning_completion, tuning_lasso, tuning_matrix_cs
-from .problems import ProblemValidationError, TuningParams
+from .problems import ProblemValidationError, TuningParams, _at_least, _nonnegative, _require
 from .solvers import SolverConfig, solve_adversarial_lasso, solve_matrix_completion, solve_matrix_cs
 
 # lambda_o sqrt(n) for the pure quadratic regime: far beyond any residual,
@@ -202,10 +202,10 @@ class SweepSpec:
         _require(self.problem_kind in list(kinds := _kinds()),
                  f"unknown problem_kind {self.problem_kind!r}")
         k = kinds[self.problem_kind]
-        if self.tuning_mode not in ("theorem", "fixed", "grid_oracle"):
-            raise ProblemValidationError(f"unknown tuning_mode {self.tuning_mode!r}")
-        if self.loss_regime not in ("huber", "quadratic"):
-            raise ProblemValidationError(f"unknown loss_regime {self.loss_regime!r}")
+        _require(self.tuning_mode in ("theorem", "fixed", "grid_oracle"),
+                 f"unknown tuning_mode {self.tuning_mode!r}")
+        _require(self.loss_regime in ("huber", "quadratic"),
+                 f"unknown loss_regime {self.loss_regime!r}")
         # numbers to int or float and grids to hashable tuples, so specs pickle
         # cleanly; a value of the wrong type is rejected by name
         for name, entry in (
@@ -222,26 +222,20 @@ class SweepSpec:
                     value = tuple(map(entry, value)) if grid else entry(value)
             except (TypeError, ValueError) as exc:
                 raise ProblemValidationError(f"{name}: {exc}") from None
-            if grid and not value:
-                raise ProblemValidationError(f"{name} must be nonempty")
+            _require(not grid or value, f"{name} must be nonempty")
             keys = _ENTRY_KEYS.get(name)
             unknown = sorted(set().union(*value) - set(keys)) if keys else []
-            if unknown:
-                raise ProblemValidationError(
-                    f"{name}: unknown keys {unknown}; an entry takes {', '.join(keys)}"
-                )
+            _require(not unknown,
+                     f"{name}: unknown keys {unknown}; an entry takes {', '.join(keys or ())}")
             object.__setattr__(self, name, value)
-        if self.trials_per_cell < 1:
-            raise ProblemValidationError("trials_per_cell must be >= 1")
-        if self.base_seed < 0:
-            raise ProblemValidationError(f"base_seed must be nonnegative, got {self.base_seed}")
+        _at_least("trials_per_cell", self.trials_per_cell)
+        _nonnegative("base_seed", self.base_seed)
         # every cell meets its trials' own checks before any trial runs, drawing
         # nothing; only a completion truth no draw brings under the cap fails later
         SolverConfig(max_iters=self.max_iters, rel_tol=self.rel_tol)
         if self.tuning_mode == "fixed":
-            if self.fixed_lambda_o is None or self.fixed_lambda_star is None:
-                raise ProblemValidationError(
-                    "tuning_mode 'fixed' needs fixed_lambda_o and fixed_lambda_star")
+            _require(self.fixed_lambda_o is not None and self.fixed_lambda_star is not None,
+                     "tuning_mode 'fixed' needs fixed_lambda_o and fixed_lambda_star")
             try:
                 TuningParams(self.fixed_lambda_o, self.fixed_lambda_star)
             except ProblemValidationError as exc:  # it names lambda_o or lambda_star
@@ -263,16 +257,13 @@ class SweepSpec:
 
     @staticmethod
     def from_dict(cfg: dict) -> "SweepSpec":
-        if not isinstance(cfg, dict):
-            raise ProblemValidationError(
-                f"sweep config must be a JSON object, got {type(cfg).__name__}")
+        _require(isinstance(cfg, dict),
+                 f"sweep config must be a JSON object, got {type(cfg).__name__}")
         known = SweepSpec.__dataclass_fields__
         unknown = set(cfg) - set(known)
-        if unknown:
-            raise ProblemValidationError(f"unknown sweep config keys: {sorted(unknown)}")
+        _require(not unknown, f"unknown sweep config keys: {sorted(unknown)}")
         missing = [k for k, f in known.items() if f.default is MISSING and k not in cfg]
-        if missing:
-            raise ProblemValidationError(f"missing sweep config keys: {missing}")
+        _require(not missing, f"missing sweep config keys: {missing}")
         return SweepSpec(**cfg)
 
     def cells(self):
@@ -311,6 +302,7 @@ class _Kind(NamedTuple):
     meta: Callable  # meta(truth, beta_magnitude): its problem's meta beside the size
     tuning: Callable  # tuning(TheoremInputs, variant): theorem tuning
     variant: Optional[str]  # the tuning's variant when none is given; None: it takes none
+    reads: tuple  # the theorem inputs (_THEOREM's, c0, variant) that its tuning reads
     theorem_size: str  # the size's TheoremInputs field
     boxed: bool  # truth held to the spikiness cap, fit to the entrywise box
     solver: Callable  # called as solver(problem, tp, cfg, start, give_up=...)
@@ -326,6 +318,7 @@ def _kinds() -> dict:
         truth=lambda d, s, cap, mag, seed: gen_sparse_beta(d, s, mag, seed),
         meta=lambda beta, mag: {"beta_magnitude": mag},
         tuning=lambda ti, variant: tuning_lasso(ti), variant=None, theorem_size="s",
+        reads=("o", "sigma", "delta", "kappa", "L", "rho", "c0"),
         boxed=False, solver=solve_adversarial_lasso)
     matrix_cs = lasso._replace(
         name="matrix_cs", bundle="trace_dense", size="rank", dims="dims",
@@ -335,7 +328,8 @@ def _kinds() -> dict:
         tuning=lambda ti, variant: tuning_matrix_cs(ti), theorem_size="r", solver=solve_matrix_cs)
     completion = matrix_cs._replace(
         name="completion", design="mask_uniform", bundle="completion", boxed=True,
-        tuning=tuning_completion, variant="subweibull", solver=solve_matrix_completion)
+        tuning=tuning_completion, variant="subweibull", solver=solve_matrix_completion,
+        reads=("o", "sigma", "sigma_xi", "delta", "alpha", "alpha_star", "variant"))
     return {kind.name: kind for kind in (lasso, matrix_cs, completion)}
 
 
@@ -350,11 +344,6 @@ def _draw(k, n, dims, s, noise, contamination, spikiness_cap, beta_magnitude=1.0
     problem = gen_problem(k.design, noise, truth, n, contamination)
     problem.meta.update({k.size: s, **k.meta(truth, beta_magnitude)})
     return problem
-
-
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise ProblemValidationError(msg)
 
 
 # The theorem inputs besides c0 that a caller may give, each of the type of its
@@ -383,8 +372,8 @@ def _theorem_tuning(k, n, dims, given):
 def _contamination(o, adversary, seed=0):
     """A cell's ContaminationSpec; an o = 0 cell takes strategy 'none'. A missing
     magnitude would read as 0 and corrupt no row, so an o > 0 entry must give one."""
-    if o > 0 and "magnitude" not in adversary:
-        raise ProblemValidationError("adversary_grid: an entry needs 'magnitude' when o > 0")
+    _require(o == 0 or "magnitude" in adversary,
+             "adversary_grid: an entry needs 'magnitude' when o > 0")
     strategy = adversary.get("strategy", "none") if o > 0 else "none"
     return ContaminationSpec(o=o, strategy=strategy,
                              magnitude=adversary.get("magnitude", 0.0), seed=seed)
@@ -568,14 +557,11 @@ def fit_rate_slope(records, x_axis: str = "n", y: str = _SLOPE_COLUMNS[0]) -> Sl
     for rec in records:
         xv = rec.n if x_axis == "n" else rec.o / rec.n
         groups.setdefault(xv, []).append(getattr(rec, y))
-    if len(groups) < 3:
-        raise ProblemValidationError(
-            f"need >= 3 distinct {x_axis} values, got {len(groups)}"
-        )
+    _require(len(groups) >= 3, f"need >= 3 distinct {x_axis} values, got {len(groups)}")
     xs = np.array(sorted(groups))
     med = np.array([_median(groups[x]) for x in xs])
-    if (xs <= 0).any() or (med <= 0).any():
-        raise ProblemValidationError("log-log fit needs positive x and positive medians")
+    _require(not ((xs <= 0).any() or (med <= 0).any()),
+             "log-log fit needs positive x and positive medians")
     lx, ly = np.log(xs), np.log(med)
     lxc = lx - lx.mean()
     sxx = float(np.dot(lxc, lxc))

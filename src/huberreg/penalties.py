@@ -14,13 +14,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .problems import DimensionMismatchError, ProblemValidationError, TuningParams
+from .problems import DimensionMismatchError, TuningParams, _finite, _nonnegative, _positive, _require
 
 
 def _checked(t, name):
     arr = np.asarray(t, dtype=float)
-    if not np.isfinite(arr).all():
-        raise ProblemValidationError(f"{name} must be finite")
+    _require(_finite(arr), f"{name} must be finite")
     return arr
 
 
@@ -31,8 +30,7 @@ def soft_threshold(v, tau: float):
     sign of ``sign(v) * 0``: -0.0 where v < 0, +0.0 where v >= 0 (v = -0.0
     included). Scalar input gives a float.
     """
-    if not (np.isfinite(tau) and tau >= 0):
-        raise ProblemValidationError(f"threshold must be a finite nonnegative scalar, got {tau}")
+    _nonnegative("threshold", tau)
     arr = _checked(v, "v")
     # out= keeps a 0-d input an array, so the in-place steps below apply
     out = np.abs(arr, out=np.empty_like(arr))
@@ -52,8 +50,7 @@ def singular_value_threshold(M: np.ndarray, tau: float) -> np.ndarray:
     Uses a full deterministic SVD; adequate at the matrix sizes this
     package targets.
     """
-    if not (np.isfinite(tau) and tau >= 0):
-        raise ProblemValidationError(f"threshold must be a finite nonnegative scalar, got {tau}")
+    _nonnegative("threshold", tau)
     M = _checked(M, "M")
     if M.ndim != 2:
         raise DimensionMismatchError(f"M must be 2-d, got shape {M.shape}")
@@ -64,8 +61,7 @@ def singular_value_threshold(M: np.ndarray, tau: float) -> np.ndarray:
 
 def project_inf_ball(M: np.ndarray, radius: float) -> np.ndarray:
     """Entrywise clamp onto {B : max |B_ij| <= radius}."""
-    if not (np.isfinite(radius) and radius > 0):
-        raise ProblemValidationError(f"radius must be a positive scalar, got {radius}")
+    _positive("radius", radius)
     return np.clip(_checked(M, "M"), -radius, radius)
 
 

@@ -18,7 +18,9 @@ and that nothing else holds, is handed over wrapped in ``_Adopt`` and kept
 without a copy. Either way the write flags are cleared, so instances are
 safe to share across threads. Validation makes no full-size temporary of
 any array either: the finiteness check works in bounded blocks, so adopting
-a dense design costs the design and nothing else of its size.
+a dense design costs the design and nothing else of its size. The
+package's range and finiteness rules are stated here once: ``_require``,
+``_positive``, ``_nonnegative``, ``_at_least`` and ``_finite``.
 
 Both containers share one design protocol (``_Design``): ``n``,
 ``is_mask``, ``param_shape`` and the power-iteration estimate of the design's
@@ -34,6 +36,7 @@ over the two cell axes. Masks use a gather and a ``bincount``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
@@ -91,21 +94,55 @@ def _locked(a, dtype) -> np.ndarray:
     return arr
 
 
-def _as_locked_float(a, name: str) -> np.ndarray:
-    """``a`` as a locked float array; raises unless every entry is finite.
+def _require(cond: bool, msg: str) -> None:
+    """Raise ProblemValidationError(msg) unless ``cond``: every input rule of the package."""
+    if not cond:
+        raise ProblemValidationError(msg)
 
-    The check runs ``np.isfinite`` over blocks of FINITE_BLOCK entries of the
-    flat view into one reused buffer, so it allocates nothing of the array's
-    size. The flat view is not a copy: a copied array, like every array a
-    producer hands over, is contiguous.
-    """
-    arr = _locked(a, float)
-    flat = arr.ravel(order="K")
-    buf = np.empty(min(flat.size, FINITE_BLOCK), dtype=bool)
+
+def _rule(ok: bool, name: str, rule: str, v, got):
+    if not ok:  # the message is built only on failure: the prox checks run every iteration
+        raise ProblemValidationError(f"{name} must be {rule}, got {v if got is None else got}")
+    return v
+
+
+def _positive(name: str, v, got=None):
+    """``v`` if it is a finite number above 0; else raises, naming ``name`` and
+    ``v`` (or ``got``). NaN and inf fail."""
+    return _rule(0 < v < math.inf, name, "positive", v, got)
+
+
+def _nonnegative(name: str, v):
+    """``v`` if it is a finite number at or above 0, else raises naming it."""
+    return _rule(0 <= v < math.inf, name, "nonnegative", v, None)
+
+
+def _at_least(name: str, v, low=1, got=None):
+    """``v`` if it is at least ``low`` (an integer bound; inf passes, NaN fails),
+    else raises naming ``name`` and ``v`` (or ``got``)."""
+    return _rule(v >= low, name, f">= {low}", v, got)
+
+
+def _finite(arr: np.ndarray) -> bool:
+    """Whether every entry of ``arr`` is finite: one ``np.isfinite`` call up to
+    FINITE_BLOCK entries, else one per block of FINITE_BLOCK entries of the
+    flat view into one reused buffer, which allocates nothing of the array's
+    size. That view is not a copy: a large array the package checks, like
+    every array a container locks, is contiguous."""
+    if arr.size <= FINITE_BLOCK:
+        return bool(np.isfinite(arr).all())
+    flat, buf = arr.ravel(order="K"), np.empty(FINITE_BLOCK, dtype=bool)
     for start in range(0, flat.size, FINITE_BLOCK):
         block = flat[start:start + FINITE_BLOCK]
         if not np.isfinite(block, out=buf[:block.size]).all():
-            raise ProblemValidationError(f"{name} contains non-finite entries")
+            return False
+    return True
+
+
+def _as_locked_float(a, name: str) -> np.ndarray:
+    """``a`` as a locked float array; raises unless every entry is finite."""
+    arr = _locked(a, float)
+    _require(_finite(arr), f"{name} contains non-finite entries")
     return arr
 
 
@@ -144,9 +181,8 @@ class TuningParams:
 
     def __post_init__(self):
         for name in ("lambda_o", "lambda_star", "inf_ball_radius"):
-            v = getattr(self, name)
-            if not ((v is None and name == "inf_ball_radius") or (np.isfinite(v) and v > 0)):
-                raise ProblemValidationError(f"{name} must be positive, got {v}")
+            if getattr(self, name) is not None or name != "inf_ball_radius":
+                _positive(name, getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -195,8 +231,7 @@ class MaskCovariates:
                 f"mask arrays must be equal-length vectors, got rows {self.rows.shape}, "
                 f"cols {self.cols.shape}, signs {self.signs.shape}"
             )
-        if not np.all(np.abs(self.signs) == 1):
-            raise ProblemValidationError("mask signs must be +1 or -1")
+        _require(np.all(np.abs(self.signs) == 1), "mask signs must be +1 or -1")
 
     def __len__(self) -> int:
         return self.rows.shape[0]
@@ -298,8 +333,7 @@ class TraceProblem(_Design):
         object.__setattr__(self, "y", _as_locked_float(self.y, "y"))
         d1, d2 = (int(self.dims[0]), int(self.dims[1]))
         object.__setattr__(self, "dims", (d1, d2))
-        if d1 < 1 or d2 < 1:
-            raise ProblemValidationError(f"dims must be positive, got {self.dims}")
+        _positive("dims", min(d1, d2), got=self.dims)
         if self.y.ndim != 1:
             raise DimensionMismatchError(f"y must be 1-d, got shape {self.y.shape}")
         n = self.y.shape[0]
@@ -309,15 +343,12 @@ class TraceProblem(_Design):
                 raise DimensionMismatchError(
                     f"y has {n} entries but mask covariates have {len(cov)}"
                 )
-            if cov.rows.size and (cov.rows.min() < 0 or cov.rows.max() >= d1):
-                raise ProblemValidationError("mask row indices out of range")
-            if cov.cols.size and (cov.cols.min() < 0 or cov.cols.max() >= d2):
-                raise ProblemValidationError("mask column indices out of range")
+            for idx, d, what in ((cov.rows, d1, "row"), (cov.cols, d2, "column")):
+                _require(not idx.size or 0 <= idx.min() <= idx.max() < d,
+                         f"mask {what} indices out of range")
         else:
-            if d1 * d2 > MAX_DENSE_CELLS:
-                raise ProblemValidationError(
-                    f"dense covariates capped at {MAX_DENSE_CELLS} cells, got {d1 * d2}"
-                )
+            _require(d1 * d2 <= MAX_DENSE_CELLS,
+                     f"dense covariates capped at {MAX_DENSE_CELLS} cells, got {d1 * d2}")
             cov = _as_locked_float(cov, "covariates")
             if cov.shape != (n, d1, d2):
                 raise DimensionMismatchError(

@@ -50,11 +50,12 @@ from .penalties import (
     soft_threshold,
 )
 from .problems import (
-    ProblemValidationError,
     RegressionProblem,
     SolverResult,
     TraceProblem,
     TuningParams,
+    _at_least,
+    _require,
     design_adjoint,
     design_apply,
 )
@@ -78,10 +79,8 @@ class SolverConfig:
     rel_tol: float = 1e-9
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise ProblemValidationError(f"max_iters must be >= 1, got {self.max_iters}")
-        if not (0 < self.rel_tol < 1):
-            raise ProblemValidationError(f"rel_tol must be in (0, 1), got {self.rel_tol}")
+        _at_least("max_iters", self.max_iters)
+        _require(0 < self.rel_tol < 1, f"rel_tol must be in (0, 1), got {self.rel_tol}")
 
 
 def _minimize(
@@ -194,14 +193,11 @@ def _solve_huber(penalty, estimator, problem, tp, cfg, x0, give_up) -> SolverRes
     is rejected, naming ``estimator``."""
     ndim, norm, prox, boxed = penalty
     shape, lam = getattr(problem, "param_shape", ()), tp.lambda_star
-    if len(shape) != ndim:
-        raise ProblemValidationError(
-            f"{estimator} fits a {('vector', 'matrix')[ndim - 1]} parameter and cannot "
-            f"take a {type(problem).__name__}")
+    _require(len(shape) == ndim, f"{estimator} fits a {('vector', 'matrix')[ndim - 1]} "
+             f"parameter and cannot take a {type(problem).__name__}")
     start = np.zeros(shape) if x0 is None else np.array(x0, dtype=float)
     if boxed:
-        if tp.inf_ball_radius is None:
-            raise ProblemValidationError("matrix completion requires inf_ball_radius")
+        _require(tp.inf_ball_radius is not None, "matrix completion requires inf_ball_radius")
         radius, svt = tp.inf_ball_radius, prox
         prox = lambda V, tau: project_inf_ball(svt(V, tau), radius)
         if x0 is not None:

@@ -151,15 +151,34 @@ def test_every_called_name_is_seen_in_a_workload_miniature(tracing, tmp_path, ca
     assert sorted(set(called) - seen) == []
 
 
-def test_every_bench_workload_spec_builds(tracing, monkeypatch):
+def _run_module(tracing, monkeypatch):
     # run.py imports tracing.py, the file beside it, as ``tracing``: it gets
     # the copy loaded above
     monkeypatch.setitem(sys.modules, "tracing", tracing)
     spec = importlib.util.spec_from_file_location("bench_run", _RUN)
     run = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(run)
+    return run
+
+
+def test_every_bench_workload_spec_builds(tracing, monkeypatch):
+    run = _run_module(tracing, monkeypatch)
     oracles = [w for w in run.WORKLOADS if w != "cli_session"]
     assert len(oracles) == 3
     for workload in oracles:
         assert run.oracle_spec(workload, 0).problem_kind == workload.split("_oracle")[0]
     assert SweepSpec.from_dict(run.sweep_config(0)).trials_per_cell == 20
+
+
+def test_bench_fit_step_command_lines_exit_zero(tracing, monkeypatch, tmp_path, capsys):
+    """cli_session's fit step runs ``generate_argv`` for both kinds and then
+    ``solve --bundle`` through ``cli.main``; each exits 0, so no refusal of an
+    option turns a fit step into a failed run."""
+    from huberreg import cli
+
+    run = _run_module(tracing, monkeypatch)
+    for kind in ("lasso", "completion"):
+        bundle, fit = str(tmp_path / kind), str(tmp_path / f"{kind}_fit")
+        assert cli.main(run.generate_argv(kind, 0, bundle)) == 0
+        assert cli.main(["solve", "--bundle", bundle, "--out", fit]) == 0
+    capsys.readouterr()

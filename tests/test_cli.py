@@ -483,9 +483,9 @@ def test_options_override_bundle_meta_in_solve_and_tune(tmp_path, capsys, kind):
     assert main(["generate", "--kind", kind, "--n", "400", *size, "--o", "8",
                  "--adversary", "random_large", "--magnitude", "10", "--sigma", "0.1",
                  "--seed", "5", "--out", str(bundle)]) == 0
-    options = ["--sigma", "0.3", "--o", "4", "--L", "2", "--rho", "0.5",
+    options = ["--sigma", "0.3", "--o", "4",
                *(["--s", "2"] if kind == "lasso" else ["--rank", "1"]),
-               *(["--alpha-star", "2.5"] if kind == "completion" else [])]
+               *(["--alpha-star", "2.5"] if kind == "completion" else ["--L", "2", "--rho", "0.5"])]
     assert main(["solve", "--bundle", str(bundle), "--out", str(tmp_path / "f"), *options]) == 0
     solved = parse_kv((tmp_path / "f" / "solve_meta.txt").read_text())
     capsys.readouterr()
@@ -553,17 +553,39 @@ def test_theorem_trial_and_solve_tune_alike(tmp_path, capsys, kind):
     assert float(np.linalg.norm(estimate - truth)) == rec.error
 
 
-def test_tune_completion_reads_L_and_rho_but_checks_them(capsys):
-    """Completion's calculator reads neither L nor rho, so they do not move its
-    penalty levels; they are still theorem inputs and must be positive."""
-    base = ["tune", "--model", "completion", "--n", "400", *_KINDS["completion"][0],
-            "--alpha-star", "2.5"]
-    assert main(base) == 0
-    plain = parse_kv(capsys.readouterr().out)
-    assert main([*base, "--L", "2", "--rho", "0.5"]) == 0
-    assert parse_kv(capsys.readouterr().out) == plain
-    assert main([*base, "--L", "0"]) == 2
-    assert "L must be positive" in capsys.readouterr().err
+# the inputs of one tuning report, and for each a value that differs from it
+_BASE_INPUTS = {"o": 8, "sigma": 0.5, "sigma_xi": None, "delta": 0.05, "kappa": 1.0, "L": 1.0,
+                "rho": 1.0, "alpha": None, "alpha_star": 2.5, "c0": 3.0, "variant": None}
+_OTHER_INPUTS = {"o": 4, "sigma": 0.7, "sigma_xi": 0.9, "delta": 0.02, "kappa": 0.5, "L": 1.5,
+                 "rho": 2.0, "alpha": 1.5, "alpha_star": 2.8, "c0": 4.0, "variant": "heavy_tailed"}
+
+
+@pytest.mark.parametrize("kind", sorted(_KINDS))
+def test_each_kind_reads_exactly_the_inputs_that_move_its_tune_report(capsys, kind):
+    """A kind's read set is what its calculator reads: changing one theorem
+    input, c0 or the variant changes the tune report exactly when the input
+    is in the set. tune takes each option of the set and refuses the others."""
+    assert set(_OTHER_INPUTS) == set(_BASE_INPUTS) == {*_THEOREM, "c0", "variant"}
+    k = _kinds()[kind]
+    dims = 30 if kind == "lasso" else (8, 6)
+
+    def report(**change):
+        given = {k.size: 2, **_BASE_INPUTS, **change}
+        return experiments._theorem_tuning(k, 400, dims, given).to_kv_text()
+
+    moved = {name for name, value in _OTHER_INPUTS.items() if report(**{name: value}) != report()}
+    assert moved == set(k.reads)
+    base = ["tune", "--model", kind, "--n", "400", *_KINDS[kind][0], "--alpha-star", "2.5"]
+    if kind != "completion":
+        base = base[:-2]
+    for name in (*_THEOREM, "variant"):
+        option = "--" + name.replace("_", "-")
+        code = main([*base, option, str(_OTHER_INPUTS[name])])
+        err = capsys.readouterr().err
+        if name in k.reads:
+            assert code == 0, err
+        else:
+            assert code == 2 and option in err
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -891,6 +913,59 @@ def test_solve_refuses_options_its_tuning_mode_does_not_read(pin_bundles, tmp_pa
         return
     mode = "fixed" if "fixed" in options else "theorem"
     assert (code, err) == (2, f"error: --tuning {mode} does not read {flag}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, message", [
+    (["tune", "--model", "lasso", "--n", "400", "--d", "8", "--s", "2", "--alpha", "5",
+      "--sigma-xi", "3", "--alpha-star", "9"], "--model lasso does not read --sigma-xi"),
+    (["tune", "--model", "completion", "--n", "400", "--d1", "8", "--d2", "8", "--rank", "2",
+      "--alpha-star", "2", "--L", "3", "--rho", "7", "--kappa", "0.2"],
+     "--model completion does not read --kappa"),
+    (["tune", "--model", "completion", "--n", "400", *_KINDS["completion"][0],
+      "--alpha-star", "2.5", "--L", "2", "--rho", "0.5"], "--model completion does not read --L"),
+    (["tune", "--model", "completion", "--n", "400", *_KINDS["completion"][0],
+      "--alpha-star", "2.5", "--L", "0"], "--model completion does not read --L"),
+    (["tune", "--model", "lasso", "--n", "400", *_KINDS["lasso"][0], "--rank", "3"],
+     "--model lasso does not read --rank"),
+    (["tune", "--model", "lasso", "--n", "400", *_KINDS["lasso"][0], "--d1", "4"],
+     "--model lasso does not read --d1"),
+    (["tune", "--model", "matrix_cs", "--n", "400", *_KINDS["matrix_cs"][0], "--d", "4"],
+     "--model matrix_cs does not read --d"),
+    (["generate", "--kind", "lasso", "--n", "400", *_KINDS["lasso"][0], "--rank", "3"],
+     "--kind lasso does not read --rank"),
+    (["generate", "--kind", "lasso", "--n", "400", *_KINDS["lasso"][0], "--d1", "4"],
+     "--kind lasso does not read --d1"),
+    (["generate", "--kind", "completion", "--n", "400", *_KINDS["completion"][0], "--s", "2"],
+     "--kind completion does not read --s"),
+    (["solve", "lasso", "--alpha", "5"], "--tuning theorem does not read --alpha"),
+    (["solve", "lasso", "--rank", "5"], "--tuning theorem does not read --rank"),
+    (["solve", "completion", "--L", "2"], "--tuning theorem does not read --L"),
+    (["solve", "trace_dense", "--estimator", "completion", "--inf-radius", "0.1",
+      "--alpha-star", "2"], "--tuning theorem does not read --alpha-star"),
+    (["solve", "trace_dense", "--estimator", "completion", "--alpha-star", "2"], None),
+], ids=["tune-lasso", "tune-completion", "tune-completion-L-rho", "tune-completion-zero-L",
+        "tune-lasso-rank", "tune-lasso-d1", "tune-matrix_cs-d", "generate-lasso-rank",
+        "generate-lasso-d1", "generate-completion-s", "solve-lasso-alpha", "solve-lasso-rank",
+        "solve-completion-L", "solve-boxed-alpha-star", "solve-box-from-alpha-star"])
+def test_commands_refuse_options_the_kind_does_not_read(pin_bundles, tmp_path, capsys, command,
+                                                        message):
+    """tune, generate and solve refuse an option their kind does not read: a
+    theorem input outside its calculator's set, or the other kind's size or
+    dims option, by name and with exit 2, before any write. L and rho are
+    refused for completion even at 0, a value they would reject. A completion
+    fit without --inf-radius reads --alpha-star as its box, whatever the
+    bundle's kind."""
+    if command[0] == "solve":
+        command = ["solve", "--bundle", str(pin_bundles / command[1]), "--max-iters", "5",
+                   *command[2:]]
+    out = tmp_path / "out"
+    code = main([*command, "--out", str(out)])
+    captured = capsys.readouterr()
+    if message is None:
+        assert code == 0 and out.exists()
+        return
+    assert (code, captured) == (2, ("", f"error: {message}\n"))
     assert not out.exists()
 
 

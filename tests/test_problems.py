@@ -400,8 +400,8 @@ def test_bundle_io_holds_one_copy_of_a_dense_design(tmp_path):
 
 
 def test_reading_a_large_completion_bundle_makes_no_row_lists(tmp_path):
-    """Reading a 50,000-row masks.csv peaks under 4.5 times the bytes of the
-    rows, cols and signs it returns (4.09 measured): the rows are parsed into
+    """Reading a 50,000-row masks.csv peaks under 3.6 times the bytes of the
+    rows, cols and signs it returns (3.43 measured): the rows are parsed into
     one buffer of doubles, not kept as a list of Python floats each (14.6)."""
     n = 50_000
     rng = np.random.default_rng(3)
@@ -414,18 +414,19 @@ def test_reading_a_large_completion_bundle_makes_no_row_lists(tmp_path):
         q, read_peak = _traced_peak(lambda: read_problem_bundle(str(tmp_path)))
     finally:
         tracemalloc.stop()
-    assert read_peak <= 4.5 * 3 * cov.rows.nbytes
+    assert read_peak <= 3.6 * 3 * cov.rows.nbytes
     for got, want in ((q.covariates.rows, cov.rows), (q.covariates.cols, cov.cols),
                       (q.covariates.signs, cov.signs)):
         assert got.dtype == np.int64 and got.tobytes() == want.tobytes()
 
 
 def test_masks_are_cast_from_the_parse_buffer_in_one_copy(tmp_path):
-    """Reading a 50,000-row masks.csv whose rows are shuffled peaks under 3.9
-    times the bytes of the rows, cols and signs it returns (3.80 measured; the
-    peak is now the permutation check on i). Each int64 column is filled from
-    the parse buffer in the order of i, with no float copy of the three
-    columns (taking them by argsort and then casting peaked at 4.09)."""
+    """Reading a 50,000-row masks.csv whose rows are shuffled peaks under 3.6
+    times the bytes of the rows, cols and signs it returns (3.42 measured; a
+    permutation check on i by np.unique peaked at 3.80, one np.bincount
+    decides it now). Each int64 column is filled from the parse buffer in the
+    order of i, with no float copy of the three columns (taking them by
+    argsort and then casting peaked at 4.09)."""
     n = 50_000
     rng = np.random.default_rng(3)
     cov = MaskCovariates(rows=rng.integers(0, 40, n), cols=rng.integers(0, 40, n),
@@ -441,7 +442,7 @@ def test_masks_are_cast_from_the_parse_buffer_in_one_copy(tmp_path):
         q, read_peak = _traced_peak(lambda: read_problem_bundle(str(tmp_path)))
     finally:
         tracemalloc.stop()
-    assert read_peak <= 3.9 * 3 * cov.rows.nbytes
+    assert read_peak <= 3.6 * 3 * cov.rows.nbytes
     for got, want in ((q.covariates.rows, cov.rows), (q.covariates.cols, cov.cols),
                       (q.covariates.signs, cov.signs)):
         assert got.dtype == np.int64 and got.flags.c_contiguous
